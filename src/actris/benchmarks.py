@@ -116,6 +116,9 @@ class _CircuitSearchSpace:
     parts. Constraint handling is by repair: the precoder is rescaled into
     the transmit budget and the most power-hungry resistances are relaxed
     toward the low-power band edge until the surface budget holds.
+
+    decode, encode, repair and fitness work on a population: a (K, dim)
+    stack of decision vectors, one row per individual.
     """
 
     def __init__(self, scenario, ch, fits):
@@ -149,39 +152,26 @@ class _CircuitSearchSpace:
         return rng.uniform(self.lower, self.upper)
 
     def decode(self, x):
-        r = np.full(self.n, self.params.r_passive)
-        r[self.active] = x[: self.n_act]
-        c = x[self.n_act : self.n_act + self.n]
-        vflat = x[self.n_act + self.n :]
-        v = (vflat[0::2] + 1j * vflat[1::2]).reshape(self.scenario.m_t, self.scenario.d)
+        k = x.shape[0]
+        r = np.full((k, self.n), self.params.r_passive)
+        r[:, self.active] = x[:, : self.n_act]
+        c = x[:, self.n_act : self.n_act + self.n]
+        vflat = x[:, self.n_act + self.n :]
+        v = (vflat[:, 0::2] + 1j * vflat[:, 1::2]).reshape(
+            k, self.scenario.m_t, self.scenario.d
+        )
         return r, c, v
 
     def encode(self, r, c, v):
-        vflat = np.empty(2 * v.size)
-        vflat[0::2] = v.real.ravel()
-        vflat[1::2] = v.imag.ravel()
-        return np.concatenate([r[self.active], c, vflat])
+        k = v.shape[0]
+        vflat = np.empty((k, 2 * v[0].size))
+        vflat[:, 0::2] = v.real.reshape(k, -1)
+        vflat[:, 1::2] = v.imag.reshape(k, -1)
+        return np.concatenate([r[:, self.active], c, vflat], axis=1)
 
-    def repair(self, x):
-        """Project a raw vector onto the constraint set; returns the repaired
-        vector together with the decoded design pieces."""
-        x = np.clip(x, self.lower, self.upper)
-        r, c, v = self.decode(x)
-        tx = np.trace(v.conj().T @ v).real
-        if tx > self.scenario.p_t_w:
-            v = v * np.sqrt(self.scenario.p_t_w / tx)
-
-        gamma = circuit._gamma(self.params, c, r)
-        # any realized (R, C) already satisfies |R| <= F(arg gamma); clamp
-        # defensively in case of numerical corner cases
-        f = circuit.resistance_range(self.params, np.angle(gamma) % (2 * np.pi))
-        over = np.abs(r) > f
-        if over.any():
-            r = np.where(over, -np.minimum(np.abs(r), f), r)
-            gamma = circuit._gamma(self.params, c, r)
-
-        powers = np.zeros(self.n)
-        powers[self.active] = circuit.power_consumption_vec(r[self.active], self.params)
+    def _relax_to_budget(self, r, powers):
+        """Relax the most power-hungry resistances of one design, in place,
+        until its surface power fits the budget."""
         total = powers.sum()
         budget = self.scenario.p_ris_w
         while total > budget + 1e-12:
@@ -200,12 +190,41 @@ class _CircuitSearchSpace:
             new_p = circuit.power_consumption(r[i], self.params)
             total += new_p - powers[i]
             powers[i] = new_p
+
+    def repair(self, x):
+        """Project a population onto the constraint set; returns the repaired
+        stack together with the decoded design pieces, one row each."""
+        x = np.clip(x, self.lower, self.upper)
+        r, c, v = self.decode(x)
+        tx = np.trace(v.conj().swapaxes(-1, -2) @ v, axis1=-2, axis2=-1).real
+        loud = tx > self.scenario.p_t_w
+        if loud.any():
+            v[loud] = v[loud] * np.sqrt(self.scenario.p_t_w / tx[loud])[:, None, None]
+
+        # any realized (R, C) already satisfies |R| <= F(arg gamma); clamp
+        # defensively in case of numerical corner cases
+        gamma = circuit._gamma(self.params, c, r)
+        f = circuit.resistance_range(self.params, np.angle(gamma) % (2 * np.pi))
+        r = np.where(np.abs(r) > f, -np.minimum(np.abs(r), f), r)
+
+        powers = np.zeros(r.shape)
+        powers[:, self.active] = circuit.power_consumption_vec(
+            r[:, self.active], self.params
+        )
+        for k in np.flatnonzero(powers.sum(axis=1) > self.scenario.p_ris_w + 1e-12):
+            self._relax_to_budget(r[k], powers[k])
         gamma = circuit._gamma(self.params, c, r)
         return self.encode(r, c, v), r, c, v, gamma
 
     def fitness(self, x):
+        """Repair and score a population: (repaired stack, rates, (r, c, v, gamma))."""
         x, r, c, v, gamma = self.repair(x)
         return x, rate_lmmse(self.ch, v, gamma, self.scenario), (r, c, v, gamma)
+
+
+def _individual(phenotypes, i):
+    """Copy of individual i out of stacked phenotypes."""
+    return tuple(part[i].copy() for part in phenotypes)
 
 
 @dataclass
@@ -247,24 +266,19 @@ def run_ga(scenario, ch, fits, budget, rng):
 
     Tournament selection of size two, uniform blend crossover, Gaussian
     mutation at rate 1/dimension with a step of 5 percent of each range, and
-    single-individual elitism.
+    single-individual elitism. Each generation is scored in one population
+    call once all its children are drawn.
     """
     space = _CircuitSearchSpace(scenario, ch, fits)
     k, p = budget.k, budget.p
-    pop = [space.sample(rng) for _ in range(k)]
-    fitness = np.empty(k)
-    phenos = [None] * k
-    for i in range(k):
-        pop[i], fitness[i], phenos[i] = space.fitness(pop[i])
+    pop, fitness, phenos = space.fitness(np.array([space.sample(rng) for _ in range(k)]))
     sigma = 0.05 * (space.upper - space.lower)
     best_idx = int(np.argmax(fitness))
-    best = (fitness[best_idx], pop[best_idx].copy(), phenos[best_idx])
+    best_fit, best_pheno = fitness[best_idx], _individual(phenos, best_idx)
     for _ in range(p - 1):
-        order = np.argsort(fitness)[::-1]
-        elite = pop[order[0]].copy()
-        elite_fit, elite_pheno = fitness[order[0]], phenos[order[0]]
-        children = [elite]
-        while len(children) < k:
+        elite = np.argsort(fitness)[::-1][:1]
+        children = []
+        while len(children) < k - 1:
             ia, ib = rng.integers(0, k, size=2)
             pa = pop[ia] if fitness[ia] >= fitness[ib] else pop[ib]
             ia, ib = rng.integers(0, k, size=2)
@@ -273,52 +287,59 @@ def run_ga(scenario, ch, fits, budget, rng):
             child = u * pa + (1.0 - u) * pb
             mutate = rng.uniform(size=space.dim) < 1.0 / space.dim
             child = np.where(mutate, child + sigma * rng.standard_normal(space.dim), child)
-            children.append(np.clip(child, space.lower, space.upper))
-        pop = children
-        fitness[0], phenos[0] = elite_fit, elite_pheno
-        for i in range(1, k):
-            pop[i], fitness[i], phenos[i] = space.fitness(pop[i])
+            children.append(child)  # repair clips it into the box
+        kids, kid_fit, kid_phenos = space.fitness(np.array(children))
+        pop = np.concatenate([pop[elite], kids])
+        fitness = np.concatenate([fitness[elite], kid_fit])
+        phenos = tuple(np.concatenate([a[elite], b]) for a, b in zip(phenos, kid_phenos))
         gen_best = int(np.argmax(fitness))
-        if fitness[gen_best] > best[0]:
-            best = (fitness[gen_best], pop[gen_best].copy(), phenos[gen_best])
-    return _finalize(space, best[2], float(best[0]), p)
+        if fitness[gen_best] > best_fit:
+            best_fit, best_pheno = fitness[gen_best], _individual(phenos, gen_best)
+    return _finalize(space, best_pheno, float(best_fit), p)
 
 
 def run_pso(scenario, ch, fits, budget, rng):
-    """Global-best particle swarm with inertia 0.72 and both pulls at 1.49."""
+    """Global-best particle swarm with inertia 0.72 and both pulls at 1.49.
+
+    Particles move one after another, each pulled toward the global best as
+    it stands after the moves before it. A sweep therefore moves and scores
+    the remaining particles as one population against the current global
+    best and accepts them in order; at the first particle that improves the
+    global best, the rest are moved and scored again from the new one.
+    """
     space = _CircuitSearchSpace(scenario, ch, fits)
     k, p = budget.k, budget.p
     omega, c1, c2 = 0.72, 1.49, 1.49
-    x = np.array([space.sample(rng) for _ in range(k)])
+    x, fit, phenos = space.fitness(np.array([space.sample(rng) for _ in range(k)]))
     vel = np.zeros_like(x)
     span = space.upper - space.lower
     pbest = x.copy()
-    pbest_fit = np.full(k, -np.inf)
-    phenos = [None] * k
-    gbest = None
-    gbest_fit = -np.inf
-    gbest_pheno = None
+    pbest_fit = fit.copy()
+    gbest_fit, g = -np.inf, None
     for i in range(k):
-        x[i], fit, phenos[i] = space.fitness(x[i])
-        pbest[i] = x[i]
-        pbest_fit[i] = fit
-        if fit > gbest_fit:
-            gbest_fit, gbest, gbest_pheno = fit, x[i].copy(), phenos[i]
+        if fit[i] > gbest_fit:
+            gbest_fit, g = fit[i], i
+    gbest, gbest_pheno = x[g].copy(), _individual(phenos, g)
     for _ in range(p - 1):
-        for i in range(k):
-            r1 = rng.uniform(size=space.dim)
-            r2 = rng.uniform(size=space.dim)
-            vel[i] = (
-                omega * vel[i]
-                + c1 * r1 * (pbest[i] - x[i])
-                + c2 * r2 * (gbest - x[i])
+        pulls = rng.uniform(size=(k, 2, space.dim))
+        i = 0
+        while i < k:
+            moved = (
+                omega * vel[i:]
+                + c1 * pulls[i:, 0] * (pbest[i:] - x[i:])
+                + c2 * pulls[i:, 1] * (gbest - x[i:])
             )
-            vel[i] = np.clip(vel[i], -span, span)
-            x[i] = np.clip(x[i] + vel[i], space.lower, space.upper)
-            x[i], fit, pheno = space.fitness(x[i])
-            if fit > pbest_fit[i]:
-                pbest_fit[i] = fit
-                pbest[i] = x[i].copy()
-            if fit > gbest_fit:
-                gbest_fit, gbest, gbest_pheno = fit, x[i].copy(), pheno
+            moved = np.clip(moved, -span, span)
+            cand, fit, phenos = space.fitness(x[i:] + moved)  # clipped by repair
+            better = np.flatnonzero(fit > gbest_fit)
+            m = better[0] + 1 if better.size else fit.size
+            vel[i : i + m] = moved[:m]
+            x[i : i + m] = cand[:m]
+            up = np.flatnonzero(fit[:m] > pbest_fit[i : i + m])
+            pbest_fit[i + up] = fit[up]
+            pbest[i + up] = cand[up]
+            if better.size:
+                gbest_fit, gbest = fit[m - 1], cand[m - 1].copy()
+                gbest_pheno = _individual(phenos, m - 1)
+            i += m
     return _finalize(space, gbest_pheno, float(gbest_fit), p)

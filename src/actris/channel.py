@@ -128,27 +128,26 @@ def sample_channels(scenario, rng):
 
 
 def effective_channel(ch, gamma):
-    """RIS-augmented end-to-end channel H_d + H_2 diag(gamma) H_1."""
+    """RIS-augmented end-to-end channel H_d + H_2 diag(gamma) H_1.
+
+    gamma may carry leading axes (a stack of designs); the result then
+    stacks one (m_r, m_t) channel per design.
+    """
     gamma = np.asarray(gamma)
-    if gamma.shape != (ch.h_1.shape[0],):
+    if gamma.shape[-1:] != (ch.h_1.shape[0],):
         raise ValueError("gamma length must match the element count")
-    return ch.h_d + ch.h_2 @ (gamma[:, None] * ch.h_1)
+    return ch.h_d + ch.h_2 @ (gamma[..., :, None] * ch.h_1)
 
 
 def noise_covariance(ch, gamma, scenario):
-    """Covariance of surface-induced plus thermal noise at the receiver."""
-    h2g = ch.h_2 * gamma[None, :]
-    return scenario.sigma2_w * scenario.f_s * (h2g @ h2g.conj().T) + (
+    """Covariance of surface-induced plus thermal noise at the receiver.
+
+    Stacks over leading axes of gamma like effective_channel.
+    """
+    h2g = ch.h_2 * np.asarray(gamma)[..., None, :]
+    return scenario.sigma2_w * scenario.f_s * (h2g @ h2g.conj().swapaxes(-1, -2)) + (
         scenario.sigma2_w * scenario.f_r
     ) * np.eye(scenario.m_r)
-
-
-def _solve_psd(a, b):
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        ridge = 1e-12 * np.trace(a).real / a.shape[0]
-        return np.linalg.solve(a + ridge * np.eye(a.shape[0]), b)
 
 
 def spectral_efficiency(ch, v, w, gamma, scenario):
@@ -178,28 +177,42 @@ def spectral_efficiency(ch, v, w, gamma, scenario):
     return float(rate)
 
 
-def _batched_stream_sinrs(ch, v, gamma, scenario):
-    heff = effective_channel(ch, gamma)
-    g = heff @ v                       # (m_r, d)
-    s = noise_covariance(ch, gamma, scenario)
-    b = s + g @ g.conj().T
-    cols = g.T                         # (d, m_r)
-    f_stack = b[None, :, :] - cols[:, :, None] * cols.conj()[:, None, :]
+def _solve_streams(f_stack, b, cols):
+    """Solve f_stack x = cols per stream; a singular design gets a small ridge.
+
+    A LinAlgError in a stack of designs re-solves it design by design, so the
+    ridge touches only the singular design and every other design keeps the
+    bits of its own single-design solve.
+    """
     try:
-        sol = np.linalg.solve(f_stack, cols[:, :, None])[:, :, 0]
+        return np.linalg.solve(f_stack, cols[..., None])[..., 0]
     except np.linalg.LinAlgError:
+        if f_stack.ndim > 3:
+            return np.stack([_solve_streams(*parts) for parts in zip(f_stack, b, cols)])
         ridge = 1e-12 * np.trace(b).real / b.shape[0]
         eye = ridge * np.eye(b.shape[0])
-        sol = np.linalg.solve(f_stack + eye[None], cols[:, :, None])[:, :, 0]
-    sinrs = np.einsum("ij,ij->i", cols.conj(), sol).real
+        return np.linalg.solve(f_stack + eye[None], cols[:, :, None])[:, :, 0]
+
+
+def stream_sinrs(ch, v, gamma, scenario):
+    """Per-stream SINRs under the optimal linear receiver.
+
+    v (..., m_t, d) and gamma (..., n) may carry matching leading axes; the
+    result is then (..., d), one row per design.
+    """
+    g = effective_channel(ch, gamma) @ v                    # (..., m_r, d)
+    b = noise_covariance(ch, gamma, scenario) + g @ g.conj().swapaxes(-1, -2)
+    cols = g.swapaxes(-1, -2)                               # (..., d, m_r)
+    f_stack = b[..., None, :, :] - cols[..., :, :, None] * cols.conj()[..., None, :]
+    sol = _solve_streams(f_stack, b, cols)
+    sinrs = np.einsum("...ij,...ij->...i", cols.conj(), sol).real
     return np.maximum(sinrs, 0.0)
 
 
 def rate_lmmse(ch, v, gamma, scenario):
-    """Achievable rate with the rate-optimal linear receiver (bps/Hz)."""
-    return float(np.sum(np.log2(1.0 + _batched_stream_sinrs(ch, v, gamma, scenario))))
+    """Achievable rate with the rate-optimal linear receiver (bps/Hz).
 
-
-def stream_sinrs(ch, v, gamma, scenario):
-    """Per-stream SINRs under the optimal linear receiver."""
-    return _batched_stream_sinrs(ch, v, gamma, scenario)
+    A float for one design; an array of rates for a stack of designs.
+    """
+    rates = np.sum(np.log2(1.0 + stream_sinrs(ch, v, gamma, scenario)), axis=-1)
+    return float(rates) if rates.ndim == 0 else rates

@@ -136,6 +136,7 @@ def _execute(spec, out_path):
         print(
             f"{entry['scheme']:>24s}  sweep={entry['sweep_value']:<10g} "
             f"mean={entry['mean_rate_bps_hz']:.4f} bps/Hz "
+            f"failed={entry['failed']}/{entry['trials'] + entry['failed']} "
             f"(+/- {entry['stderr_rate_bps_hz']:.4f}, n={entry['trials']})"
         )
     if failures:

@@ -564,24 +564,33 @@ def parse_csv(path):
 
 
 def summarize(rows):
-    """Mean and standard error of the rate per (scheme, sweep value)."""
+    """Mean and standard error of the rate per (scheme, sweep value).
+
+    The statistics cover the successful rows; each group also counts its
+    failed rows, and a group in which every row failed is listed with
+    trials=0 and NaN statistics.
+    """
     if not rows:
         raise ValueError("no rows to summarize")
     groups = {}
     for r in rows:
-        if r.error:
-            continue
-        groups.setdefault((r.scheme, r.sweep_value), []).append(r.rate_bps_hz)
+        groups.setdefault((r.scheme, r.sweep_value), []).append(r)
     out = []
-    for (scheme, sweep_value), rates in sorted(groups.items()):
-        arr = np.asarray(rates)
-        sem = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
+    for scheme, sweep_value in sorted(groups):
+        members = groups[(scheme, sweep_value)]
+        arr = np.asarray([r.rate_bps_hz for r in members if not r.error])
+        if arr.size:
+            mean = float(arr.mean())
+            sem = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
+        else:
+            mean = sem = float("nan")
         out.append({
             "scheme": scheme,
             "sweep_value": sweep_value,
             "trials": arr.size,
-            "mean_rate_bps_hz": float(arr.mean()),
-            "stderr_rate_bps_hz": float(sem),
+            "failed": len(members) - arr.size,
+            "mean_rate_bps_hz": mean,
+            "stderr_rate_bps_hz": sem,
         })
     return out
 

@@ -44,11 +44,16 @@ def lambert_w0(x):
 
 
 def lambert_w0_vec(x):
-    """Vectorized principal-branch Lambert W for arrays with x >= -1/e."""
+    """Vectorized principal-branch Lambert W for arrays with x >= -1/e.
+
+    Halley stops per slice along the last axis, so a stack of inputs gives
+    every row the same bits as a call on that row alone.
+    """
     x = np.asarray(x, dtype=float)
+    shape = x.shape
     if np.any(x < -_INV_E - 1e-15):
         raise ValueError("lambert_w0_vec undefined below -1/e")
-    x = np.maximum(x, -_INV_E)
+    x = np.maximum(x, -_INV_E).reshape(-1, shape[-1] if shape else 1)
     # piecewise initial guess, then vectorized Halley
     w = np.where(x < -0.25, -1.0 + np.sqrt(2.0 * np.maximum(np.e * x + 1.0, 0.0)), 0.0)
     mid = (x >= -0.25) & (x < 1.0)
@@ -57,15 +62,25 @@ def lambert_w0_vec(x):
     if np.any(big):
         lx = np.log(np.where(big, x, 1.0))
         w = np.where(big, np.where(lx > 1.0, lx - np.log(np.maximum(lx, 1.1)), lx), w)
+    out = np.empty_like(w)
+    rows = np.arange(w.shape[0])
     for _ in range(40):
         ew = np.exp(w)
         f = w * ew - x
         denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
         step = f / np.where(denom != 0.0, denom, 1.0)
         w = w - step
-        if np.max(np.abs(step)) <= 1e-16 * (1.0 + np.max(np.abs(w))):
+        done = np.maximum.reduce(np.abs(step), axis=-1) <= 1e-16 * (
+            1.0 + np.maximum.reduce(np.abs(w), axis=-1)
+        )
+        n_done = np.count_nonzero(done)
+        if n_done == done.size:
             break
-    return w
+        if n_done:
+            out[rows[done]] = w[done]
+            rows, w, x = rows[~done], w[~done], x[~done]
+    out[rows] = w
+    return out.reshape(shape)
 
 
 def bisect(f, lo, hi, tol=1e-12, max_iter=200):

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
 
-from actris.benchmarks import budget_from_ao, run_ga, run_paido, run_pso
-from actris.channel import MimoChannels, ScenarioConfig, sample_channels
+from actris import circuit
+from actris.benchmarks import (
+    _CircuitSearchSpace,
+    _finalize,
+    budget_from_ao,
+    run_ga,
+    run_paido,
+    run_pso,
+)
+from actris.channel import MimoChannels, ScenarioConfig, rate_lmmse, sample_channels
 from actris.constraints import validate_design
 from actris.do import run_do
+from actris.harness import trial_channels
+from actris.numerics import bisect
 from actris.reflection import ElementFits
 from conftest import desk_scenario
 
@@ -123,3 +133,181 @@ class TestMetaheuristics:
         band_hi = circuit.stable_resistance(3.0, sc.circuit)
         assert np.all(rs[res.design.active_mask] >= band_lo - 1e-12)
         assert np.all(rs[res.design.active_mask] <= band_hi + 1e-12)
+
+
+class _SequentialSpace:
+    """Reference search space: decodes, repairs and scores one individual at
+    a time, the loop that the population path of _CircuitSearchSpace
+    replaced. Counts how often each repair branch fires."""
+
+    def __init__(self, scenario, ch, fits):
+        self.space = _CircuitSearchSpace(scenario, ch, fits)
+        self.rescaled = 0
+        self.relaxed = 0
+
+    def decode(self, x):
+        sp = self.space
+        r = np.full(sp.n, sp.params.r_passive)
+        r[sp.active] = x[: sp.n_act]
+        c = x[sp.n_act : sp.n_act + sp.n]
+        vflat = x[sp.n_act + sp.n :]
+        v = (vflat[0::2] + 1j * vflat[1::2]).reshape(sp.scenario.m_t, sp.scenario.d)
+        return r, c, v
+
+    def encode(self, r, c, v):
+        vflat = np.empty(2 * v.size)
+        vflat[0::2] = v.real.ravel()
+        vflat[1::2] = v.imag.ravel()
+        return np.concatenate([r[self.space.active], c, vflat])
+
+    def repair(self, x):
+        sp = self.space
+        x = np.clip(x, sp.lower, sp.upper)
+        r, c, v = self.decode(x)
+        tx = np.trace(v.conj().T @ v).real
+        if tx > sp.scenario.p_t_w:
+            self.rescaled += 1
+            v = v * np.sqrt(sp.scenario.p_t_w / tx)
+        gamma = circuit._gamma(sp.params, c, r)
+        f = circuit.resistance_range(sp.params, np.angle(gamma) % (2 * np.pi))
+        over = np.abs(r) > f
+        if over.any():
+            r = np.where(over, -np.minimum(np.abs(r), f), r)
+        powers = np.zeros(sp.n)
+        powers[sp.active] = circuit.power_consumption_vec(r[sp.active], sp.params)
+        total = powers.sum()
+        budget = sp.scenario.p_ris_w
+        if total > budget + 1e-12:
+            self.relaxed += 1
+        while total > budget + 1e-12:
+            i = int(np.argmax(powers))
+            target = powers[i] - (total - budget)
+            if target <= sp.p_floor + 1e-15:
+                r[i] = sp.band_hi
+            else:
+                r[i] = bisect(
+                    lambda rr: circuit.power_consumption(rr, sp.params) - target,
+                    sp.band_lo, sp.band_hi, tol=1e-15,
+                )
+            new_p = circuit.power_consumption(r[i], sp.params)
+            total += new_p - powers[i]
+            powers[i] = new_p
+        gamma = circuit._gamma(sp.params, c, r)
+        return self.encode(r, c, v), r, c, v, gamma
+
+    def fitness(self, x):
+        x, r, c, v, gamma = self.repair(x)
+        return x, rate_lmmse(self.space.ch, v, gamma, self.space.scenario), (r, c, v, gamma)
+
+
+def _reference_ga(seq, budget, rng):
+    space = seq.space
+    k, p = budget.k, budget.p
+    pop = [space.sample(rng) for _ in range(k)]
+    fitness = np.empty(k)
+    phenos = [None] * k
+    for i in range(k):
+        pop[i], fitness[i], phenos[i] = seq.fitness(pop[i])
+    sigma = 0.05 * (space.upper - space.lower)
+    best_idx = int(np.argmax(fitness))
+    best = (fitness[best_idx], phenos[best_idx])
+    for _ in range(p - 1):
+        order = np.argsort(fitness)[::-1]
+        elite = pop[order[0]].copy()
+        elite_fit, elite_pheno = fitness[order[0]], phenos[order[0]]
+        children = [elite]
+        while len(children) < k:
+            ia, ib = rng.integers(0, k, size=2)
+            pa = pop[ia] if fitness[ia] >= fitness[ib] else pop[ib]
+            ia, ib = rng.integers(0, k, size=2)
+            pb = pop[ia] if fitness[ia] >= fitness[ib] else pop[ib]
+            u = rng.uniform(0.0, 1.0, size=space.dim)
+            child = u * pa + (1.0 - u) * pb
+            mutate = rng.uniform(size=space.dim) < 1.0 / space.dim
+            child = np.where(mutate, child + sigma * rng.standard_normal(space.dim), child)
+            children.append(np.clip(child, space.lower, space.upper))
+        pop = children
+        fitness[0], phenos[0] = elite_fit, elite_pheno
+        for i in range(1, k):
+            pop[i], fitness[i], phenos[i] = seq.fitness(pop[i])
+        gen_best = int(np.argmax(fitness))
+        if fitness[gen_best] > best[0]:
+            best = (fitness[gen_best], phenos[gen_best])
+    return _finalize(space, best[1], float(best[0]), p)
+
+
+def _reference_pso(seq, budget, rng):
+    space = seq.space
+    k, p = budget.k, budget.p
+    omega, c1, c2 = 0.72, 1.49, 1.49
+    x = np.array([space.sample(rng) for _ in range(k)])
+    vel = np.zeros_like(x)
+    span = space.upper - space.lower
+    pbest = x.copy()
+    pbest_fit = np.full(k, -np.inf)
+    gbest, gbest_fit, gbest_pheno = None, -np.inf, None
+    for i in range(k):
+        x[i], fit, pheno = seq.fitness(x[i])
+        pbest[i] = x[i]
+        pbest_fit[i] = fit
+        if fit > gbest_fit:
+            gbest_fit, gbest, gbest_pheno = fit, x[i].copy(), pheno
+    for _ in range(p - 1):
+        for i in range(k):
+            r1 = rng.uniform(size=space.dim)
+            r2 = rng.uniform(size=space.dim)
+            vel[i] = omega * vel[i] + c1 * r1 * (pbest[i] - x[i]) + c2 * r2 * (gbest - x[i])
+            vel[i] = np.clip(vel[i], -span, span)
+            x[i] = np.clip(x[i] + vel[i], space.lower, space.upper)
+            x[i], fit, pheno = seq.fitness(x[i])
+            if fit > pbest_fit[i]:
+                pbest_fit[i] = fit
+                pbest[i] = x[i].copy()
+            if fit > gbest_fit:
+                gbest_fit, gbest, gbest_pheno = fit, x[i].copy(), pheno
+    return _finalize(space, gbest_pheno, float(gbest_fit), p)
+
+
+class TestPopulationOracle:
+    """GA and PSO score whole populations at once; the results must carry the
+    same bits as the one-individual-at-a-time reference loops."""
+
+    def _compare(self, scenario, seed, budget, fits_of):
+        ch, mask = trial_channels(scenario, seed, 0, 0)
+        fits = fits_of(mask)
+        seqs = []
+        for runner, reference in ((run_ga, _reference_ga), (run_pso, _reference_pso)):
+            got = runner(scenario, ch, fits, budget, np.random.default_rng(seed))
+            seq = _SequentialSpace(scenario, ch, fits)
+            want = reference(seq, budget, np.random.default_rng(seed))
+            assert got.rate == want.rate
+            assert np.array_equal(got.v, want.v)
+            assert np.array_equal(got.w, want.w)
+            assert np.array_equal(got.design.gamma, want.design.gamma)
+            assert [(c.r, c.c) for c in got.design.cells] == [
+                (c.r, c.c) for c in want.design.cells
+            ]
+            assert got.design.ris_power_w == want.design.ris_power_w
+            seqs.append(seq)
+        return seqs
+
+    @pytest.fixture
+    def fits_of(self, active_fit, passive_fit):
+        return lambda mask: ElementFits.from_classes(active_fit, passive_fit, mask)
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_desk_seeds(self, fits_of, seed):
+        sc = desk_scenario()
+        self._compare(sc, seed, budget_from_ao(sc), fits_of)
+
+    def test_tight_surface_budget_runs_the_repair_loop(self, fits_of):
+        sc = desk_scenario(p_ris_w=0.2)
+        budget = budget_from_ao(sc, j_alt=6, j_p=1)
+        seqs = self._compare(sc, 5, budget, fits_of)
+        assert all(seq.relaxed > 0 for seq in seqs)
+
+    def test_transmit_rescale_and_partly_passive_surface(self, fits_of):
+        sc = desk_scenario(n_act=11)
+        budget = budget_from_ao(sc, j_alt=6, j_p=1)
+        seqs = self._compare(sc, 8, budget, fits_of)
+        assert all(seq.rescaled > 0 for seq in seqs)

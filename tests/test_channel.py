@@ -10,8 +10,10 @@ from actris.channel import (
     hop_gains,
     pathloss,
     rate_lmmse,
+    noise_covariance,
     sample_channels,
     spectral_efficiency,
+    stream_sinrs,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -216,3 +218,50 @@ class TestRateLmmse:
         cov = sc.sigma2_w * sc.f_s * (h2g @ h2g.conj().T) + sc.sigma2_w * sc.f_r * np.eye(4)
         sinr = np.vdot(g, np.linalg.solve(cov, g)).real
         assert rate_lmmse(ch, v, gamma, sc) == pytest.approx(np.log2(1 + sinr), rel=1e-10)
+
+
+class TestStackedDesigns:
+    """A (K, n) stack of designs gives each design the bits of its own call."""
+
+    def test_stack_equals_single_design_calls(self):
+        sc = ScenarioConfig(m_t=4, m_r=3, d=3, n=7, n_act=7, p_t_w=1.0,
+                            sigma2_w=1e-3, f_r=2.0, f_s=1.5)
+        rng = np.random.default_rng(21)
+        ch = random_channels(rng, 3, 4, 7, direct=True)
+        gamma = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        v = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
+        sinrs = stream_sinrs(ch, v, gamma, sc)
+        rates = rate_lmmse(ch, v, gamma, sc)
+        heff = effective_channel(ch, gamma)
+        cov = noise_covariance(ch, gamma, sc)
+        assert sinrs.shape == (5, 3) and rates.shape == (5,)
+        for k in range(5):
+            assert np.array_equal(sinrs[k], stream_sinrs(ch, v[k], gamma[k], sc))
+            assert rates[k] == rate_lmmse(ch, v[k], gamma[k], sc)
+            assert np.array_equal(heff[k], effective_channel(ch, gamma[k]))
+            assert np.array_equal(cov[k], noise_covariance(ch, gamma[k], sc))
+        assert isinstance(rate_lmmse(ch, v[0], gamma[0], sc), float)
+
+    def test_singular_design_alone_gets_the_ridge(self):
+        # one stream on two identical RX antennas: at gamma = 2^30 the thermal
+        # term drops below the rounding of the surface noise, so the stream's
+        # interference-plus-noise matrix is exactly singular
+        sc = ScenarioConfig(m_t=1, m_r=2, d=1, n=1, n_act=1, p_t_w=1.0,
+                            sigma2_w=2.0**-10, f_r=1.0, f_s=1.0)
+        ch = MimoChannels(h_d=np.zeros((2, 1), dtype=complex),
+                          h_1=np.ones((1, 1), dtype=complex),
+                          h_2=np.ones((2, 1), dtype=complex))
+        gamma = np.array([[0.5], [2.0**30], [0.9 - 0.3j]], dtype=complex)
+        v = np.ones((3, 1, 1), dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(
+                noise_covariance(ch, gamma[1], sc), np.ones((2, 1), dtype=complex)
+            )
+        sinrs = stream_sinrs(ch, v, gamma, sc)
+        rates = rate_lmmse(ch, v, gamma, sc)
+        for k in range(3):
+            assert np.array_equal(sinrs[k], stream_sinrs(ch, v[k], gamma[k], sc))
+            assert rates[k] == rate_lmmse(ch, v[k], gamma[k], sc)
+        assert np.all(np.isfinite(rates))
+        # without the singular design the stack solves in one call, unchanged
+        assert np.array_equal(rate_lmmse(ch, v[::2], gamma[::2], sc), rates[::2])

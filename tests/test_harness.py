@@ -160,6 +160,36 @@ class TestCsv:
         assert entry["mean_rate_bps_hz"] == pytest.approx(12.0)
         assert entry["stderr_rate_bps_hz"] == pytest.approx(2.0 / np.sqrt(3.0))
 
+    def test_summary_counts_failed_rows(self):
+        from actris.harness import ResultRow
+
+        rows = [
+            ResultRow(0, "DO", -30.0, 10.0, 0.1, 1e-4, 1, 0.0, 0),
+            ResultRow(1, "DO", -30.0, 0.0, 0.0, 0.0, 0, 0.0, 0, error="ConvergenceError"),
+            ResultRow(2, "DO", -30.0, 14.0, 0.1, 1e-4, 1, 0.0, 0),
+            ResultRow(0, "PAIDO", -30.0, 0.0, 0.0, 0.0, 0, 0.0, 0, error="ValueError"),
+            ResultRow(1, "PAIDO", -30.0, 0.0, 0.0, 0.0, 0, 0.0, 0, error="ValueError"),
+        ]
+        do, paido = summarize(rows)
+        # the failed row neither enters the mean nor the standard error
+        assert (do["scheme"], do["trials"], do["failed"]) == ("DO", 2, 1)
+        assert do["mean_rate_bps_hz"] == 12.0
+        assert do["stderr_rate_bps_hz"] == pytest.approx(2.0)  # sqrt(8) / sqrt(2)
+        assert (paido["scheme"], paido["trials"], paido["failed"]) == ("PAIDO", 0, 2)
+        assert np.isnan(paido["mean_rate_bps_hz"])
+
+    def test_cli_table_shows_failed_counts(self, tmp_path, capsys, monkeypatch):
+        from actris import cli
+        from actris.harness import ResultRow
+
+        rows = [
+            ResultRow(0, "DO", -30.0, 10.0, 0.1, 1e-4, 1, 0.0, 0),
+            ResultRow(1, "DO", -30.0, 0.0, 0.0, 0.0, 0, 0.0, 0, error="ValueError"),
+        ]
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: rows)
+        assert cli._execute(small_spec(trials=2), None) == 3
+        assert "mean=10.0000 bps/Hz failed=1/2 (+/- 0.0000, n=1)" in capsys.readouterr().out
+
     def test_summary_of_constant_column(self):
         from actris.harness import ResultRow
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from actris.errors import BracketError
-from actris.numerics import bisect, fd_gradient, hermitian_eig, lambert_w0, svd
+from actris.numerics import bisect, fd_gradient, hermitian_eig, lambert_w0, lambert_w0_vec, svd
 
 
 class TestLambertW:
@@ -30,6 +30,18 @@ class TestLambertW:
         with pytest.raises(ValueError):
             lambert_w0(-1.0 / np.e - 1e-6)
 
+
+    def test_vector_matches_scalar(self):
+        xs = np.array([0.0, 1e-8, 0.1, 0.5, 2.0, 10.0, 1e3, -0.05, -0.25, -0.36])
+        assert np.allclose(lambert_w0_vec(xs), [lambert_w0(x) for x in xs], atol=1e-12)
+
+    def test_stack_rows_match_single_calls(self):
+        # Halley stops per row, so a row's bits do not depend on its neighbours
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0.47, 2.72, (200, 16))
+        w = lambert_w0_vec(x)
+        assert all(np.array_equal(w[k], lambert_w0_vec(x[k])) for k in range(200))
+        assert lambert_w0_vec(2.0).shape == ()
 
 class TestBisect:
     def test_linear(self):
