@@ -20,6 +20,10 @@ from .numerics import hermitian_eig
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
+MAX_BACKTRACKS = 40
+LADDER = 8  # Armijo steps scored per stacked objective call
+# the backtracking steps 1, 1/2, ..., 2^-39, one (LADDER, 1) rung per row
+_STEP_LADDER = (BACKTRACK ** np.arange(MAX_BACKTRACKS, dtype=float)).reshape(-1, LADDER, 1)
 
 
 @dataclass
@@ -40,8 +44,17 @@ class PhaseObjective:
         return self.z2 * phasor**2 + self.z1 * phasor + self.z
 
     def value(self, phasor):
-        g = self.gamma_of(phasor)
-        return float((g.conj() @ (self.t @ g)).real - 2.0 * (g.conj() @ self.q).real)
+        """g at one design (n,) as a float, or at a stack (..., n) as an array.
+
+        Every design is scored by its own matmul slice, so a row of a stack
+        carries the bits of a call on that design alone.
+        """
+        g = self.gamma_of(phasor)[..., None, :]
+        gc = g.conj()
+        quad = np.matmul(gc, np.matmul(self.t, g.mT))
+        lin = np.matmul(gc, self.q[:, None])
+        val = (quad.real - 2.0 * lin.real)[..., 0, 0]
+        return float(val) if val.ndim == 0 else val
 
 
 def lmmse_combiner(ch, v, gamma, scenario):
@@ -175,8 +188,11 @@ def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
     """Conjugate-gradient descent on the complex circle manifold.
 
     Polak-Ribiere directions with restarts, Armijo backtracking from unit
-    step, and retraction by elementwise normalization. Returns the final
-    phasors and the objective trace (nonincreasing).
+    step, and retraction by elementwise normalization. The backtracking
+    steps are scored LADDER at a time as one stack of retracted candidates;
+    the first one that passes the Armijo test is taken, as in a step-by-step
+    search. Returns the final phasors and the objective trace
+    (nonincreasing).
     """
     phasor = np.asarray(phasor0, dtype=complex)
     if np.max(np.abs(np.abs(phasor) - 1.0)) > 1e-9:
@@ -201,16 +217,16 @@ def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
         if slope >= 0.0:
             direction = -rgrad
             slope = -gnorm2
-        step = 1.0
         new_phasor = None
-        for _ in range(40):
-            cand = phasor + step * direction
+        for steps in _STEP_LADDER:
+            cand = phasor + steps * direction
             cand = cand / np.abs(cand)
-            cand_val = work.value(cand)
-            if cand_val <= val + ARMIJO_C * step * slope:
-                new_phasor = cand
+            cand_vals = work.value(cand)
+            passed = cand_vals <= val + ARMIJO_C * steps[:, 0] * slope
+            if passed.any():
+                k = int(passed.argmax())
+                new_phasor, cand_val = cand[k], float(cand_vals[k])
                 break
-            step *= BACKTRACK
         if new_phasor is None:
             break
         prev_rgrad = rgrad
@@ -271,30 +287,36 @@ def project_box_halfspace(v, lower, upper, w, b):
     """Exact Euclidean projection onto {lower <= x <= upper, w @ x <= b}.
 
     w must be nonnegative. The active-budget case reduces to a piecewise
-    linear equation in the constraint multiplier, solved by a breakpoint
-    scan.
+    linear equation in the constraint multiplier, bracketed by a binary
+    search for the first breakpoint where the budget residual h(mu) drops
+    to zero or below. The computed h is nonincreasing in mu (w >= 0 and
+    every rounding step is monotone), so the search finds the breakpoint a
+    scan in ascending order would.
     """
-    x = np.clip(v, lower, upper)
+    # np.clip's wrapper costs more than the two ufuncs it runs
+    x = np.minimum(np.maximum(v, lower), upper)
     if w @ x <= b + 1e-15 * max(abs(b), 1.0):
         return x
     pos = w > 0.0
-    if w[pos] @ lower[pos] + w[~pos] @ np.clip(v[~pos], lower[~pos], upper[~pos]) > b + 1e-12:
+    if w[pos] @ lower[pos] + w[~pos] @ x[~pos] > b + 1e-12:
         raise InfeasibleBudgetError("halfspace projection infeasible at the lower box corner")
 
     def hval(mu):
-        return w @ np.clip(v - mu * w, lower, upper) - b
+        return w @ np.minimum(np.maximum(v - mu * w, lower), upper) - b
 
-    bp = np.concatenate([(v[pos] - upper[pos]) / w[pos], (v[pos] - lower[pos]) / w[pos]])
-    bp = np.unique(bp[bp > 0.0])
-    lo_mu, hi_mu = 0.0, bp[-1] if bp.size else 0.0
-    h_lo = hval(lo_mu)
-    for mu in bp:
-        h = hval(mu)
-        if h <= 0.0:
-            hi_mu = mu
-            break
-        lo_mu, h_lo = mu, h
-    h_hi = hval(hi_mu)
+    w_pos, v_pos = w[pos], v[pos]
+    bp = np.concatenate([(v_pos - upper[pos]) / w_pos, (v_pos - lower[pos]) / w_pos])
+    bp = np.sort(bp[bp > 0.0])
+    lo, hi = 0, bp.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if hval(bp[mid]) <= 0.0:
+            hi = mid
+        else:
+            lo = mid + 1
+    lo_mu = bp[lo - 1] if lo else 0.0
+    hi_mu = bp[lo] if lo < bp.size else lo_mu
+    h_lo, h_hi = hval(lo_mu), hval(hi_mu)
     if h_hi > 0.0:
         mu_star = hi_mu
     else:
@@ -302,7 +324,7 @@ def project_box_halfspace(v, lower, upper, w, b):
         denom = h_lo - h_hi
         frac = h_lo / denom if denom > 0.0 else 0.0
         mu_star = lo_mu + frac * (hi_mu - lo_mu)
-    return np.clip(v - mu_star * w, lower, upper)
+    return np.minimum(np.maximum(v - mu_star * w, lower), upper)
 
 
 @dataclass

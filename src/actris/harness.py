@@ -1,9 +1,12 @@
 """Configuration, figure presets, seeded Monte Carlo runner and CSV export."""
 
+import ctypes
+import glob
 import json
 import multiprocessing
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -483,6 +486,38 @@ def _run_task_pooled(spec, sweep_index, trial_index):
     return _run_task(spec, _WORKER_REGISTRY, sweep_index, trial_index)
 
 
+def _openblas_threads_fn(action):
+    """numpy's bundled `scipy_openblas_{action}_num_threads64_`, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*.so*"))):
+        fn = getattr(ctypes.CDLL(path), f"scipy_openblas_{action}_num_threads64_", None)
+        if fn is not None:
+            return fn
+    return None
+
+
+def _single_blas_thread():
+    """Pool initializer: run OpenBLAS on one thread in this worker.
+
+    A forked worker otherwise starts one BLAS thread per core, and a few
+    workers oversubscribe the machine. A no-op when numpy's OpenBLAS
+    exports no thread control.
+    """
+    put = _openblas_threads_fn("set")
+    if put is not None:
+        put.argtypes, put.restype = [ctypes.c_int], None
+        put(1)
+
+
+def _worker_pool(workers):
+    """Forked process pool whose workers run BLAS on one thread each."""
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_single_blas_thread,
+    )
+
+
 def run_experiment(spec):
     """Run every (sweep value, trial) task and return rows in canonical order.
 
@@ -497,8 +532,7 @@ def run_experiment(spec):
     ]
     results = {}
     if spec.threads > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=spec.threads, mp_context=ctx) as pool:
+        with _worker_pool(spec.threads) as pool:
             futures = [
                 pool.submit(_run_task_pooled, spec, si, ti) for si, ti in tasks
             ]

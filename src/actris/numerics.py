@@ -53,6 +53,8 @@ def lambert_w0_vec(x):
     shape = x.shape
     if np.any(x < -_INV_E - 1e-15):
         raise ValueError("lambert_w0_vec undefined below -1/e")
+    if x.size == 0:
+        return np.empty(shape)
     x = np.maximum(x, -_INV_E).reshape(-1, shape[-1] if shape else 1)
     # piecewise initial guess, then vectorized Halley
     w = np.where(x < -0.25, -1.0 + np.sqrt(2.0 * np.maximum(np.e * x + 1.0, 0.0)), 0.0)

@@ -250,16 +250,15 @@ def _fallback_cell(params, gamma):
     return circuit.nearest_realizable_cell(params, params.r_passive, float(np.angle(gamma)))
 
 
-def _active_cell(params, gamma_target, phi_target):
+def _active_cell(params, gamma_target, phi_target, band_lo, band_hi):
     """Realize an active-cell reflection target within the diode band.
 
-    The tunable resistance saturates at the band edges: when the cosine
-    model requests an amplitude beyond the exact bounds at this phase, the
-    cell keeps the phase and delivers the nearest achievable amplitude
-    (the band-edge one), like a passive cell delivers its own curve.
+    The tunable resistance saturates at the band edges [band_lo, band_hi]:
+    when the cosine model requests an amplitude beyond the exact bounds at
+    this phase, the cell keeps the phase and delivers the nearest achievable
+    amplitude (the band-edge one), like a passive cell delivers its own
+    curve.
     """
-    band_lo = circuit.stable_resistance(circuit.M_LO, params)
-    band_hi = circuit.stable_resistance(circuit.M_HI, params)
     try:
         cell = circuit.circuit_from_gamma(params, gamma_target)
         if cell.r < 0.0 and not band_lo <= cell.r <= band_hi:
@@ -285,10 +284,12 @@ def realize_design(params, fits, phi, alpha, alpha_bar=None):
     alpha = np.asarray(alpha, dtype=float)
     n = phi.size
     gamma = alpha * np.exp(1j * phi)
+    band_lo = circuit.stable_resistance(circuit.M_LO, params)
+    band_hi = circuit.stable_resistance(circuit.M_HI, params)
     cells = []
     for i in range(n):
         if fits.active_mask[i]:
-            cell = _active_cell(params, gamma[i], phi[i])
+            cell = _active_cell(params, gamma[i], phi[i], band_lo, band_hi)
         else:
             cell = circuit.nearest_realizable_cell(params, params.r_passive, phi[i])
         cells.append(cell)

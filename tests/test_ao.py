@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from actris import ao
 from actris.ao import (
     PhaseObjective,
     amplitude_qp,
@@ -22,9 +25,11 @@ from actris.ao import (
 )
 from actris import circuit
 from actris.channel import MimoChannels, ScenarioConfig, rate_lmmse, spectral_efficiency, stream_sinrs
+from actris.do import cascade_norm_objective
 from actris.errors import InfeasibleBudgetError
+from actris.harness import trial_channels
 from actris.numerics import fd_gradient
-from actris.reflection import ElementFits, approx_amplitude_bounds, realize_design
+from actris.reflection import ElementFits, approx_amplitude_bounds, realize_design, reflection_vector
 from conftest import desk_scenario
 from test_channel import random_channels, selector_matrix
 
@@ -557,3 +562,263 @@ class TestRunAO:
             lower + scale * ab * (upper - lower),
         )
         assert design.ris_power_w <= scenario_desk.p_ris_w * (1 + 1e-9)
+
+
+def _reference_rmo(obj, phasor0, max_iters=300, tol=1e-6):
+    """Reference phase CG: the step-by-step Armijo backtracking loop that the
+    stacked step ladder of rmo_phase_opt replaces."""
+    phasor = np.asarray(phasor0, dtype=complex)
+    phasor = phasor / np.abs(phasor)
+    n = phasor.size
+    s = max(np.abs(obj.t).max(), np.abs(obj.q).max(), 1e-300)
+    work = PhaseObjective(t=obj.t / s, q=obj.q / s, z2=obj.z2, z1=obj.z1, z=obj.z)
+
+    def value(p):
+        g = work.gamma_of(p)
+        return float((g.conj() @ (work.t @ g)).real - 2.0 * (g.conj() @ work.q).real)
+
+    val = value(phasor)
+    trace = [val]
+    rgrad = ao._tangent_project(phase_gradient(work, phasor), phasor)
+    direction = -rgrad
+    for it in range(max_iters):
+        gnorm2 = np.vdot(rgrad, rgrad).real
+        if np.sqrt(gnorm2) <= tol:
+            break
+        slope = np.vdot(rgrad, direction).real
+        if slope >= 0.0:
+            direction = -rgrad
+            slope = -gnorm2
+        step = 1.0
+        new_phasor = None
+        for _ in range(40):
+            cand = phasor + step * direction
+            cand = cand / np.abs(cand)
+            cand_val = value(cand)
+            if cand_val <= val + ao.ARMIJO_C * step * slope:
+                new_phasor = cand
+                break
+            step *= ao.BACKTRACK
+        if new_phasor is None:
+            break
+        prev_rgrad = rgrad
+        phasor = new_phasor
+        val = cand_val
+        trace.append(val)
+        rgrad = ao._tangent_project(phase_gradient(work, phasor), phasor)
+        beta = np.vdot(rgrad, rgrad - ao._tangent_project(prev_rgrad, phasor)).real / max(
+            gnorm2, 1e-300
+        )
+        if beta < 0.0 or (it + 1) % n == 0:
+            direction = -rgrad
+        else:
+            direction = -rgrad + beta * ao._tangent_project(direction, phasor)
+    return phasor, s * np.asarray(trace)
+
+
+def _reference_project(v, lower, upper, w, b):
+    """Reference box-halfspace projection: the ascending scan over the
+    distinct breakpoints that the binary search replaces."""
+    x = np.clip(v, lower, upper)
+    if w @ x <= b + 1e-15 * max(abs(b), 1.0):
+        return x
+    pos = w > 0.0
+    if w[pos] @ lower[pos] + w[~pos] @ np.clip(v[~pos], lower[~pos], upper[~pos]) > b + 1e-12:
+        raise InfeasibleBudgetError("halfspace projection infeasible at the lower box corner")
+
+    def hval(mu):
+        return w @ np.clip(v - mu * w, lower, upper) - b
+
+    bp = np.concatenate([(v[pos] - upper[pos]) / w[pos], (v[pos] - lower[pos]) / w[pos]])
+    bp = np.unique(bp[bp > 0.0])
+    lo_mu, hi_mu = 0.0, bp[-1] if bp.size else 0.0
+    h_lo = hval(lo_mu)
+    for mu in bp:
+        h = hval(mu)
+        if h <= 0.0:
+            hi_mu = mu
+            break
+        lo_mu, h_lo = mu, h
+    h_hi = hval(hi_mu)
+    if h_hi > 0.0:
+        mu_star = hi_mu
+    else:
+        denom = h_lo - h_hi
+        frac = h_lo / denom if denom > 0.0 else 0.0
+        mu_star = lo_mu + frac * (hi_mu - lo_mu)
+    return np.clip(v - mu_star * w, lower, upper)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+SIZES = {
+    "desk": desk_scenario(),
+    "paper": ScenarioConfig().with_rho_db(-30.0),
+}
+
+
+def _trial_objectives(sc, active_fit, passive_fit, seed):
+    """AO, DO (cascade norm) and PAIDO (z2 = 0) phase objectives of one
+    harness trial, plus the trial's fits and channels."""
+    ch, mask = trial_channels(sc, seed, 0, 0)
+    fits = ElementFits.from_classes(active_fit, passive_fit, mask)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((sc.m_t, sc.d)) + 1j * rng.standard_normal((sc.m_t, sc.d))
+    v *= np.sqrt(sc.p_t_w / np.trace(v.conj().T @ v).real)
+    alpha_bar = np.where(mask, rng.uniform(0.0, 1.0, sc.n), 0.0)
+    gamma = reflection_vector(rng.uniform(0.0, TWO_PI, sc.n), alpha_bar, fits)
+    y, sig = update_auxiliaries(ch, v, gamma, sc)
+    v = precoder_update(ch, y, sig, gamma, sc)
+    cascade = cascade_norm_objective(ch, fits, np.ones(sc.n))
+    zeros = np.zeros(sc.n, dtype=complex)
+    objectives = {
+        "AO": build_phase_objective(ch, v, y, sig, fits, alpha_bar, sc),
+        "DO": cascade,
+        # PAIDO freezes the amplitudes at their maxima: linear in the phasors
+        "PAIDO": PhaseObjective(t=cascade.t, q=cascade.q, z2=zeros,
+                                z1=fits.beta_max.astype(complex), z=zeros),
+    }
+    return objectives, fits
+
+
+class TestSolverOracle:
+    """The stacked step ladder and the breakpoint binary search must give
+    the bits of the step-by-step references above."""
+
+    def test_objective_stack_rows_match_single_designs(self, active_fit, passive_fit):
+        for size, sc in SIZES.items():
+            objectives, _ = _trial_objectives(sc, active_fit, passive_fit, 5)
+            rng = np.random.default_rng(1)
+            for obj in objectives.values():
+                stack = np.exp(1j * rng.uniform(0.0, TWO_PI, (ao.LADDER, sc.n)))
+                vals = obj.value(stack)
+                assert vals.shape == (ao.LADDER,)
+                for row, val in zip(stack, vals):
+                    single = obj.value(row)
+                    assert isinstance(single, float)
+                    assert single == val
+                assert _same_bits(obj.value(stack[None]), vals[None])
+
+    def test_step_ladder_is_the_halving_sequence(self):
+        steps = ao._STEP_LADDER.ravel()
+        expected = [1.0]
+        while len(expected) < ao.MAX_BACKTRACKS:
+            expected.append(expected[-1] * ao.BACKTRACK)
+        assert steps.tolist() == expected
+
+    @pytest.mark.parametrize("size", sorted(SIZES))
+    def test_phase_cg_matches_sequential_line_search(self, size, active_fit, passive_fit):
+        sc = SIZES[size]
+        for seed in (3, 17):
+            objectives, _ = _trial_objectives(sc, active_fit, passive_fit, seed)
+            rng = np.random.default_rng(seed)
+            for name, obj in objectives.items():
+                ph0 = np.exp(1j * rng.uniform(0.0, TWO_PI, sc.n))
+                ph, trace = rmo_phase_opt(obj, ph0)
+                ph_ref, trace_ref = _reference_rmo(obj, ph0)
+                assert _same_bits(ph, ph_ref), (size, seed, name)
+                assert _same_bits(trace, trace_ref), (size, seed, name)
+
+    def test_phase_cg_matches_on_short_caps_and_tolerances(self, active_fit, passive_fit):
+        objectives, _ = _trial_objectives(SIZES["desk"], active_fit, passive_fit, 29)
+        rng = np.random.default_rng(29)
+        for obj in objectives.values():
+            ph0 = np.exp(1j * rng.uniform(0.0, TWO_PI, 16))
+            for kwargs in ({"max_iters": 1}, {"max_iters": 7}, {"tol": 1e-2}, {"tol": 1e-12}):
+                ph, trace = rmo_phase_opt(obj, ph0, **kwargs)
+                ph_ref, trace_ref = _reference_rmo(obj, ph0, **kwargs)
+                assert _same_bits(ph, ph_ref) and _same_bits(trace, trace_ref), kwargs
+
+    @pytest.mark.parametrize("size", sorted(SIZES))
+    def test_amplitude_qp_projections_match_breakpoint_scan(
+        self, size, active_fit, passive_fit, monkeypatch
+    ):
+        sc = SIZES[size]
+        calls = []
+
+        def recording(v, lower, upper, w, b):
+            calls.append((v, lower, upper, w, b))
+            return project_box_halfspace(v, lower, upper, w, b)
+
+        monkeypatch.setattr(ao, "project_box_halfspace", recording)
+        for seed in (3, 17):
+            objectives, fits = _trial_objectives(sc, active_fit, passive_fit, seed)
+            obj = objectives["AO"]
+            phasor, _ = rmo_phase_opt(obj, np.exp(1j * np.zeros(sc.n)))
+            phi = np.angle(phasor) % TWO_PI
+            for budget in (sc.p_ris_w, 0.5 * sc.p_ris_w):
+                try:
+                    amplitude_qp(obj, phi, fits, sc, budget=budget)
+                except InfeasibleBudgetError:
+                    pass
+        searched = 0
+        for v, lower, upper, w, b in calls:
+            x = project_box_halfspace(v, lower, upper, w, b)
+            assert _same_bits(x, _reference_project(v, lower, upper, w, b))
+            searched += w @ np.clip(v, lower, upper) > b + 1e-15 * max(abs(b), 1.0)
+        # the oracle must reach the breakpoint search, not only the box clip
+        assert searched > 0
+
+
+def _values(lo=-3.0, hi=3.0, tiny=0.0):
+    # quarter-step grid values make breakpoints coincide; floats fill the gaps
+    grid = st.integers(int(4 * lo), int(4 * hi)).map(lambda k: k / 4.0)
+    return st.one_of(grid, st.floats(max(lo, tiny), hi, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def projection_problems(draw):
+    n = draw(st.integers(1, 10))
+
+    def vec(elems):
+        return np.array(draw(st.lists(elems, min_size=n, max_size=n)), dtype=float)
+
+    lower = vec(_values())
+    upper = lower + vec(st.one_of(st.just(0.0), _values(0.0, 3.0)))
+    w = vec(st.one_of(st.just(0.0), _values(0.0, 2.0, tiny=1e-9)))
+    v = vec(_values(-5.0, 5.0))
+    corner = float(w @ lower)
+    b = draw(st.one_of(
+        st.just(corner),                                 # budget on the lower corner
+        st.just(float(w @ np.clip(v, lower, upper))),    # budget on the clipped point
+        st.just(corner - 1e-3),                          # infeasible corner
+        st.floats(corner - 1.0, float(w @ upper) + 1.0, allow_nan=False),
+    ))
+    return v, lower, upper, w, b
+
+
+def _project_or_raise(fn, v, lower, upper, w, b):
+    try:
+        return fn(v, lower, upper, w, b)
+    except InfeasibleBudgetError:
+        return "infeasible"
+
+
+class TestProjectionOracle:
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(projection_problems())
+    @example((np.array([1.0, 2.0]), np.zeros(2), np.ones(2), np.zeros(2), -1.0))  # zero weights
+    @example((np.array([1.0, 1.0, 1.0]), np.zeros(3), np.full(3, 0.5),
+              np.ones(3), 1.0))                                      # duplicate breakpoints
+    @example((np.array([-1.0, -2.0]), np.zeros(2), np.ones(2),
+              np.array([1.0, 2.0]), -5e-13))                         # no positive breakpoint
+    @example((np.array([2.0, 3.0]), np.zeros(2), np.ones(2), np.ones(2), 0.0))  # budget on corner
+    @example((np.array([2.0, 3.0]), np.ones(2), np.full(2, 2.0), np.ones(2), 1.0))  # infeasible
+    def test_matches_breakpoint_scan(self, problem):
+        v, lower, upper, w, b = problem
+        got = _project_or_raise(project_box_halfspace, v, lower, upper, w, b)
+        ref = _project_or_raise(_reference_project, v, lower, upper, w, b)
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            assert _same_bits(got, ref)
+
+    def test_no_positive_breakpoint_takes_the_search_path(self):
+        # the corner sits between the early-return and the infeasibility
+        # tolerances, so the search runs on an empty breakpoint set
+        v, lower, upper, w = np.array([-1.0, -2.0]), np.zeros(2), np.ones(2), np.array([1.0, 2.0])
+        x = project_box_halfspace(v, lower, upper, w, -5e-13)
+        assert _same_bits(x, lower)

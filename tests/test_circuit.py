@@ -168,6 +168,12 @@ class TestPowerConsumption:
         ps = np.array([power_consumption(r, params_va) for r in rs])
         assert np.all(np.diff(ps) < 0.0)
 
+    @pytest.mark.parametrize("shape", [(0,), (5, 0)])
+    def test_vector_power_of_no_cells(self, params_va, shape):
+        # a surface without active cells draws nothing
+        p = circuit.power_consumption_vec(np.zeros(shape), params_va)
+        assert p.shape == shape and p.sum() == 0.0
+
     def test_below_band_rejected_unless_extended(self, params_va):
         r = stable_resistance(1.0, params_va) * 1.05
         with pytest.raises(ValueError):

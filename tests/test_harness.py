@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import json
 
@@ -22,8 +23,17 @@ from actris.harness import (
     spec_from_dict,
     summarize,
     trial_channels,
+    _openblas_threads_fn,
     _scenario_for,
+    _worker_pool,
 )
+from conftest import desk_scenario
+
+
+def _blas_threads():
+    get = _openblas_threads_fn("get")
+    get.restype = ctypes.c_int
+    return get()
 
 
 def small_spec(**overrides):
@@ -106,6 +116,22 @@ class TestDeterminism:
         export_csv(run_experiment(spec1), pa)
         export_csv(run_experiment(spec4), pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_two_workers_give_the_bytes_of_one(self, tmp_path):
+        variants = tuple(SchemeVariant(s, s) for s in ("AO", "AO-random-init", "DO", "PAIDO"))
+        paths = []
+        for threads in (1, 2):
+            spec = small_spec(variants=variants, trials=1, threads=threads)
+            paths.append(tmp_path / f"w{threads}.csv")
+            export_csv(run_experiment(spec), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.skipif(_openblas_threads_fn("get") is None,
+                        reason="numpy's OpenBLAS exports no thread control")
+    def test_pool_workers_run_blas_on_one_thread(self):
+        with _worker_pool(2) as pool:
+            counts = {pool.submit(_blas_threads).result() for _ in range(4)}
+        assert counts == {1}
 
     def test_channels_shared_across_schemes(self):
         spec = small_spec()
@@ -263,6 +289,19 @@ class TestPresets:
         rows = run_experiment(spec)
         assert rows
         assert all(not r.error for r in rows)
+
+    def test_search_schemes_run_without_active_cells(self):
+        # no active cell: the circuit search scores surfaces that draw no power
+        spec = small_spec(
+            scenario=desk_scenario(n_act=0),
+            sweep_values=(-30.0,),
+            variants=tuple(SchemeVariant(s, s) for s in ("DO", "GA", "PSO")),
+            trials=1,
+        )
+        rows = run_experiment(spec)
+        assert [r.scheme for r in rows] == ["DO", "GA", "PSO"]
+        assert all(not r.error for r in rows)
+        assert all(r.ris_power_w == 0.0 and r.rate_bps_hz > 0.0 for r in rows)
 
 
 class TestDesignPersistence:

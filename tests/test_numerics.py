@@ -43,6 +43,12 @@ class TestLambertW:
         assert all(np.array_equal(w[k], lambert_w0_vec(x[k])) for k in range(200))
         assert lambert_w0_vec(2.0).shape == ()
 
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4)])
+    def test_empty_input_keeps_its_shape(self, shape):
+        w = lambert_w0_vec(np.zeros(shape))
+        assert w.shape == shape and w.dtype == float
+
+
 class TestBisect:
     def test_linear(self):
         assert bisect(lambda x: x - 2.0, 0.0, 10.0, 1e-10) == pytest.approx(2.0, abs=1e-9)
