@@ -22,6 +22,8 @@ ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
 LADDER = 8  # Armijo steps scored per stacked objective call
+STALL_WINDOW = 10  # accepted CG steps over which a stalled objective is judged
+REPAIR_BISECTIONS = 8  # working-budget halvings once the shortfall loop stops
 # the backtracking steps 1, 1/2, ..., 2^-39, one (LADDER, 1) rung per row
 _STEP_LADDER = (BACKTRACK ** np.arange(MAX_BACKTRACKS, dtype=float)).reshape(-1, LADDER, 1)
 
@@ -191,8 +193,10 @@ def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
     step, and retraction by elementwise normalization. The backtracking
     steps are scored LADDER at a time as one stack of retracted candidates;
     the first one that passes the Armijo test is taken, as in a step-by-step
-    search. Returns the final phasors and the objective trace
-    (nonincreasing).
+    search. Stops when the Riemannian gradient norm drops to tol, or when
+    the last STALL_WINDOW accepted steps lowered the objective by no more
+    than tol times its magnitude. Returns the final phasors and the
+    objective trace (nonincreasing).
     """
     phasor = np.asarray(phasor0, dtype=complex)
     if np.max(np.abs(np.abs(phasor) - 1.0)) > 1e-9:
@@ -233,6 +237,8 @@ def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
         phasor = new_phasor
         val = cand_val
         trace.append(val)
+        if len(trace) > STALL_WINDOW and trace[-1 - STALL_WINDOW] - val <= tol * abs(val):
+            break
         rgrad = _tangent_project(phase_gradient(work, phasor), phasor)
         beta = np.vdot(rgrad, rgrad - _tangent_project(prev_rgrad, phasor)).real / max(
             gnorm2, 1e-300
@@ -298,7 +304,7 @@ def project_box_halfspace(v, lower, upper, w, b):
     if w @ x <= b + 1e-15 * max(abs(b), 1.0):
         return x
     pos = w > 0.0
-    if w[pos] @ lower[pos] + w[~pos] @ x[~pos] > b + 1e-12:
+    if w[pos] @ lower[pos] + w[~pos] @ x[~pos] > b + 1e-12 * max(abs(b), 1.0):
         raise InfeasibleBudgetError("halfspace projection infeasible at the lower box corner")
 
     def hval(mu):
@@ -421,41 +427,63 @@ def _spectral_norm(m, iters=60):
 
 
 def power_repair_loop(alpha, phi, params, fits, p_ris, resolve, max_passes=8):
-    """Map amplitudes to circuits, then shrink the working budget until the
+    """Map amplitudes to circuits, then lower the working budget until the
     true power fits.
 
     The linearized budget can under-account the circuit power; each pass
-    reduces the working budget by the realized shortfall and re-solves. Once
-    the working budget reaches the linearized floor with the true constraint
-    still violated, no amplitude solve can help (the floor itself costs more
-    than its linearization) and every active diode is pinned at its minimum
-    bias instead. The returned design always satisfies the true constraint.
+    lowers the working budget by the realized shortfall and re-solves. The
+    passes stop when one does not bring the realized power below the best
+    pass so far, at max_passes, or when a re-solve finds its budget
+    infeasible. The working budget is then bisected REPAIR_BISECTIONS times
+    between the linearized floor, whose minimum-bias realization always
+    fits a reachable budget, and the last working budget; the design of the
+    highest budget that fits is kept. repair_passes counts the shortfall
+    passes. Raises ConvergenceError only when the budget is below the
+    minimum-bias power.
     """
     phi = np.asarray(phi, dtype=float)
-    lower, upper = fits.bounds(phi)
-    p_min, slope, _, _ = _power_fit_arrays(fits, phi, params)
+    p_min, slope, lower, _ = _power_fit_arrays(fits, phi, params)
     floor = float(p_min.sum())
     working = p_ris
+    best_power = np.inf
     alpha = np.asarray(alpha, dtype=float)
     for k in range(1, max_passes + 1):
         design = reflection.realize_design(params, fits, phi, alpha)
         if design.ris_power_w <= p_ris + 1e-9:
             design.repair_passes = k
             return design
-        fitted = float(p_min.sum() + slope @ (alpha - lower))
-        shortfall = design.ris_power_w - fitted
-        at_floor = working <= floor * (1.0 + 1e-12)
-        if at_floor:
-            design = reflection.realize_minimum_power(params, fits, phi)
-            if design.ris_power_w <= p_ris + 1e-9:
-                design.repair_passes = k + 1
-                return design
+        if design.ris_power_w >= best_power or k == max_passes:
             break
-        working = max(working - max(shortfall, 1e-15), floor)
-        alpha = np.asarray(resolve(working), dtype=float)
-    raise ConvergenceError(
-        f"surface power constraint unmet after {max_passes} repair passes"
-    )
+        best_power = design.ris_power_w
+        shortfall = design.ris_power_w - float(floor + slope @ (alpha - lower))
+        next_working = max(working - max(shortfall, 1e-15), floor)
+        try:
+            alpha = np.asarray(resolve(next_working), dtype=float)
+        except InfeasibleBudgetError:
+            break
+        working = next_working
+
+    best = reflection.realize_minimum_power(params, fits, phi)
+    if best.ris_power_w > p_ris + 1e-9:
+        raise ConvergenceError(
+            f"surface budget {p_ris:.6g} W is below the minimum-bias power "
+            f"{best.ris_power_w:.6g} W"
+        )
+    lo, hi = floor, working
+    if hi > lo:
+        for _ in range(REPAIR_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            try:
+                design = reflection.realize_design(params, fits, phi, resolve(mid))
+            except InfeasibleBudgetError:
+                hi = mid
+                continue
+            if design.ris_power_w <= p_ris + 1e-9:
+                best, lo = design, mid
+            else:
+                hi = mid
+    best.repair_passes = k
+    return best
 
 
 def feasible_amplitude_scale(scenario, fits, phi, alpha_bar):

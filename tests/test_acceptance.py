@@ -57,10 +57,14 @@ def report(criterion, passed, detail):
 
 
 def mean_rates(rows):
-    out = {}
+    """Mean rate per (scheme, sweep value) over the successful rows, and a
+    `failed=k/n` label per group for the report next to each mean."""
+    rates, failed = {}, {}
     for entry in summarize(rows):
-        out[(entry["scheme"], entry["sweep_value"])] = entry["mean_rate_bps_hz"]
-    return out
+        key = (entry["scheme"], entry["sweep_value"])
+        rates[key] = entry["mean_rate_bps_hz"]
+        failed[key] = f"failed={entry['failed']}/{entry['trials'] + entry['failed']}"
+    return rates, failed
 
 
 def test_criterion_01_circuit_endpoints(params_va):
@@ -222,24 +226,27 @@ def _init_benefit(scenario, trials, j_fast, j_slow, seed):
         trials=trials,
         threads=2,
     )
-    rates = mean_rates(run_experiment(spec))
+    rates, failed = mean_rates(run_experiment(spec))
     value = spec.sweep_values[0]
-    return rates[("AO-do-init", value)], rates[("AO-random-init", value)]
+    return (
+        f"{rates[('AO-do-init', value)]:.3f} ({failed[('AO-do-init', value)]})",
+        f"{rates[('AO-random-init', value)]:.3f} ({failed[('AO-random-init', value)]})",
+        rates[("AO-do-init", value)] >= rates[("AO-random-init", value)],
+    )
 
 
 def test_criterion_09_initialization_benefit():
     scenario = dataclasses.replace(desk_scenario(), seed=9)
-    fast, slow = _init_benefit(scenario, trials=50, j_fast=4, j_slow=20, seed=9)
-    ok = fast >= slow
-    report(9, ok, f"DO-init@4 mean {fast:.3f} vs random-init@20 mean {slow:.3f} bps/Hz")
+    fast, slow, ok = _init_benefit(scenario, trials=50, j_fast=4, j_slow=20, seed=9)
+    report(9, ok, f"DO-init@4 mean {fast} vs random-init@20 mean {slow} bps/Hz")
 
 
 @pytest.mark.paper_scale
 def test_criterion_09_paper_scale():
     for n, p_ris in ((64, 1.5), (100, 2.32)):
         scenario = ScenarioConfig(n=n, n_act=n, p_ris_w=p_ris, seed=90 + n)
-        fast, slow = _init_benefit(scenario, trials=200, j_fast=4, j_slow=60, seed=90 + n)
-        report(9, fast >= slow, f"paper N={n}: DO-init@4 {fast:.3f} vs random@60 {slow:.3f}")
+        fast, slow, ok = _init_benefit(scenario, trials=200, j_fast=4, j_slow=60, seed=90 + n)
+        report(9, ok, f"paper N={n}: DO-init@4 {fast} vs random@60 {slow}")
 
 
 def test_criterion_10_scheme_ordering():
@@ -252,7 +259,7 @@ def test_criterion_10_scheme_ordering():
         trials=100,
         threads=2,
     )
-    rates = mean_rates(run_experiment(spec))
+    rates, failed = mean_rates(run_experiment(spec))
     ok = True
     details = []
     for rho in (-40.0, -30.0, -20.0):
@@ -260,7 +267,12 @@ def test_criterion_10_scheme_ordering():
         paido = rates[("PAIDO", rho)]
         meta = max(rates[("PSO", rho)], rates[("GA", rho)])
         ok = ok and (ao >= do >= paido >= meta)
-        details.append(f"rho={rho:.0f}: AO {ao:.2f} >= DO {do:.2f} >= PAIDO {paido:.2f} >= meta {meta:.2f}")
+        f = {s: failed[(s, rho)] for s in ("AO", "DO", "PAIDO", "PSO", "GA")}
+        details.append(
+            f"rho={rho:.0f}: AO {ao:.2f} ({f['AO']}) >= DO {do:.2f} ({f['DO']}) >= "
+            f"PAIDO {paido:.2f} ({f['PAIDO']}) >= meta {meta:.2f} "
+            f"(PSO {f['PSO']}, GA {f['GA']})"
+        )
     report(10, ok, "; ".join(details))
 
 
@@ -308,7 +320,7 @@ def test_criterion_11_surface_noise_distance_effect():
         threads=2,
     )
     rows = run_experiment(spec)
-    rates = mean_rates(rows)
+    rates, failed = mean_rates(rows)
     by_key = {}
     for r in rows:
         by_key[(r.scheme, r.sweep_value, r.trial)] = r.rate_bps_hz
@@ -331,7 +343,13 @@ def test_criterion_11_surface_noise_distance_effect():
     ok = mono_ok and sat_ok
     report(11, ok, (
         f"AO-DO gaps by distance {['%.3f+-%.3f' % (g, s) for g, s in zip(gaps, sems)]}, "
-        f"saturation ok={sat_ok}"
+        f"saturation ok={sat_ok}; "
+        + "; ".join(
+            f"{s} " + ", ".join(
+                f"d={d}: {rates[(s, d)]:.3f} ({failed[(s, d)]})" for d in spec.sweep_values
+            )
+            for s in ("AO", "DO", "PAIDO")
+        )
     ))
 
 

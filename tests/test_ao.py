@@ -26,10 +26,23 @@ from actris.ao import (
 from actris import circuit
 from actris.channel import MimoChannels, ScenarioConfig, rate_lmmse, spectral_efficiency, stream_sinrs
 from actris.do import cascade_norm_objective
-from actris.errors import InfeasibleBudgetError
-from actris.harness import trial_channels
+from actris.errors import ConvergenceError, InfeasibleBudgetError
+from actris.harness import (
+    ExperimentSpec,
+    SchemeVariant,
+    _scenario_for,
+    fig_presets,
+    run_experiment,
+    trial_channels,
+)
 from actris.numerics import fd_gradient
-from actris.reflection import ElementFits, approx_amplitude_bounds, realize_design, reflection_vector
+from actris.reflection import (
+    ElementFits,
+    approx_amplitude_bounds,
+    realize_design,
+    realize_minimum_power,
+    reflection_vector,
+)
 from conftest import desk_scenario
 from test_channel import random_channels, selector_matrix
 
@@ -387,6 +400,13 @@ class TestProjection:
                 if w @ y <= b:
                     assert np.linalg.norm(y - v) >= d_star - 1e-9
 
+    def test_corner_over_budget_raises_at_any_scale(self):
+        lower, w = np.array([0.5, 1.0, 2.0]), np.array([1.8e4, 3.0, 0.5])
+        upper = lower + 1.0
+        corner = float(w @ lower)
+        with pytest.raises(InfeasibleBudgetError):
+            project_box_halfspace(upper, lower, upper, w, corner - 1e-6 * abs(corner))
+
 
 class TestAmplitudeQP:
     def _objective(self, rng, fits, n, scale=1.0):
@@ -421,6 +441,27 @@ class TestAmplitudeQP:
         obj = self._objective(rng, fits_all_active, 16)
         res = amplitude_qp(obj, phi, fits_all_active, scenario_desk, budget=float(p_min.sum()))
         assert np.allclose(res.alpha, lower, atol=1e-6)
+
+    def test_floor_budget_solves_at_criterion_12_size(self, active_fit, passive_fit):
+        # criterion 12's all-active rule at N = 144 (111 cells active, as many
+        # as the budget's minimum bias allows); two active cells sit where the
+        # amplitude span nearly collapses, so their fitted slopes reach ~2e4
+        # W per unit amplitude and the budget offset b ~ 4e4 carries rounding
+        # of several ulps against the lower-corner power
+        from actris.ao import _power_fit_arrays
+
+        spec = fig_presets("fig7", scale="desk", seed=12)
+        sc, _ = _scenario_for(spec, spec.variants[0], 144.0)
+        _, mask = trial_channels(sc, 12, 0, 0)
+        fits = ElementFits.from_classes(active_fit, passive_fit, mask)
+        obj = self._objective(np.random.default_rng(31), fits, sc.n)
+        active = np.flatnonzero(mask)
+        for seed in range(20):
+            phi = np.random.default_rng(seed).uniform(0, TWO_PI, sc.n)
+            phi[active[:2]] = (2.78556, 2.7856)
+            p_min, _, lower, _ = _power_fit_arrays(fits, phi, sc.circuit)
+            res = amplitude_qp(obj, phi, fits, sc, budget=float(p_min.sum()))
+            assert np.allclose(res.alpha[mask], lower[mask], atol=1e-6)
 
     def test_infeasible_budget_raises(self, fits_all_active, scenario_desk):
         rng = np.random.default_rng(25)
@@ -477,12 +518,19 @@ class TestPowerRepair:
         rng = np.random.default_rng(28)
         phi = rng.uniform(0, TWO_PI, 16)
         lower, _ = fits_all_active.bounds(phi)
+
+        def resolve(budget):
+            raise AssertionError("a design within budget must not be re-solved")
+
         design = power_repair_loop(
-            lower, phi, params_va, fits_all_active, scenario_desk.p_ris_w,
-            resolve=lambda budget: lower,
+            lower, phi, params_va, fits_all_active, scenario_desk.p_ris_w, resolve,
         )
         assert design.repair_passes == 1
         assert design.ris_power_w <= scenario_desk.p_ris_w + 1e-9
+        unchanged = realize_design(params_va, fits_all_active, phi, lower)
+        assert _same_bits(design.gamma, unchanged.gamma)
+        assert design.cells == unchanged.cells
+        assert design.ris_power_w == unchanged.ris_power_w
 
     def test_budget_always_met(self, params_va, fits_all_active, scenario_desk):
         rng = np.random.default_rng(29)
@@ -504,6 +552,69 @@ class TestPowerRepair:
                 scenario_desk.p_ris_w, resolve,
             )
             assert design.ris_power_w <= scenario_desk.p_ris_w + 1e-9
+
+    def test_stalled_shortfall_bisects_the_working_budget(
+        self, params_va, fits_all_active, scenario_desk
+    ):
+        # the re-solve ignores its budget until the budget falls below `cut`,
+        # so the realized power does not fall between passes; the bisection
+        # must find the design below `cut`, not the minimum-bias one
+        rng = np.random.default_rng(32)
+        phi = rng.uniform(0, TWO_PI, 16)
+        lower, upper = fits_all_active.bounds(phi)
+        p_ris = scenario_desk.p_ris_w
+        floor = realize_minimum_power(params_va, fits_all_active, phi).ris_power_w
+        cut = floor + 0.6 * (p_ris - floor)
+        low = lower + 0.2 * (upper - lower)
+        assert realize_design(params_va, fits_all_active, phi, upper).ris_power_w > p_ris
+        assert realize_design(params_va, fits_all_active, phi, low).ris_power_w <= p_ris
+        budgets = []
+
+        def resolve(budget):
+            budgets.append(budget)
+            return upper if budget > cut else low
+
+        design = power_repair_loop(upper, phi, params_va, fits_all_active, p_ris, resolve)
+        assert design.ris_power_w <= p_ris + 1e-9
+        assert 1 <= design.repair_passes <= 8
+        assert len(budgets) == design.repair_passes - 1 + ao.REPAIR_BISECTIONS
+        assert _same_bits(design.gamma, low * np.exp(1j * phi))
+
+    def test_infeasible_resolve_ends_at_minimum_bias(self, params_va, fits_all_active, scenario_desk):
+        rng = np.random.default_rng(33)
+        phi = rng.uniform(0, TWO_PI, 16)
+        _, upper = fits_all_active.bounds(phi)
+
+        def resolve(budget):
+            raise InfeasibleBudgetError("re-solve found no feasible amplitudes")
+
+        floor_design = realize_minimum_power(params_va, fits_all_active, phi)
+        design = power_repair_loop(
+            upper, phi, params_va, fits_all_active, scenario_desk.p_ris_w, resolve
+        )
+        assert design.repair_passes == 1
+        assert design.cells == floor_design.cells
+        with pytest.raises(ConvergenceError):
+            power_repair_loop(
+                upper, phi, params_va, fits_all_active,
+                0.99 * floor_design.ris_power_w, resolve,
+            )
+
+    def test_desk_ao_core_paido_row_has_no_error(self):
+        # the first core block of the desk-ao benchmark workload, where
+        # PAIDO's shortfall passes alone do not meet the budget at -40 dB
+        sc = dataclasses.replace(desk_scenario(), seed=2968811710)
+        spec = ExperimentSpec(
+            scenario=sc,
+            sweep_kind="rho_db",
+            sweep_values=(-40.0,),
+            variants=tuple(SchemeVariant(s, s) for s in ("AO", "AO-random-init", "DO", "PAIDO")),
+            trials=1,
+            threads=1,
+        )
+        rows = {r.scheme: r for r in run_experiment(spec)}
+        assert rows["PAIDO"].error == ""
+        assert rows["PAIDO"].rate_bps_hz > 0.0
 
 
 class TestRunAO:
@@ -566,7 +677,8 @@ class TestRunAO:
 
 def _reference_rmo(obj, phasor0, max_iters=300, tol=1e-6):
     """Reference phase CG: the step-by-step Armijo backtracking loop that the
-    stacked step ladder of rmo_phase_opt replaces."""
+    stacked step ladder of rmo_phase_opt replaces, with the same gradient
+    and stall stops."""
     phasor = np.asarray(phasor0, dtype=complex)
     phasor = phasor / np.abs(phasor)
     n = phasor.size
@@ -605,6 +717,8 @@ def _reference_rmo(obj, phasor0, max_iters=300, tol=1e-6):
         phasor = new_phasor
         val = cand_val
         trace.append(val)
+        if len(trace) > ao.STALL_WINDOW and trace[-1 - ao.STALL_WINDOW] - val <= tol * abs(val):
+            break
         rgrad = ao._tangent_project(phase_gradient(work, phasor), phasor)
         beta = np.vdot(rgrad, rgrad - ao._tangent_project(prev_rgrad, phasor)).real / max(
             gnorm2, 1e-300
@@ -623,7 +737,7 @@ def _reference_project(v, lower, upper, w, b):
     if w @ x <= b + 1e-15 * max(abs(b), 1.0):
         return x
     pos = w > 0.0
-    if w[pos] @ lower[pos] + w[~pos] @ np.clip(v[~pos], lower[~pos], upper[~pos]) > b + 1e-12:
+    if w[pos] @ lower[pos] + w[~pos] @ np.clip(v[~pos], lower[~pos], upper[~pos]) > b + 1e-12 * max(abs(b), 1.0):
         raise InfeasibleBudgetError("halfspace projection infeasible at the lower box corner")
 
     def hval(mu):
@@ -761,6 +875,29 @@ class TestSolverOracle:
             searched += w @ np.clip(v, lower, upper) > b + 1e-15 * max(abs(b), 1.0)
         # the oracle must reach the breakpoint search, not only the box clip
         assert searched > 0
+
+
+class TestPhaseStallStop:
+    def test_paper_size_stops_early_near_the_gradient_stop_value(
+        self, active_fit, passive_fit, monkeypatch
+    ):
+        import inspect
+
+        max_iters = inspect.signature(rmo_phase_opt).parameters["max_iters"].default
+        sc = SIZES["paper"]
+        runs = []
+        for seed in (3, 17):
+            objectives, _ = _trial_objectives(sc, active_fit, passive_fit, seed)
+            rng = np.random.default_rng(seed)
+            for name, obj in objectives.items():
+                ph0 = np.exp(1j * rng.uniform(0.0, TWO_PI, sc.n))
+                runs.append((seed, name, obj, ph0, rmo_phase_opt(obj, ph0)[1]))
+        # a window longer than any trace leaves only the gradient-norm stop
+        monkeypatch.setattr(ao, "STALL_WINDOW", max_iters + 1)
+        for seed, name, obj, ph0, trace in runs:
+            assert trace.size - 1 < max_iters, (seed, name)
+            _, full = rmo_phase_opt(obj, ph0)
+            assert abs(trace[-1] - full[-1]) <= 1e-4 * abs(full[-1]), (seed, name)
 
 
 def _values(lo=-3.0, hi=3.0, tiny=0.0):
