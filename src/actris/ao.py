@@ -250,24 +250,6 @@ def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
     return phasor, s * np.asarray(trace)
 
 
-def linear_power_fit(fit, phi, params, m_band=(circuit.M_LO, circuit.M_HI)):
-    """Endpoint-exact linear surrogate of power versus amplitude at phase phi.
-
-    Returns (p_min, p_max, slope): the powers at the least and most negative
-    usable resistances and the slope against the cosine-model amplitude
-    bounds. The surrogate is increasing because power and amplitude are both
-    decreasing in the resistance.
-    """
-    lower, upper = reflection.approx_amplitude_bounds(fit, phi)
-    r_min, r_max = circuit.usable_resistance_band(params, phi, m_band)
-    p_min = circuit.power_consumption(r_max, params)
-    p_max = circuit.power_consumption(r_min, params)
-    span = upper - lower
-    if span <= 1e-12:
-        raise ValueError("amplitude span vanishes: no power fit for a fixed-amplitude cell")
-    return p_min, p_max, (p_max - p_min) / span
-
-
 def _power_fit_arrays(fits, phi, params, m_band=(circuit.M_LO, circuit.M_HI)):
     """Per-element linear power surrogate; zeros for passive elements."""
     lower, upper = fits.bounds(phi)
@@ -342,6 +324,38 @@ class QpResult:
     trace: np.ndarray
 
 
+def _face_minimizer(x, m, c_lin, lower, upper, w, b):
+    """Exact minimizer of the QP on the face of x; None if infeasible or singular.
+
+    Cells on a box bound stay fixed. The free cells solve the stationarity
+    equations, bordered by the budget row when the box-only point breaks
+    the budget or does not exist.
+    """
+    free = (x > lower) & (x < upper)
+    if not free.any():
+        return None
+    fixed = ~free
+    budget_tol = 1e-15 * max(abs(b), 1.0)   # project_box_halfspace's slack
+    m_ff = 2.0 * m[np.ix_(free, free)]
+    rhs = -(c_lin[free] + 2.0 * (m[np.ix_(free, fixed)] @ x[fixed]))
+    y = x.copy()
+    try:
+        y[free] = np.linalg.solve(m_ff, rhs)
+        box_only = w @ y <= b + budget_tol
+    except np.linalg.LinAlgError:
+        box_only = False   # flat along the face: only the budget row can pin it
+    if not box_only:
+        w_f = w[free]
+        bordered = np.block([[m_ff, w_f[:, None]], [w_f, 0.0]])
+        try:
+            y[free] = np.linalg.solve(bordered, np.append(rhs, b - w[fixed] @ x[fixed]))[:-1]
+        except np.linalg.LinAlgError:   # also raised when w_f is all zero
+            return None
+    if np.any(y < lower) or np.any(y > upper) or w @ y > b + budget_tol:
+        return None
+    return y
+
+
 def amplitude_qp(obj, phi, fits, scenario, budget=None, params=None,
                  max_iters=5000, tol=1e-6):
     """Amplitude subproblem at fixed phases: convex QP over box and budget.
@@ -350,8 +364,11 @@ def amplitude_qp(obj, phi, fits, scenario, budget=None, params=None,
     amplitude box and the linearized power budget. Solved by projected
     gradient with an exact box-halfspace projection and a monotone Nesterov
     acceleration (the accelerated candidate is used only when it does not
-    increase the objective). Terminates when the projected-gradient
-    fixed-point residual, in amplitude units, drops below tol.
+    increase the objective) at step 1/L. Every 10 iterations the
+    projected-gradient fixed-point residual, in amplitude units, is checked
+    against tol; when it fails, the exact minimizer on the iterate's face
+    is returned if it is feasible, does not raise the objective and passes
+    that check, and the iteration goes on otherwise.
     """
     params = params or scenario.circuit
     budget = scenario.p_ris_w if budget is None else budget
@@ -367,7 +384,7 @@ def amplitude_qp(obj, phi, fits, scenario, budget=None, params=None,
         )
     b = budget - float(p_min.sum() - slope @ lower)
 
-    lip = 2.0 * _spectral_norm(m)
+    lip = 2.0 * float(np.linalg.eigvalsh(m)[-1])
     span = float(np.max(upper - lower))
     scale = max(lip * span, np.abs(c_lin).max(), 1e-300)
     step = 1.0 / max(lip, scale / max(span, 1e-12))
@@ -380,6 +397,9 @@ def amplitude_qp(obj, phi, fits, scenario, budget=None, params=None,
 
     def pg_step(x):
         return project_box_halfspace(x - step * grad(x), lower, upper, slope, b)
+
+    def residual(x):
+        return float(np.max(np.abs(x - pg_step(x))))
 
     x = project_box_halfspace(0.5 * (lower + upper), lower, upper, slope, b)
     fx = fval(x)
@@ -403,27 +423,25 @@ def amplitude_qp(obj, phi, fits, scenario, budget=None, params=None,
         trace.append(fx)
         t_momentum = t_next
         if it % 10 == 0 or it == max_iters:
-            kkt = float(np.max(np.abs(x - pg_step(x))))
+            kkt = residual(x)
             if kkt <= tol:
                 break
+            y = _face_minimizer(x, m, c_lin, lower, upper, slope, b)
+            if y is None:
+                continue
+            # f(y) - f(x) without the cancellation of two fval calls, which
+            # near the optimum could round an exact face point above x
+            change = float((y - x) @ (m @ (y + x) + c_lin))
+            kkt_y = residual(y) if change <= 0.0 else np.inf
+            if kkt_y <= tol:
+                # the face point ends this iteration in place of the PG iterate
+                x, fx, kkt = y, fx + change, kkt_y
+                trace[-1] = fx
+                break
     if not np.isfinite(kkt):
-        kkt = float(np.max(np.abs(x - pg_step(x))))
+        kkt = residual(x)
     return QpResult(alpha=x, objective=fx, kkt_residual=kkt,
                     iterations=it, trace=np.asarray(trace))
-
-
-def _spectral_norm(m, iters=60):
-    n = m.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    est = 0.0
-    for _ in range(iters):
-        w = m @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        est = nw
-    return float(est)
 
 
 def power_repair_loop(alpha, phi, params, fits, p_ris, resolve, max_passes=8):

@@ -11,7 +11,6 @@ from actris.ao import (
     amplitude_qp,
     build_phase_objective,
     feasible_amplitude_scale,
-    linear_power_fit,
     lmmse_combiner,
     opbar_objective,
     phase_gradient,
@@ -331,23 +330,30 @@ class TestManifoldDescent:
 
 
 class TestLinearPowerFit:
+    @staticmethod
+    def _fit_one(fit, phi, params):
+        """The linear power surrogate of a one-cell surface at phase phi:
+        (p_min, p_max, slope, lower, upper), p_max read off the chord."""
+        fits = ElementFits([fit], np.ones(1, dtype=bool))
+        p_min, slope, lower, upper = ao._power_fit_arrays(fits, np.array([phi]), params)
+        p_max = p_min[0] + slope[0] * (upper[0] - lower[0])
+        return p_min[0], p_max, slope[0], lower[0], upper[0]
+
     def test_endpoint_exactness(self, params_va, active_fit):
         for phi in (0.5, 2.0, 4.0, 5.9):
-            p_min, p_max, slope = linear_power_fit(active_fit, phi, params_va)
-            lo, up = approx_amplitude_bounds(active_fit, phi)
-            assert p_min + slope * (up - lo) == pytest.approx(p_max, rel=1e-12)
+            p_min, p_max, slope, lo, up = self._fit_one(active_fit, phi, params_va)
+            assert (lo, up) == pytest.approx(approx_amplitude_bounds(active_fit, phi), rel=1e-12)
             assert slope > 0.0
             r_min, r_max = circuit.usable_resistance_band(params_va, phi)
             assert p_min == pytest.approx(circuit.power_consumption(r_max, params_va))
-            assert p_max == pytest.approx(circuit.power_consumption(r_min, params_va))
+            assert p_max == pytest.approx(circuit.power_consumption(r_min, params_va), rel=1e-12)
 
     def _surrogate_errors(self, params, fit, phi):
         """Sampled |y(alpha) - P(alpha)| at five interior amplitudes, with the
         true power obtained by circuit inversion under band saturation."""
         band_lo = circuit.stable_resistance(circuit.M_LO, params)
         band_hi = circuit.stable_resistance(circuit.M_HI, params)
-        p_min, p_max, slope = linear_power_fit(fit, phi, params)
-        lo, up = approx_amplitude_bounds(fit, phi)
+        p_min, p_max, slope, lo, up = self._fit_one(fit, phi, params)
         errs = []
         for frac in (1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6):
             alpha = lo + frac * (up - lo)
@@ -763,6 +769,47 @@ def _reference_project(v, lower, upper, w, b):
     return np.clip(v - mu_star * w, lower, upper)
 
 
+def _reference_qp(obj, phi, fits, scenario, budget, max_iters=5000, tol=1e-6):
+    """Reference amplitude QP: the monotone accelerated projected-gradient
+    loop without the face solve, stopped by the same fixed-point test."""
+    phasor = np.exp(1j * np.asarray(phi, dtype=float))
+    m = np.real(np.conj(phasor)[:, None] * obj.t * phasor[None, :])
+    c_lin = -2.0 * np.real(np.conj(phasor) * obj.q)
+    p_min, slope, lower, upper = ao._power_fit_arrays(fits, phi, scenario.circuit)
+    b = budget - float(p_min.sum() - slope @ lower)
+    lip = 2.0 * np.linalg.eigvalsh(m)[-1]
+    span = float(np.max(upper - lower))
+    scale = max(lip * span, np.abs(c_lin).max(), 1e-300)
+    step = 1.0 / max(lip, scale / max(span, 1e-12))
+
+    def fval(x):
+        return float(x @ (m @ x) + c_lin @ x)
+
+    def pg_step(x):
+        return project_box_halfspace(x - step * (2.0 * (m @ x) + c_lin), lower, upper, slope, b)
+
+    x = project_box_halfspace(0.5 * (lower + upper), lower, upper, slope, b)
+    fx = fval(x)
+    x_prev = x.copy()
+    t_momentum = 1.0
+    for it in range(1, max_iters + 1):
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
+        cand = pg_step(x + ((t_momentum - 1.0) / t_next) * (x - x_prev))
+        f_cand = fval(cand)
+        if f_cand > fx:
+            cand = pg_step(x)
+            f_cand = fval(cand)
+            t_next = 1.0
+            if f_cand > fx:
+                cand, f_cand = x, fx
+        x_prev, x, fx = x, cand, f_cand
+        t_momentum = t_next
+        if it % 10 == 0 and np.max(np.abs(x - pg_step(x))) <= tol:
+            break
+    return ao.QpResult(alpha=x, objective=fx, kkt_residual=float(np.max(np.abs(x - pg_step(x)))),
+                       iterations=it, trace=np.array([fx]))
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -959,3 +1006,102 @@ class TestProjectionOracle:
         v, lower, upper, w = np.array([-1.0, -2.0]), np.zeros(2), np.ones(2), np.array([1.0, 2.0])
         x = project_box_halfspace(v, lower, upper, w, -5e-13)
         assert _same_bits(x, lower)
+
+
+def _qp_defaults():
+    import inspect
+
+    params = inspect.signature(amplitude_qp).parameters
+    return params["max_iters"].default, params["tol"].default
+
+
+class TestAmplitudeFaceSolve:
+    """The exact face solve must end every AO amplitude QP within the
+    iteration cap at the residual tolerance, and never above the objective
+    of the projected-gradient loop alone."""
+
+    @pytest.mark.parametrize("size", sorted(SIZES))
+    def test_ao_objectives_converge_below_the_cap(self, size, active_fit, passive_fit):
+        sc = SIZES[size]
+        max_iters, tol = _qp_defaults()
+        for seed in (3, 17):
+            objectives, fits = _trial_objectives(sc, active_fit, passive_fit, seed)
+            obj = objectives["AO"]
+            phasor, _ = rmo_phase_opt(obj, np.exp(1j * np.zeros(sc.n)))
+            phi = np.angle(phasor) % TWO_PI
+            p_min, _, _, _ = ao._power_fit_arrays(fits, phi, sc.circuit)
+            floor = float(p_min.sum())
+            # the full budget and two lowered budgets of power-repair re-solves
+            for budget in (sc.p_ris_w, floor + 0.5 * (sc.p_ris_w - floor),
+                           floor + 0.1 * (sc.p_ris_w - floor)):
+                res = amplitude_qp(obj, phi, fits, sc, budget=budget)
+                ref = _reference_qp(obj, phi, fits, sc, budget)
+                case = (size, seed, budget)
+                assert res.kkt_residual <= tol and res.iterations < max_iters, case
+                assert res.objective <= ref.objective + 1e-12 * abs(ref.objective), case
+
+
+@st.composite
+def small_amplitude_qps(draw):
+    n = draw(st.integers(1, 10))
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    active = np.array(draw(flags))             # passive cells: zero slope, no span
+    collapsed = np.array(draw(flags))          # active cells with no amplitude span
+    rank = draw(st.integers(0, n))             # rank-deficient curvature
+    budget = draw(st.one_of(
+        st.just("corner"),                     # budget on the lower corner
+        st.just("inactive"),                   # budget above the upper corner
+        st.floats(0.0, 1.0),                   # share of the corner-to-corner power
+    ))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return active, collapsed, rank, budget, seed
+
+
+class TestAmplitudeFaceSolveProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(small_amplitude_qps())
+    @example((np.zeros(3, dtype=bool), np.zeros(3, dtype=bool), 3, 0.5, 1))  # empty free set
+    @example((np.ones(4, dtype=bool), np.ones(4, dtype=bool), 4, 0.5, 2))    # all spans collapsed
+    @example((np.ones(5, dtype=bool), np.zeros(5, dtype=bool), 5, "corner", 3))
+    @example((np.ones(5, dtype=bool), np.zeros(5, dtype=bool), 0, "inactive", 4))
+    def test_feasible_converged_and_no_worse_than_pg(self, active_fit, passive_fit, problem):
+        active, collapsed, rank, budget, seed = problem
+        n = active.size
+        rng = np.random.default_rng(seed)
+        # an active class whose span beta_min - delta_min vanishes where the
+        # cosine term does, at phase pi - theta
+        pinned = dataclasses.replace(active_fit, beta_min=active_fit.delta_min)
+        phi = np.where(collapsed, (np.pi - active_fit.theta) % TWO_PI, rng.uniform(0.0, TWO_PI, n))
+        fits = ElementFits([(pinned if c else active_fit) if a else passive_fit
+                            for a, c in zip(active, collapsed)], active)
+        g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        z2, z1, z = fits.coefficients(np.ones(n))
+        obj = PhaseObjective(t=g @ g.conj().T / n,
+                             q=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                             z2=z2, z1=z1, z=z)
+        sc = desk_scenario(n=n, n_act=int(active.sum()))
+        p_min, slope, lower, upper = ao._power_fit_arrays(fits, phi, sc.circuit)
+        assert not slope[~active | collapsed].any()
+        floor = float(p_min.sum())
+        top = floor + float(slope @ (upper - lower))
+        if budget == "corner":
+            budget = floor
+        elif budget == "inactive":
+            budget = top + 1.0
+        else:
+            budget = floor + budget * (top - floor)
+        # tight enough that the projected-gradient loop alone rarely meets
+        # it, so the exact face solve is what ends the run
+        tol = 1e-12
+
+        res = amplitude_qp(obj, phi, fits, sc, budget=budget, tol=tol)
+        ref = _reference_qp(obj, phi, fits, sc, budget, tol=tol)
+        x = res.alpha
+        assert np.all(x >= lower) and np.all(x <= upper)
+        # the budget row as the solver holds it; b carries the lower-corner
+        # power of cells with narrow spans and steep slopes, so its rounding
+        # scales with |b|
+        b = budget - (floor - float(slope @ lower))
+        assert slope @ x <= b + 1e-12 * max(abs(b), 1.0)
+        assert res.kkt_residual <= tol
+        assert res.objective <= ref.objective + 1e-12 * abs(ref.objective)
