@@ -45,18 +45,21 @@ class PhaseObjective:
     def gamma_of(self, phasor):
         return self.z2 * phasor**2 + self.z1 * phasor + self.z
 
-    def value(self, phasor):
+    def value(self, phasor, with_tg=False):
         """g at one design (n,) as a float, or at a stack (..., n) as an array.
 
         Every design is scored by its own matmul slice, so a row of a stack
-        carries the bits of a call on that design alone.
+        carries the bits of a call on that design alone. with_tg=True also
+        returns t @ gamma(p) of each design, which the gradient reuses.
         """
         g = self.gamma_of(phasor)[..., None, :]
         gc = g.conj()
-        quad = np.matmul(gc, np.matmul(self.t, g.mT))
+        tg = np.matmul(self.t, g.mT)
+        quad = np.matmul(gc, tg)
         lin = np.matmul(gc, self.q[:, None])
         val = (quad.real - 2.0 * lin.real)[..., 0, 0]
-        return float(val) if val.ndim == 0 else val
+        val = float(val) if val.ndim == 0 else val
+        return (val, tg[..., 0]) if with_tg else val
 
 
 def lmmse_combiner(ch, v, gamma, scenario):
@@ -172,13 +175,14 @@ def build_phase_objective(ch, v, y, sigma_aux, fits, alpha_bar, scenario):
     return PhaseObjective(t=t, q=q, z2=z2, z1=z1, z=z)
 
 
-def phase_gradient(obj, phasor):
+def phase_gradient(obj, phasor, tg=None):
     """Euclidean gradient of the phase objective at unit-modulus phasors.
 
     Reported as twice the conjugate Wirtinger derivative, matching the
-    finite-difference convention.
+    finite-difference convention. tg is t @ gamma(phasor) when the caller
+    already has it.
     """
-    w = obj.t @ obj.gamma_of(phasor) - obj.q
+    w = (obj.t @ obj.gamma_of(phasor) if tg is None else tg) - obj.q
     return 2.0 * (2.0 * np.conj(phasor) * np.conj(obj.z2) * w + np.conj(obj.z1) * w)
 
 
@@ -225,11 +229,11 @@ def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
         for steps in _STEP_LADDER:
             cand = phasor + steps * direction
             cand = cand / np.abs(cand)
-            cand_vals = work.value(cand)
+            cand_vals, cand_tg = work.value(cand, with_tg=True)
             passed = cand_vals <= val + ARMIJO_C * steps[:, 0] * slope
             if passed.any():
                 k = int(passed.argmax())
-                new_phasor, cand_val = cand[k], float(cand_vals[k])
+                new_phasor, cand_val, tg = cand[k], float(cand_vals[k]), cand_tg[k]
                 break
         if new_phasor is None:
             break
@@ -239,7 +243,7 @@ def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
         trace.append(val)
         if len(trace) > STALL_WINDOW and trace[-1 - STALL_WINDOW] - val <= tol * abs(val):
             break
-        rgrad = _tangent_project(phase_gradient(work, phasor), phasor)
+        rgrad = _tangent_project(phase_gradient(work, phasor, tg), phasor)
         beta = np.vdot(rgrad, rgrad - _tangent_project(prev_rgrad, phasor)).real / max(
             gnorm2, 1e-300
         )
@@ -258,8 +262,7 @@ def _power_fit_arrays(fits, phi, params, m_band=(circuit.M_LO, circuit.M_HI)):
     slope = np.zeros(n)
     active = fits.active_mask
     if active.any():
-        band_lo = circuit.stable_resistance(m_band[0], params)
-        band_hi = circuit.stable_resistance(m_band[1], params)
+        band_lo, band_hi = circuit.diode_band(params, m_band)
         f = circuit.resistance_range(params, phi[active])
         r_min = np.maximum(-f, band_lo)
         p_hi = circuit.power_consumption_vec(r_min, params)

@@ -71,8 +71,7 @@ def run_paido(scenario, ch, fits, rng):
     phasor, _ = rmo_phase_opt(obj, phasor0)
     phi = np.angle(phasor) % (2.0 * np.pi)
 
-    band_lo = circuit.stable_resistance(circuit.M_LO, params)
-    band_hi = circuit.stable_resistance(circuit.M_HI, params)
+    band_lo, band_hi = circuit.diode_band(params)
     p_lo = circuit.power_consumption(band_hi, params)
     p_hi = circuit.power_consumption(band_lo, params)
     active = fits.active_mask
@@ -131,8 +130,7 @@ class _CircuitSearchSpace:
         self.n_act = self.active.size
         n = scenario.n
         self.n = n
-        self.band_lo = circuit.stable_resistance(circuit.M_LO, params)
-        self.band_hi = circuit.stable_resistance(circuit.M_HI, params)
+        self.band_lo, self.band_hi = circuit.diode_band(params)
         self.p_floor = circuit.power_consumption(self.band_hi, params)
         v_len = 2 * scenario.m_t * scenario.d
         vmax = np.sqrt(scenario.p_t_w)
@@ -241,7 +239,6 @@ def _finalize(space, best_phenotype, best_rate, iterations):
 
     r, c, v, gamma = best_phenotype
     params = space.params
-    cells = tuple(circuit.CellState(r=float(ri), c=float(ci)) for ri, ci in zip(r, c))
     phi = np.angle(gamma) % (2 * np.pi)
     total = circuit.power_consumption_vec(r[space.active], params).sum()
     lower, upper = space.fits.bounds(phi)
@@ -253,7 +250,8 @@ def _finalize(space, best_phenotype, best_rate, iterations):
         alpha_bar=alpha_bar,
         active_mask=space.fits.active_mask.copy(),
         gamma=gamma,
-        cells=cells,
+        r=r,
+        c=c,
         ris_power_w=float(total),
         band="exact",
     )

@@ -17,10 +17,6 @@ def dbm_to_watt(dbm):
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watt_to_dbm(w):
-    return 10.0 * np.log10(w) + 30.0
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Link-level scenario: array sizes, budgets, noise and geometry.

@@ -8,6 +8,7 @@ amplifier. All quantities are SI internally.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,10 +126,18 @@ def stable_resistance(m, p):
     return float(out) if out.ndim == 0 else out
 
 
+@lru_cache(maxsize=64)
+def diode_band(p, m_band=(M_LO, M_HI)):
+    """Usable diode resistances (band_lo, band_hi) of an exponent band.
+
+    Cached per hardware: CircuitParams is frozen and hashable.
+    """
+    return stable_resistance(m_band[0], p), stable_resistance(m_band[1], p)
+
+
 def m_from_resistance(r, p):
     """Invert the stability-point relation: exponent m realizing resistance r."""
-    band_lo = stable_resistance(M_LO, p)
-    band_hi = stable_resistance(M_HI, p)
+    band_lo, band_hi = diode_band(p)
     tol = 1e-9 * abs(band_lo)
     if not band_lo - tol <= r <= band_hi + tol:
         raise ValueError(
@@ -154,7 +163,7 @@ def power_consumption(r, p, extend_band=False):
     """
     if r >= 0.0:
         return 0.0
-    band_lo = stable_resistance(M_LO, p)
+    band_lo = diode_band(p)[0]
     if r < band_lo * (1.0 + 1e-9) and not extend_band:
         raise ValueError(f"resistance {r} below the diode band edge {band_lo:.4f}")
     return _power_active(r, p)
@@ -219,54 +228,46 @@ def feasibility_condition(p):
     return bool(lhs - rhs <= 0.0)
 
 
-def _phase_roots(p, r, phi):
-    """Positive real roots of the phase quadratic, as an array (may be empty)."""
-    qa, qb, qc = _phase_quadratic(p, r, phi)
-    if qa == 0.0:
-        # degenerate to a linear equation
-        roots = np.array([-qc / qb]) if qb != 0.0 else np.array([])
-    else:
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < 0.0:
-            raise InfeasiblePhaseError(
-                f"|R|={abs(r):.4f} exceeds the feasible range "
-                f"F(phi)={resistance_range(p, phi):.4f}"
-            )
-        # cancellation-safe quadratic formula (qa passes through zero with phi)
-        q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
-        roots = np.array([q / qa, qc / q]) if q != 0.0 else np.array([0.0, 0.0])
-    return roots[roots > 0.0]
-
-
 def _phase_distance(a, b):
     return np.abs((a - b + np.pi) % TWO_PI - np.pi)
 
 
-def _capacitance_for_phase_unchecked(p, r, phi, tol=1e-6):
-    """Root of the phase quadratic whose realized reflection phase equals phi.
+def phase_capacitance(p, r, phi, tol=1e-6):
+    """Capacitance realizing reflection phase phi at resistance r, elementwise.
 
-    Both roots are evaluated through the reflection coefficient; the spurious
-    root realizes phi +/- pi and is rejected. Raises when the phase is not
-    realizable (no positive root lands on phi).
+    Both positive roots of the phase quadratic are evaluated through the
+    reflection coefficient; the spurious root realizes phi +/- pi. The root
+    with the smaller phase error wins, ties to the first. NaN where no root
+    lands within tol of phi: |R| beyond the feasible range, or a phase on
+    the unrealizable arc of the reflection locus.
     """
-    phi = float(phi) % TWO_PI
-    best = None
-    best_err = np.inf
-    for c in _phase_roots(p, r, phi):
-        realized = np.angle(_gamma(p, c, r)) % TWO_PI
-        err = _phase_distance(realized, phi)
-        if err < best_err:
-            best, best_err = c, err
-    if best is None or best_err > tol:
-        raise PhaseNotRealizableError(
-            f"no capacitance realizes phase {phi:.6f} at R={r:.4f}"
-        )
-    return float(best)
+    phi = np.asarray(phi, dtype=float) % TWO_PI
+    qa, qb, qc = _phase_quadratic(p, np.asarray(r, dtype=float), phi)
+    disc = qb * qb - 4.0 * qa * qc
+    # cancellation-safe quadratic formula (qa passes through zero with phi;
+    # at qa = 0 the second root is the linear one and the first is infinite)
+    q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(disc, 0.0)), qb))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.stack(np.broadcast_arrays(q / qa, qc / q))
+        valid = (roots > 0.0) & np.isfinite(roots) & (disc >= 0.0)
+        realized = np.angle(_gamma(p, roots, r)) % TWO_PI
+        err = np.where(valid, _phase_distance(realized, phi), np.inf)
+    c = np.where(err[1] < err[0], roots[1], roots[0])
+    return np.where(np.minimum(err[0], err[1]) <= tol, c, np.nan)[()]
 
 
 def capacitance_for_phase(p, r, phi):
-    """Capacitance that realizes reflection phase phi at resistance r."""
-    c = _capacitance_for_phase_unchecked(p, r, phi)
+    """Capacitance that realizes reflection phase phi at one resistance r."""
+    c = float(phase_capacitance(p, r, phi))
+    if np.isnan(c):
+        phi = float(phi) % TWO_PI
+        qa, qb, qc = _phase_quadratic(p, r, phi)
+        if qb * qb - 4.0 * qa * qc < 0.0:
+            raise InfeasiblePhaseError(
+                f"|R|={abs(r):.4f} exceeds the feasible range "
+                f"F(phi)={resistance_range(p, phi):.4f}"
+            )
+        raise PhaseNotRealizableError(f"no capacitance realizes phase {phi:.6f} at R={r:.4f}")
     c_lo, c_hi = p.c_range
     if not c_lo <= c <= c_hi:
         raise CapacitanceRangeError(
@@ -275,121 +276,94 @@ def capacitance_for_phase(p, r, phi):
     return c
 
 
+def phase_amplitude(p, r, phi):
+    """Reflection amplitude of the cell at resistance r that realizes phase
+    phi, elementwise; NaN where no capacitance realizes it."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(_gamma(p, phase_capacitance(p, r, phi), r))
+
+
 def usable_resistance_band(p, phi, m_band=(M_LO, M_HI)):
-    """Usable (most negative, least negative) resistances at phase phi.
+    """Usable (most negative, least negative) resistances at phases phi.
 
     Intersects the symmetric feasibility bound |R| <= F(phi) with the
-    diode-achievable interval and the R < 0 sign constraint.
+    diode-achievable interval and the R < 0 sign constraint. Both are NaN
+    where the intersection is empty.
     """
-    m_lo, m_hi = m_band
-    band_lo = stable_resistance(m_lo, p)
-    band_hi = stable_resistance(m_hi, p)
-    f = resistance_range(p, phi)
-    r_min = max(-f, band_lo)
-    r_max = band_hi
-    if r_max < r_min:
-        raise InfeasiblePhaseError(
-            f"diode band empty at phase {phi:.4f}: F(phi)={f:.4f}"
-        )
-    return r_min, r_max
+    band_lo, band_hi = diode_band(p, m_band)
+    r_min = np.maximum(-resistance_range(p, phi), band_lo)
+    empty = band_hi < r_min
+    return np.where(empty, np.nan, r_min)[()], np.where(empty, np.nan, band_hi)[()]
 
 
 def exact_amplitude_bounds(p, phi, m_band=(M_LO, M_HI)):
-    """Exact reflection-amplitude interval achievable at phase phi.
+    """Exact reflection-amplitude interval (lower, upper) at phases phi.
 
     The amplitude decreases with the (negative) resistance, so the upper
     bound is realized at the most negative usable resistance and the lower
-    bound at the least negative one.
+    bound at the least negative one. NaN where no usable resistance
+    realizes the phase.
     """
     r_min, r_max = usable_resistance_band(p, phi, m_band)
-    a_hi = abs(_gamma(p, _capacitance_for_phase_unchecked(p, r_min, phi), r_min))
-    a_lo = abs(_gamma(p, _capacitance_for_phase_unchecked(p, r_max, phi), r_max))
-    return (a_lo, a_hi) if a_lo <= a_hi else (a_hi, a_lo)
-
-
-def passive_amplitude(p, phi):
-    """Reflection amplitude of a passive cell (fixed r_passive) at phase phi."""
-    c = _capacitance_for_phase_unchecked(p, p.r_passive, phi)
-    return abs(_gamma(p, c, p.r_passive))
+    a_hi = phase_amplitude(p, r_min, phi)
+    a_lo = phase_amplitude(p, r_max, phi)
+    return np.minimum(a_lo, a_hi)[()], np.maximum(a_lo, a_hi)[()]
 
 
 def circuit_from_gamma(p, gamma):
-    """Invert a reflection coefficient into the realizing (R, C) pair.
+    """Invert reflection coefficients into the realizing (R, C) pairs.
 
     Solves the series-branch reactance X = R + 1/(j*omega*C) in closed form
-    and splits it into resistance and capacitance. The reflection coefficient
-    must lie on the capacitive side of the realizable locus (Im X < 0).
+    and splits it into resistance and capacitance, elementwise. Returns
+    (r, c, ok): ok is False at the inversion pole and where the target needs
+    an inductive branch reactance (Im X >= 0, no capacitance realizes it);
+    r and c are NaN there.
     """
-    gamma = complex(gamma)
+    gamma = np.asarray(gamma, dtype=complex)
     l1, l2, w, z0 = p.l1, p.l2, p.omega, p.z0
     den = w * l1 * (1.0 - gamma) + 1j * z0 * (1.0 + gamma)
-    if abs(den) < 1e-12 * z0:
-        raise CircuitError("reflection coefficient at the inversion pole")
-    x = w * (z0 * (l1 + l2) * (1.0 + gamma) + 1j * w * l1 * l2 * (gamma - 1.0)) / den
-    if x.imag >= 0.0:
-        raise PhaseNotRealizableError(
-            f"gamma={gamma:.6f} needs an inductive branch reactance; "
-            "no capacitance realizes it"
-        )
-    r = x.real
-    c = 1.0 / (abs(x.imag) * w)
-    return CellState(r=float(r), c=float(c))
-
-
-def phase_root_grid(p, r, phis, tol=1e-6):
-    """Vectorized phase-realizing capacitance over a grid of phases.
-
-    Returns an array aligned with phis; entries are NaN where no positive
-    root of the phase quadratic realizes the phase (the unrealizable arc of
-    the reflection locus). Used by the amplitude-model fitting sweep.
-    """
-    phis = np.asarray(phis, dtype=float) % TWO_PI
-    qa, qb, qc = _phase_quadratic(p, r, phis)
-    disc = qb * qb - 4.0 * qa * qc
-    bad = disc < 0.0
-    q = -0.5 * (qb + np.copysign(np.sqrt(np.where(bad, 0.0, disc)), qb))
     with np.errstate(divide="ignore", invalid="ignore"):
-        roots = np.stack([q / qa, qc / q])
-    out = np.full(phis.shape, np.nan)
-    for k in range(2):
-        c = roots[k]
-        valid = np.isfinite(c) & (c > 0.0) & ~bad
-        realized = np.full(phis.shape, np.nan)
-        realized[valid] = np.angle(_gamma(p, c[valid], r)) % TWO_PI
-        match = valid & (_phase_distance(realized, phis) <= tol)
-        out[match] = c[match]
-    return out
+        x = w * (z0 * (l1 + l2) * (1.0 + gamma) + 1j * w * l1 * l2 * (gamma - 1.0)) / den
+        ok = (np.abs(den) >= 1e-12 * z0) & (x.imag < 0.0)
+        r = np.where(ok, x.real, np.nan)
+        c = np.where(ok, 1.0 / (np.abs(x.imag) * w), np.nan)
+    return r[()], c[()], ok[()]
 
 
 def realizable_phase(p, r, phi, tol=1e-6):
-    """True when some positive capacitance realizes phase phi at resistance r."""
-    try:
-        _capacitance_for_phase_unchecked(p, r, phi, tol=tol)
-        return True
-    except CircuitError:
-        return False
+    """True where some positive capacitance realizes phase phi at resistance r."""
+    return np.isfinite(phase_capacitance(p, r, phi, tol=tol))
 
 
 def nearest_realizable_cell(p, r, phi, max_offset=0.5):
-    """Cell at resistance r realizing the phase closest to phi.
+    """Capacitances at resistances r realizing the phases closest to phi.
 
     Phases on the unrealizable arc of the reflection locus are nudged
-    outward until a capacitance root exists. Used when a configuration asks
-    a fixed-resistance cell for a phase the hardware cannot hit exactly.
+    outward, +step then -step with the step growing 1.6x from 2 mrad, until
+    a capacitance root exists. Used when a configuration asks a
+    fixed-resistance cell for a phase the hardware cannot hit exactly.
+    Returns (c, offset), offset being each cell's phase nudge (0 if exact).
     """
-    try:
-        return CellState(r=r, c=_capacitance_for_phase_unchecked(p, r, phi))
-    except CircuitError:
-        pass
+    r, phi = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(phi, dtype=float))
+    shape = phi.shape
+    r, phi = r.ravel(), phi.ravel()
+    c = phase_capacitance(p, r, phi)
+    offset = np.zeros(c.size)
+    miss = np.flatnonzero(np.isnan(c))
     step = 2e-3
-    while step <= max_offset:
+    while miss.size and step <= max_offset:
         for sign in (1.0, -1.0):
-            try:
-                c = _capacitance_for_phase_unchecked(p, r, phi + sign * step)
-                return CellState(r=r, c=c)
-            except CircuitError:
-                continue
+            got = phase_capacitance(p, r[miss], phi[miss] + sign * step)
+            hit = ~np.isnan(got)
+            c[miss[hit]] = got[hit]
+            offset[miss[hit]] = sign * step
+            miss = miss[~hit]
+            if not miss.size:
+                break
         step *= 1.6
-    raise PhaseNotRealizableError(
-        f"no phase within {max_offset} rad of {phi:.4f} realizable at R={r:.4f}"
-    )
+    if miss.size:
+        i = miss[0]
+        raise PhaseNotRealizableError(
+            f"no phase within {max_offset} rad of {phi[i]:.4f} realizable at R={r[i]:.4f}"
+        )
+    return c.reshape(shape)[()], offset.reshape(shape)[()]

@@ -243,7 +243,7 @@ def n_full_power(p_ris_w, params):
 
 def n_min_power(p_ris_w, params):
     """Elements that can run at minimum diode power under the budget."""
-    p_min = circuit.power_consumption(circuit.stable_resistance(circuit.M_HI, params), params)
+    p_min = circuit.power_consumption(circuit.diode_band(params)[1], params)
     return int(p_ris_w // p_min)
 
 
@@ -637,8 +637,8 @@ def save_design(path, design, v):
         "active_mask": design.active_mask.astype(int).tolist(),
         "gamma_re": design.gamma.real.tolist(),
         "gamma_im": design.gamma.imag.tolist(),
-        "cells_r": [c.r for c in design.cells],
-        "cells_c": [c.c for c in design.cells],
+        "cells_r": design.r.tolist(),
+        "cells_c": design.c.tolist(),
         "ris_power_w": design.ris_power_w,
         "band": design.band,
         "v_re": np.asarray(v).real.tolist(),
@@ -649,20 +649,17 @@ def save_design(path, design, v):
 
 
 def load_design(path):
-    from .circuit import CellState
     from .reflection import RISDesign
 
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    cells = tuple(
-        CellState(r=r, c=c) for r, c in zip(payload["cells_r"], payload["cells_c"])
-    )
     design = RISDesign(
         phi=np.asarray(payload["phi"], dtype=float),
         alpha_bar=np.asarray(payload["alpha_bar"], dtype=float),
         active_mask=np.asarray(payload["active_mask"], dtype=bool),
         gamma=np.asarray(payload["gamma_re"]) + 1j * np.asarray(payload["gamma_im"]),
-        cells=cells,
+        r=payload["cells_r"],
+        c=payload["cells_c"],
         ris_power_w=float(payload["ris_power_w"]),
         band=payload.get("band", "approx"),
     )

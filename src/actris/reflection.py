@@ -67,35 +67,15 @@ def exact_bound_curves(params, kind, grid_size=3600, m_band=(circuit.M_LO, circu
     """
     phis = np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
     if kind == "passive":
-        c = circuit.phase_root_grid(params, params.r_passive, phis)
-        amp = np.full(grid_size, np.nan)
-        ok = np.isfinite(c)
-        amp[ok] = np.abs(circuit._gamma(params, c[ok], params.r_passive))
+        amp = circuit.phase_amplitude(params, params.r_passive, phis)
         return phis, amp, amp.copy()
     if kind != "active":
         raise ValueError(f"unknown element class {kind!r}")
-    band_lo = circuit.stable_resistance(m_band[0], params)
-    band_hi = circuit.stable_resistance(m_band[1], params)
-    f = circuit.resistance_range(params, phis)
-    lower = np.full(grid_size, np.nan)
-    upper = np.full(grid_size, np.nan)
-    r_min = np.maximum(-f, band_lo)
-    feasible = r_min <= band_hi
-    # upper curve: most negative usable resistance (phase dependent when the
-    # feasibility bound clips the diode band)
-    for r in np.unique(r_min[feasible]):
-        sel = feasible & (r_min == r)
-        c = circuit.phase_root_grid(params, r, phis[sel])
-        ok = np.isfinite(c)
-        vals = np.full(sel.sum(), np.nan)
-        vals[ok] = np.abs(circuit._gamma(params, c[ok], r))
-        upper[sel] = vals
-    c = circuit.phase_root_grid(params, band_hi, phis)
-    ok = np.isfinite(c)
-    lower[ok] = np.abs(circuit._gamma(params, c[ok], band_hi))
-    lower[~feasible] = np.nan
-    upper[~feasible] = np.nan
-    return phis, lower, upper
+    # the upper curve sits at the most negative usable resistance, the lower
+    # one at the least negative; each is NaN where its own root misses
+    r_min, r_max = circuit.usable_resistance_band(params, phis, m_band)
+    upper = circuit.phase_amplitude(params, r_min, phis)
+    return phis, circuit.phase_amplitude(params, r_max, phis), upper
 
 
 def fit_amplitude_model(params, kind="active", grid_size=3600, m_band=(circuit.M_LO, circuit.M_HI)):
@@ -212,63 +192,120 @@ def reflection_vector(phi, alpha_bar, fits):
     return z2 * phasor**2 + z1 * phasor + z
 
 
-@dataclass
+@dataclass(init=False)
 class RISDesign:
     """Finalized surface configuration: controls, model reflection, circuits.
 
-    band records which amplitude-bound family the reflection vector was
-    designed against: the cosine model ("approx") or the exact circuit
-    bounds ("exact", used by the circuit-space benchmark searches).
+    r and c are the realized resistance and capacitance of every cell;
+    cells reads them as a tuple of CellState, and a tuple of CellState may
+    be passed as cells= in their place. band records which amplitude-bound
+    family the reflection vector was designed against: the cosine model
+    ("approx") or the exact circuit bounds ("exact", used by the
+    circuit-space benchmark searches).
     """
 
     phi: np.ndarray
     alpha_bar: np.ndarray
     active_mask: np.ndarray
     gamma: np.ndarray
-    cells: tuple
+    r: np.ndarray
+    c: np.ndarray
     ris_power_w: float
     repair_passes: int = 1
     band: str = "approx"
 
+    def __init__(self, phi, alpha_bar, active_mask, gamma, r=None, c=None, *,
+                 ris_power_w, repair_passes=1, band="approx", cells=None):
+        if cells is not None:
+            r, c = [cell.r for cell in cells], [cell.c for cell in cells]
+        self.phi = phi
+        self.alpha_bar = alpha_bar
+        self.active_mask = active_mask
+        self.gamma = gamma
+        self.r = np.asarray(r, dtype=float)
+        self.c = np.asarray(c, dtype=float)
+        self.ris_power_w = ris_power_w
+        self.repair_passes = repair_passes
+        self.band = band
 
-def _fallback_cell(params, gamma):
-    """Nearest passive-side realization of a reflection target.
+    @property
+    def cells(self):
+        return tuple(CellState(r=r, c=c) for r, c in zip(self.r.tolist(), self.c.tolist()))
+
+
+# realization branch of a cell, as _realize_cells reports it
+DIRECT, CLIPPED, FALLBACK, NUDGED = range(4)
+FALLBACK_RUNGS = 80  # 0.97 shrinks tried before the passive nudge
+FALLBACK_SHRINK = 0.97
+
+
+def _fallback_cells(params, gamma):
+    """Nearest passive-side realizations of reflection targets.
 
     The cosine model keeps a collapsed near-unit amplitude band on the
     unrealizable arc of the reflection locus; targets there (and in the
     narrow non-capacitive sliver around them) are realized at a reduced
-    amplitude with nonnegative resistance, which draws no bias power.
+    amplitude with nonnegative resistance, which draws no bias power. Each
+    target is shrunk by 0.97 up to 80 times (one stack of rungs) and takes
+    the first rung that is capacitive with r >= 0; a target no rung serves
+    gets the passive resistance at the nearest realizable phase of its last
+    rung. Returns (r, c, branch).
     """
-    for _ in range(80):
-        gamma = 0.97 * gamma
-        try:
-            cell = circuit.circuit_from_gamma(params, gamma)
-        except CircuitError:
-            continue
-        if cell.r >= 0.0:
-            return cell
-    return circuit.nearest_realizable_cell(params, params.r_passive, float(np.angle(gamma)))
+    shrink = np.full((FALLBACK_RUNGS + 1, gamma.size), FALLBACK_SHRINK, dtype=complex)
+    shrink[0] = gamma
+    rungs = np.multiply.accumulate(shrink, axis=0)[1:]
+    r, c, ok = circuit.circuit_from_gamma(params, rungs)
+    win = ok & (r >= 0.0)
+    first = win.argmax(axis=0)
+    cols = np.arange(gamma.size)
+    r, c = r[first, cols], c[first, cols]
+    branch = np.full(gamma.size, FALLBACK)
+    nudge = ~win[first, cols]
+    if nudge.any():
+        r[nudge] = params.r_passive
+        c[nudge], _ = circuit.nearest_realizable_cell(
+            params, params.r_passive, np.angle(rungs[-1, nudge])
+        )
+        branch[nudge] = NUDGED
+    return r, c, branch
 
 
-def _active_cell(params, gamma_target, phi_target, band_lo, band_hi):
-    """Realize an active-cell reflection target within the diode band.
+def _realize_cells(params, active_mask, phi, gamma):
+    """Circuit states (r, c, branch) realizing per-cell reflection targets.
 
-    The tunable resistance saturates at the band edges [band_lo, band_hi]:
-    when the cosine model requests an amplitude beyond the exact bounds at
-    this phase, the cell keeps the phase and delivers the nearest achievable
-    amplitude (the band-edge one), like a passive cell delivers its own
-    curve.
+    Active cells are inverted from their target reflection coefficient.
+    The tunable resistance saturates at the diode band edges: a negative
+    resistance outside the band is clipped to it and the capacitance
+    re-solved at the target phase, so the cell keeps the phase and delivers
+    the nearest achievable amplitude (the band-edge one), like a passive
+    cell delivers its own curve. Targets that no capacitance realizes, or
+    whose clipped cell misses the phase, take the passive-side fallback.
+    Passive cells keep their fixed resistance and realize the nearest
+    achievable phase.
     """
-    try:
-        cell = circuit.circuit_from_gamma(params, gamma_target)
-        if cell.r < 0.0 and not band_lo <= cell.r <= band_hi:
-            r = float(np.clip(cell.r, band_lo, band_hi))
-            cell = CellState(
-                r=r, c=circuit._capacitance_for_phase_unchecked(params, r, phi_target)
-            )
-        return cell
-    except CircuitError:
-        return _fallback_cell(params, gamma_target)
+    n = phi.size
+    r = np.full(n, params.r_passive)
+    c = np.empty(n)
+    branch = np.full(n, DIRECT)
+    passive = ~active_mask
+    if passive.any():
+        c[passive], offset = circuit.nearest_realizable_cell(
+            params, params.r_passive, phi[passive]
+        )
+        branch[passive] = np.where(offset != 0.0, NUDGED, DIRECT)
+    act = np.flatnonzero(active_mask)
+    ra, ca, ok = circuit.circuit_from_gamma(params, gamma[act])
+    band_lo, band_hi = circuit.diode_band(params)
+    clip = ok & (ra < 0.0) & ((ra < band_lo) | (ra > band_hi))
+    if clip.any():
+        ra[clip] = np.clip(ra[clip], band_lo, band_hi)
+        ca[clip] = circuit.phase_capacitance(params, ra[clip], phi[act[clip]])
+        ok &= ~np.isnan(ca)
+    ba = np.where(clip, CLIPPED, DIRECT)
+    if not ok.all():
+        ra[~ok], ca[~ok], ba[~ok] = _fallback_cells(params, gamma[act[~ok]])
+    r[act], c[act], branch[act] = ra, ca, ba
+    return r, c, branch
 
 
 def realize_design(params, fits, phi, alpha, alpha_bar=None):
@@ -282,19 +319,8 @@ def realize_design(params, fits, phi, alpha, alpha_bar=None):
     """
     phi = np.asarray(phi, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    n = phi.size
     gamma = alpha * np.exp(1j * phi)
-    band_lo = circuit.stable_resistance(circuit.M_LO, params)
-    band_hi = circuit.stable_resistance(circuit.M_HI, params)
-    cells = []
-    for i in range(n):
-        if fits.active_mask[i]:
-            cell = _active_cell(params, gamma[i], phi[i], band_lo, band_hi)
-        else:
-            cell = circuit.nearest_realizable_cell(params, params.r_passive, phi[i])
-        cells.append(cell)
-    active_r = np.array([cells[i].r for i in np.flatnonzero(fits.active_mask)])
-    total_power = float(circuit.power_consumption_vec(active_r, params).sum()) if active_r.size else 0.0
+    r, c, _ = _realize_cells(params, fits.active_mask, phi, gamma)
     if alpha_bar is None:
         lower, upper = fits.bounds(phi)
         span = np.where(upper > lower, upper - lower, 1.0)
@@ -305,8 +331,9 @@ def realize_design(params, fits, phi, alpha, alpha_bar=None):
         alpha_bar=np.asarray(alpha_bar, dtype=float),
         active_mask=fits.active_mask.copy(),
         gamma=gamma,
-        cells=tuple(cells),
-        ris_power_w=total_power,
+        r=r,
+        c=c,
+        ris_power_w=float(circuit.power_consumption_vec(r[fits.active_mask], params).sum()),
     )
 
 
@@ -319,19 +346,15 @@ def realize_minimum_power(params, fits, phi):
     Used as the terminal fallback when the budget leaves no amplitude slack.
     """
     phi = np.asarray(phi, dtype=float)
-    band_hi = circuit.stable_resistance(circuit.M_HI, params)
+    r = np.where(fits.active_mask, circuit.diode_band(params)[1], params.r_passive)
+    c, _ = circuit.nearest_realizable_cell(params, r, phi)
     lower, _ = fits.bounds(phi)
-    cells = []
-    for i in range(phi.size):
-        r = band_hi if fits.active_mask[i] else params.r_passive
-        cells.append(circuit.nearest_realizable_cell(params, r, phi[i]))
-    active_r = np.array([c.r for c, a in zip(cells, fits.active_mask) if a])
-    total = float(circuit.power_consumption_vec(active_r, params).sum()) if active_r.size else 0.0
     return RISDesign(
         phi=phi,
         alpha_bar=np.zeros(phi.size),
         active_mask=fits.active_mask.copy(),
         gamma=lower * np.exp(1j * phi),
-        cells=tuple(cells),
-        ris_power_w=total,
+        r=r,
+        c=c,
+        ris_power_w=float(circuit.power_consumption_vec(r[fits.active_mask], params).sum()),
     )

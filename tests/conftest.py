@@ -49,12 +49,6 @@ def scenario_desk():
     return desk_scenario()
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "paper_scale: full-scale reproduction (set ACTRIS_PAPER_SCALE=1)"
-    )
-
-
 def pytest_collection_modifyitems(config, items):
     if PAPER_SCALE:
         return

@@ -93,19 +93,15 @@ def test_criterion_02_resistance_roundtrip(params_va):
 def test_criterion_03_phase_realization(params_va):
     rng = np.random.default_rng(2024)
     band = (circuit.stable_resistance(1.0, params_va), circuit.stable_resistance(3.0, params_va))
-    worst_phase = 0.0
-    worst_gamma = 0.0
-    for _ in range(1000):
-        r = rng.uniform(*band)
-        c = rng.uniform(0.3e-12, 20e-12)
-        g = circuit._gamma(params_va, c, r)
-        phi = float(np.angle(g) % TWO_PI)
-        c_back = circuit._capacitance_for_phase_unchecked(params_va, r, phi)
-        realized = np.angle(circuit._gamma(params_va, c_back, r)) % TWO_PI
-        worst_phase = max(worst_phase, abs((realized - phi + np.pi) % TWO_PI - np.pi))
-        cell = circuit.circuit_from_gamma(params_va, g)
-        g_back = circuit._gamma(params_va, cell.c, cell.r)
-        worst_gamma = max(worst_gamma, abs(g_back - g))
+    draws = np.array([(rng.uniform(*band), rng.uniform(0.3e-12, 20e-12)) for _ in range(1000)])
+    r, c = draws.T
+    g = circuit._gamma(params_va, c, r)
+    phi = np.angle(g) % TWO_PI
+    c_back = circuit.phase_capacitance(params_va, r, phi)
+    realized = np.angle(circuit._gamma(params_va, c_back, r)) % TWO_PI
+    worst_phase = np.max(np.abs((realized - phi + np.pi) % TWO_PI - np.pi))
+    r_inv, c_inv, _ = circuit.circuit_from_gamma(params_va, g)
+    worst_gamma = np.max(np.abs(circuit._gamma(params_va, c_inv, r_inv) - g))
     ok = worst_phase <= 1e-6 and worst_gamma <= 1e-9
     report(3, ok, f"phase err {worst_phase:.2e} rad, reflection roundtrip err {worst_gamma:.2e}")
 

@@ -351,14 +351,14 @@ class TestLinearPowerFit:
     def _surrogate_errors(self, params, fit, phi):
         """Sampled |y(alpha) - P(alpha)| at five interior amplitudes, with the
         true power obtained by circuit inversion under band saturation."""
-        band_lo = circuit.stable_resistance(circuit.M_LO, params)
-        band_hi = circuit.stable_resistance(circuit.M_HI, params)
+        band_lo, band_hi = circuit.diode_band(params)
         p_min, p_max, slope, lo, up = self._fit_one(fit, phi, params)
         errs = []
         for frac in (1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6):
             alpha = lo + frac * (up - lo)
-            cell = circuit.circuit_from_gamma(params, alpha * np.exp(1j * phi))
-            r = float(np.clip(cell.r, band_lo, band_hi)) if cell.r < 0 else cell.r
+            r, _, ok = circuit.circuit_from_gamma(params, alpha * np.exp(1j * phi))
+            assert ok
+            r = float(np.clip(r, band_lo, band_hi)) if r < 0 else float(r)
             p_true = circuit.power_consumption(r, params, extend_band=True)
             errs.append(abs(p_min + slope * (alpha - lo) - p_true))
         return np.array(errs), p_min, p_max
@@ -862,6 +862,12 @@ class TestSolverOracle:
                     assert isinstance(single, float)
                     assert single == val
                 assert _same_bits(obj.value(stack[None]), vals[None])
+                # the gradient's t @ gamma comes back with the stack, per row
+                vals_tg, tg = obj.value(stack, with_tg=True)
+                assert _same_bits(vals_tg, vals)
+                for row, row_tg in zip(stack, tg):
+                    assert _same_bits(row_tg, obj.t @ obj.gamma_of(row))
+                    assert _same_bits(phase_gradient(obj, row, row_tg), phase_gradient(obj, row))
 
     def test_step_ladder_is_the_halving_sequence(self):
         steps = ao._STEP_LADDER.ravel()

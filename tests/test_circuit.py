@@ -9,6 +9,8 @@ from actris.circuit import (
     circuit_from_gamma,
     exact_amplitude_bounds,
     feasibility_condition,
+    nearest_realizable_cell,
+    phase_capacitance,
     impedance,
     m_from_resistance,
     power_consumption,
@@ -66,8 +68,9 @@ class TestImpedance:
 class TestReflection:
     def test_matched_load_reflects_nothing(self, params_va):
         # invert gamma = 0 and verify the cell impedance equals Z0
-        cell = circuit_from_gamma(params_va, 0.0)
-        z = impedance(params_va, cell)
+        r, c, ok = circuit_from_gamma(params_va, 0.0)
+        assert ok
+        z = impedance(params_va, CellState(r=float(r), c=float(c)))
         assert z == pytest.approx(params_va.z0, abs=1e-6)
 
     def test_near_resonance_reflects_fully(self, params_va):
@@ -204,7 +207,41 @@ class TestCapacitanceForPhase:
         phi = 1.2147  # near the minimum of the feasible range
         f = resistance_range(params_va, phi)
         with pytest.raises(InfeasiblePhaseError):
-            circuit._phase_roots(params_va, -(f * 1.01), phi)
+            capacitance_for_phase(params_va, -(f * 1.01), phi)
+        assert np.isnan(phase_capacitance(params_va, -(f * 1.01), phi))
+
+    def test_equal_phase_errors_take_the_first_root(self, params_va):
+        # next to the tangent R = -F(phi) both roots land on phi, here with
+        # bit-equal phase errors; the first root of the quadratic wins
+        phi, r = 1.2213569759361038, -11.831189306411199
+        qa, qb, qc = circuit._phase_quadratic(params_va, r, phi)
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        first, second = q / qa, qc / q
+        errs = [
+            circuit._phase_distance(np.angle(circuit._gamma(params_va, c, r)) % TWO_PI, phi)
+            for c in (first, second)
+        ]
+        assert first != second and errs[0] == errs[1] <= 1e-6
+        assert phase_capacitance(params_va, r, phi) == first
+        assert phase_capacitance(params_va, np.full(3, r), np.full(3, phi)).tolist() == [first] * 3
+
+    def test_nudge_schedule_reaches_the_nearest_realizable_phase(self, params_va):
+        phis = np.array([1.0, 2.94, 3.0])
+        c, offset = nearest_realizable_cell(params_va, params_va.r_passive, phis)
+        assert offset[0] == 0.0 and offset[1] != 0.0
+        realized = np.angle(circuit._gamma(params_va, c, params_va.r_passive)) % TWO_PI
+        assert np.all(np.abs((realized - phis - offset + np.pi) % TWO_PI - np.pi) < 1e-6)
+        # no earlier offset of the schedule +2 mrad, -2 mrad, +3.2 mrad, ...
+        # realizes the phase
+        schedule = [2e-3]
+        while len(schedule) < 24:
+            schedule.append(schedule[-1] * 1.6)
+        schedule = np.ravel([(step, -step) for step in schedule])
+        for i in (1, 2):
+            earlier = phis[i] + schedule[:np.flatnonzero(schedule == offset[i])[0]]
+            assert not circuit.realizable_phase(params_va, params_va.r_passive, earlier).any()
+        with pytest.raises(PhaseNotRealizableError):
+            nearest_realizable_cell(params_va, params_va.r_passive, 2.94, max_offset=1e-3)
 
     def test_unrealizable_arc_raises(self, params_va):
         # phases opposite the amplitude peak are not on the reflection locus
@@ -276,25 +313,19 @@ class TestFeasibilityCondition:
 class TestAmplitudeBounds:
     def test_upper_bound_attained_at_most_negative_resistance(self, params_va):
         rng = np.random.default_rng(9)
-        for phi in rng.uniform(0.0, TWO_PI, 30):
-            if not circuit.realizable_phase(params_va, -5.0, phi):
-                continue
-            lo, hi = exact_amplitude_bounds(params_va, phi)
-            r_min, r_max = usable_resistance_band(params_va, phi)
-            c = circuit._capacitance_for_phase_unchecked(params_va, r_min, phi)
-            assert abs(circuit._gamma(params_va, c, r_min)) == pytest.approx(hi, rel=1e-12)
-            c = circuit._capacitance_for_phase_unchecked(params_va, r_max, phi)
-            assert abs(circuit._gamma(params_va, c, r_max)) == pytest.approx(lo, rel=1e-12)
+        phis = rng.uniform(0.0, TWO_PI, 30)
+        phis = phis[circuit.realizable_phase(params_va, -5.0, phis)]
+        lo, hi = exact_amplitude_bounds(params_va, phis)
+        r_min, r_max = usable_resistance_band(params_va, phis)
+        c = phase_capacitance(params_va, r_min, phis)
+        assert np.abs(circuit._gamma(params_va, c, r_min)) == pytest.approx(hi, rel=1e-12)
+        c = phase_capacitance(params_va, r_max, phis)
+        assert np.abs(circuit._gamma(params_va, c, r_max)) == pytest.approx(lo, rel=1e-12)
 
     def test_peak_amplification_factor(self, params_va):
         # a single active element can supply as much gain as ~30 passive ones
         phis = np.linspace(0.0, TWO_PI, 3600, endpoint=False)
-        best = 0.0
-        for phi in phis:
-            try:
-                best = max(best, exact_amplitude_bounds(params_va, phi)[1])
-            except CircuitError:
-                continue
+        best = np.nanmax(exact_amplitude_bounds(params_va, phis)[1])
         assert best == pytest.approx(30.0, rel=0.05)
 
     def test_bound_curves_peak_together(self, params_fig2):
@@ -308,37 +339,43 @@ class TestCircuitFromGamma:
     def test_forward_inverse_identity(self, params_va):
         rng = np.random.default_rng(33)
         rs, cs = random_band_cells(params_va, rng, 1000)
-        for r, c in zip(rs, cs):
-            g = circuit._gamma(params_va, c, r)
-            cell = circuit_from_gamma(params_va, g)
-            assert cell.r == pytest.approx(r, rel=1e-9)
-            assert cell.c == pytest.approx(c, rel=1e-9)
-            g_back = circuit._gamma(params_va, cell.c, cell.r)
-            assert abs(g_back - g) <= 1e-9 * max(1.0, abs(g))
+        g = circuit._gamma(params_va, cs, rs)
+        r, c, ok = circuit_from_gamma(params_va, g)
+        assert ok.all()
+        assert r == pytest.approx(rs, rel=1e-9)
+        assert c == pytest.approx(cs, rel=1e-9)
+        g_back = circuit._gamma(params_va, c, r)
+        assert np.all(np.abs(g_back - g) <= 1e-9 * np.maximum(1.0, np.abs(g)))
 
     def test_passive_sweep_recovers_nonnegative_resistance(self, params_va):
         cs = np.linspace(0.9e-12, 6.0e-12, 100)
-        for c in cs:
-            g = circuit._gamma(params_va, c, params_va.r_passive)
-            cell = circuit_from_gamma(params_va, g)
-            assert cell.r >= 0.0
-            assert cell.r == pytest.approx(params_va.r_passive, rel=1e-9)
+        g = circuit._gamma(params_va, cs, params_va.r_passive)
+        r, _, ok = circuit_from_gamma(params_va, g)
+        assert ok.all() and np.all(r >= 0.0)
+        assert r == pytest.approx(np.full(100, params_va.r_passive), rel=1e-9)
 
     def test_noncapacitive_target_rejected(self, params_va):
-        with pytest.raises(PhaseNotRealizableError):
-            circuit_from_gamma(params_va, np.exp(1j * 2.94))
+        r, c, ok = circuit_from_gamma(params_va, np.exp(1j * 2.94))
+        assert not ok and np.isnan(r) and np.isnan(c)
+
+    def test_inversion_pole_rejected(self, params_va):
+        # targets within 1e-13 of the pole, approached from eight directions
+        w_l1 = params_va.omega * params_va.l1
+        pole = -(w_l1 + 1j * params_va.z0) / (1j * params_va.z0 - w_l1)
+        near = pole + 1e-13 * np.exp(1j * np.linspace(0.0, TWO_PI, 8, endpoint=False))
+        r, c, ok = circuit_from_gamma(params_va, np.append(near, 0.0))
+        assert ok.tolist() == [False] * 8 + [True]
+        assert np.isnan(r[:8]).all() and np.isnan(c[:8]).all()
 
 
 class TestPhaseIdentity:
     def test_thousand_random_feasible_pairs(self, params_va):
         rng = np.random.default_rng(44)
         rs, cs = random_band_cells(params_va, rng, 1000)
-        worst = 0.0
-        for r, c in zip(rs, cs):
-            phi = float(np.angle(circuit._gamma(params_va, c, r)) % TWO_PI)
-            c_back = circuit._capacitance_for_phase_unchecked(params_va, r, phi)
-            realized = np.angle(circuit._gamma(params_va, c_back, r)) % TWO_PI
-            worst = max(worst, abs((realized - phi + np.pi) % TWO_PI - np.pi))
+        phis = np.angle(circuit._gamma(params_va, cs, rs)) % TWO_PI
+        c_back = phase_capacitance(params_va, rs, phis)
+        realized = np.angle(circuit._gamma(params_va, c_back, rs)) % TWO_PI
+        worst = np.max(np.abs((realized - phis + np.pi) % TWO_PI - np.pi))
         assert worst < 1e-6
 
     def test_amplification_exists_beyond_passive_ceiling(self, params_va):

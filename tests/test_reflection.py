@@ -2,17 +2,31 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from actris import circuit
+from actris import circuit, reflection
+from actris.channel import ScenarioConfig
+from actris.circuit import CellState
+from actris.constraints import validate_design
+from actris.errors import CircuitError, InfeasiblePhaseError, PhaseNotRealizableError
+from actris.harness import _scheme_rng, run_scheme, trial_channels
 from actris.reflection import (
+    CLIPPED,
+    DIRECT,
+    FALLBACK,
+    NUDGED,
     ElementFits,
     FitParams,
     amplitude_from_normalized,
     approx_amplitude_bounds,
     exact_bound_curves,
     fit_amplitude_model,
+    realize_design,
+    realize_minimum_power,
     reflection_vector,
 )
+from conftest import desk_scenario
 
 TWO_PI = 2.0 * np.pi
 
@@ -134,3 +148,309 @@ class TestReflectionVector:
     def test_length_mismatch(self, fits_all_active):
         with pytest.raises(ValueError):
             reflection_vector(np.zeros(3), np.zeros(3), fits_all_active)
+
+
+# Per-cell reference: the scalar realization path that the vector layer in
+# circuit and reflection replaced, kept verbatim as the oracle (Python complex
+# arithmetic, one cell and one root at a time).
+
+
+def _ref_phase_roots(p, r, phi):
+    qa, qb, qc = circuit._phase_quadratic(p, r, phi)
+    if qa == 0.0:
+        roots = np.array([-qc / qb]) if qb != 0.0 else np.array([])
+    else:
+        disc = qb * qb - 4.0 * qa * qc
+        if disc < 0.0:
+            raise InfeasiblePhaseError("|R| exceeds the feasible range")
+        q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
+        roots = np.array([q / qa, qc / q]) if q != 0.0 else np.array([0.0, 0.0])
+    return roots[roots > 0.0]
+
+
+def _ref_capacitance(p, r, phi, tol=1e-6):
+    phi = float(phi) % TWO_PI
+    best, best_err = None, np.inf
+    for c in _ref_phase_roots(p, r, phi):
+        realized = np.angle(circuit._gamma(p, c, r)) % TWO_PI
+        err = circuit._phase_distance(realized, phi)
+        if err < best_err:
+            best, best_err = c, err
+    if best is None or best_err > tol:
+        raise PhaseNotRealizableError("no capacitance realizes the phase")
+    return float(best)
+
+
+def _ref_circuit_from_gamma(p, gamma):
+    gamma = complex(gamma)
+    l1, l2, w, z0 = p.l1, p.l2, p.omega, p.z0
+    den = w * l1 * (1.0 - gamma) + 1j * z0 * (1.0 + gamma)
+    if abs(den) < 1e-12 * z0:
+        raise CircuitError("reflection coefficient at the inversion pole")
+    x = w * (z0 * (l1 + l2) * (1.0 + gamma) + 1j * w * l1 * l2 * (gamma - 1.0)) / den
+    if x.imag >= 0.0:
+        raise PhaseNotRealizableError("inductive branch reactance")
+    return CellState(r=float(x.real), c=float(1.0 / (abs(x.imag) * w)))
+
+
+def _ref_nearest(p, r, phi, max_offset=0.5):
+    """(cell, nudged) of the step-by-step phase nudge."""
+    try:
+        return CellState(r=r, c=_ref_capacitance(p, r, phi)), False
+    except CircuitError:
+        pass
+    step = 2e-3
+    while step <= max_offset:
+        for sign in (1.0, -1.0):
+            try:
+                return CellState(r=r, c=_ref_capacitance(p, r, phi + sign * step)), True
+            except CircuitError:
+                continue
+        step *= 1.6
+    raise PhaseNotRealizableError("no realizable phase within the offset")
+
+
+def _ref_fallback(p, gamma):
+    for _ in range(80):
+        gamma = 0.97 * gamma
+        try:
+            cell = _ref_circuit_from_gamma(p, gamma)
+        except CircuitError:
+            continue
+        if cell.r >= 0.0:
+            return cell, FALLBACK
+    return _ref_nearest(p, p.r_passive, float(np.angle(gamma)))[0], NUDGED
+
+
+def _ref_active(p, gamma, phi, band_lo, band_hi):
+    try:
+        cell = _ref_circuit_from_gamma(p, gamma)
+        if cell.r < 0.0 and not band_lo <= cell.r <= band_hi:
+            r = float(np.clip(cell.r, band_lo, band_hi))
+            return CellState(r=r, c=_ref_capacitance(p, r, phi)), CLIPPED
+        return cell, DIRECT
+    except CircuitError:
+        return _ref_fallback(p, gamma)
+
+
+def _ref_power(p, cells, mask):
+    active_r = np.array([cell.r for cell, a in zip(cells, mask) if a])
+    return float(circuit.power_consumption_vec(active_r, p).sum()) if active_r.size else 0.0
+
+
+def _reference_realize_design(params, fits, phi, alpha):
+    """(cells, branches, power) of the per-cell realize_design loop."""
+    phi = np.asarray(phi, dtype=float)
+    gamma = np.asarray(alpha, dtype=float) * np.exp(1j * phi)
+    band_lo = circuit.stable_resistance(circuit.M_LO, params)
+    band_hi = circuit.stable_resistance(circuit.M_HI, params)
+    cells, branches = [], []
+    for i in range(phi.size):
+        if fits.active_mask[i]:
+            cell, branch = _ref_active(params, gamma[i], phi[i], band_lo, band_hi)
+        else:
+            cell, nudged = _ref_nearest(params, params.r_passive, phi[i])
+            branch = NUDGED if nudged else DIRECT
+        cells.append(cell)
+        branches.append(branch)
+    return cells, branches, _ref_power(params, cells, fits.active_mask)
+
+
+def _reference_realize_minimum_power(params, fits, phi):
+    """(cells, power) of the per-cell realize_minimum_power loop."""
+    band_hi = circuit.stable_resistance(circuit.M_HI, params)
+    cells = [
+        _ref_nearest(params, band_hi if a else params.r_passive, phi_i)[0]
+        for phi_i, a in zip(np.asarray(phi, dtype=float), fits.active_mask)
+    ]
+    return cells, _ref_power(params, cells, fits.active_mask)
+
+
+def _close(a, b, rel=1e-12):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(np.all(np.abs(a - b) <= rel * np.abs(b)))
+
+
+def _assert_matches_reference(params, fits, phi, alpha):
+    r, c, branch = reflection._realize_cells(
+        params, fits.active_mask, np.asarray(phi, dtype=float),
+        np.asarray(alpha, dtype=float) * np.exp(1j * np.asarray(phi, dtype=float)),
+    )
+    cells, branches, power = _reference_realize_design(params, fits, phi, alpha)
+    assert branch.tolist() == branches
+    assert _close(r, [cell.r for cell in cells]) and _close(c, [cell.c for cell in cells])
+    design = realize_design(params, fits, phi, alpha)
+    assert _same_cells(design, r, c)
+    assert _close(design.ris_power_w, power)
+    return branches
+
+
+def _same_cells(design, r, c):
+    return design.r.tobytes() == r.tobytes() and design.c.tobytes() == c.tobytes()
+
+
+class TestRealizeOracle:
+    """The vector realization must take each cell's reference branch and
+    land within rounding of its circuit and power."""
+
+    @pytest.mark.parametrize("size", ["desk", "paper"])
+    def test_harness_calls_match_per_cell_reference(self, size, active_fit, passive_fit,
+                                                    monkeypatch):
+        sc = desk_scenario() if size == "desk" else ScenarioConfig().with_rho_db(-30.0)
+        calls, floors = [], []
+
+        def recording(params, fits, phi, alpha, alpha_bar=None):
+            calls.append((params, fits, np.copy(phi), np.copy(alpha)))
+            return realize_design(params, fits, phi, alpha, alpha_bar)
+
+        def recording_floor(params, fits, phi):
+            floors.append((params, fits, np.copy(phi)))
+            return realize_minimum_power(params, fits, phi)
+
+        monkeypatch.setattr(reflection, "realize_design", recording)
+        monkeypatch.setattr(reflection, "realize_minimum_power", recording_floor)
+        for seed in (3, 17):
+            ch, mask = trial_channels(sc, seed, 0, 0)
+            fits = ElementFits.from_classes(active_fit, passive_fit, mask)
+            for k, scheme in enumerate(("AO", "DO", "PAIDO")):
+                run_scheme(scheme, sc, ch, fits, _scheme_rng(seed, 0, 0, k))
+        seen = set()
+        for params, fits, phi, alpha in calls:
+            seen.update(_assert_matches_reference(params, fits, phi, alpha))
+        for params, fits, phi in floors:
+            design = realize_minimum_power(params, fits, phi)
+            cells, power = _reference_realize_minimum_power(params, fits, phi)
+            assert _close(design.r, [cell.r for cell in cells])
+            assert _close(design.c, [cell.c for cell in cells])
+            assert _close(design.ris_power_w, power)
+        assert len(calls) > 10
+        assert {DIRECT, CLIPPED, FALLBACK} <= seen
+
+    def test_every_branch_on_a_hand_built_surface(self, params_va, active_fit, passive_fit):
+        band_lo, band_hi = circuit.diode_band(params_va)
+        pole = _inversion_pole(params_va)
+        targets = [
+            circuit._gamma(params_va, 2e-12, -5.0),              # direct
+            circuit._gamma(params_va, 2e-12, 1.2 * band_lo),     # clipped below
+            circuit._gamma(params_va, 2e-12, 0.5 * band_hi),     # clipped above
+            np.exp(1j * 2.94),                                   # inductive branch
+            pole + 1e-13j,                                       # inversion pole
+            0.5 * np.exp(1j * 1.0),                              # passive, exact
+            0.5 * np.exp(1j * 2.94),                             # passive, nudged
+        ]
+        mask = np.array([True] * 5 + [False] * 2)
+        fits = ElementFits.from_classes(active_fit, passive_fit, mask)
+        phi = np.angle(targets) % TWO_PI
+        branches = _assert_matches_reference(params_va, fits, phi, np.abs(targets))
+        assert branches[:3] == [DIRECT, CLIPPED, CLIPPED]
+        assert set(branches[3:5]) <= {FALLBACK, NUDGED}
+        assert branches[5:] == [DIRECT, NUDGED]
+
+    def test_fallback_without_a_passive_rung_takes_the_nudge(self, params_va, active_fit,
+                                                             passive_fit, monkeypatch):
+        # a fallback that ignores r >= 0 would take the first capacitive rung
+        fits = ElementFits.from_classes(active_fit, passive_fit, np.ones(2, dtype=bool))
+        phi = np.array([2.94, 3.05])
+        real = circuit.circuit_from_gamma
+
+        def no_passive_rung(p, gamma):
+            r, c, ok = real(p, gamma)
+            return np.where(ok, -np.abs(r) - 1.0, r), c, ok
+
+        monkeypatch.setattr(circuit, "circuit_from_gamma", no_passive_rung)
+        r, c, branch = reflection._realize_cells(params_va, fits.active_mask, phi,
+                                                 np.exp(1j * phi))
+        assert branch.tolist() == [NUDGED, NUDGED]
+        assert np.all(r == params_va.r_passive)
+
+    def test_minimum_power_matches_reference(self, params_va, active_fit, passive_fit):
+        rng = np.random.default_rng(4)
+        mask = rng.uniform(size=24) < 0.7
+        fits = ElementFits.from_classes(active_fit, passive_fit, mask)
+        phi = rng.uniform(0.0, TWO_PI, 24)
+        design = realize_minimum_power(params_va, fits, phi)
+        cells, power = _reference_realize_minimum_power(params_va, fits, phi)
+        assert _close(design.r, [cell.r for cell in cells])
+        assert _close(design.c, [cell.c for cell in cells])
+        assert _close(design.ris_power_w, power)
+
+    def test_cells_view_and_cells_keyword(self, params_va, active_fit, passive_fit):
+        fits = ElementFits.from_classes(active_fit, passive_fit, np.array([True, False]))
+        design = realize_design(params_va, fits, np.array([1.0, 2.0]), np.array([2.0, 0.5]))
+        assert design.cells == tuple(CellState(r=r, c=c) for r, c in zip(design.r, design.c))
+        again = reflection.RISDesign(phi=design.phi, alpha_bar=design.alpha_bar,
+                                     active_mask=design.active_mask, gamma=design.gamma,
+                                     cells=design.cells, ris_power_w=design.ris_power_w)
+        assert _same_cells(again, design.r, design.c)
+
+
+class TestExactValidation:
+    def test_flags_amplitudes_outside_the_exact_bounds(self, scenario_desk, fits_all_active):
+        # cells: inside, above the upper bound, on the unrealizable arc (no
+        # bounds, not checked), below the lower bound, passive (not checked)
+        phi = np.array([1.0, 5.9271, 2.94, 4.0, 4.0] + [1.0] * 11)
+        lo, hi = circuit.exact_amplitude_bounds(scenario_desk.circuit, phi)
+        amp = 0.5 * (lo + hi)
+        amp[[1, 2, 3, 4]] = [hi[1] + 1e-3, 50.0, lo[3] - 1e-3, 50.0]
+        mask = np.ones(16, dtype=bool)
+        mask[4] = False
+        design = reflection.RISDesign(
+            phi=phi, alpha_bar=np.zeros(16), active_mask=mask, gamma=amp * np.exp(1j * phi),
+            r=np.zeros(16), c=np.ones(16), ris_power_w=0.0, band="exact",
+        )
+        v = np.zeros((scenario_desk.m_t, scenario_desk.d), dtype=complex)
+        problems = validate_design(scenario_desk, fits_all_active, v, design)
+        assert [p.split(":")[0] for p in problems] == ["element 1", "element 3"]
+
+
+def _inversion_pole(p):
+    """The reflection coefficient at which circuit inversion divides by zero."""
+    w_l1 = p.omega * p.l1
+    return -(w_l1 + 1j * p.z0) / (1j * p.z0 - w_l1)
+
+
+@st.composite
+def realization_targets(draw):
+    """Surfaces mixing ordinary targets with every edge case of the
+    realization: the inversion pole, the inductive branch, both diode band
+    edges and beyond them, the unrealizable arc, and passive cells."""
+    params = circuit.CircuitParams()
+    band_lo, band_hi = circuit.diode_band(params)
+    n = draw(st.integers(1, 10))
+    targets, mask = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(
+            ["random", "pole", "inductive", "edge", "beyond", "arc", "passive"]))
+        phase = draw(st.floats(0.0, TWO_PI, exclude_max=True))
+        if kind == "random":
+            g = draw(st.floats(0.0, 32.0)) * np.exp(1j * phase)
+        elif kind == "pole":
+            g = _inversion_pole(params) + 1e-13 * np.exp(1j * phase)
+        elif kind == "inductive":
+            g = np.exp(1j * draw(st.floats(2.8, 3.2)))
+        elif kind in ("edge", "beyond"):
+            r = draw(st.sampled_from([band_lo, band_hi]))
+            if kind == "beyond":
+                r *= draw(st.sampled_from([1.3, 0.7]))
+            g = circuit._gamma(params, draw(st.floats(0.3e-12, 20e-12)), r)
+        elif kind == "arc":
+            g = draw(st.floats(0.5, 1.5)) * np.exp(1j * draw(st.floats(2.85, 3.1)))
+        else:
+            g = draw(st.floats(0.0, 1.0)) * np.exp(1j * phase)
+        targets.append(complex(g))
+        mask.append(kind != "passive" and (kind in ("pole", "edge") or draw(st.booleans())))
+    return params, np.array(targets), np.array(mask)
+
+
+class TestRealizeProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(problem=realization_targets())
+    def test_matches_per_cell_reference(self, problem, active_fit, passive_fit):
+        params, targets, mask = problem
+        fits = ElementFits.from_classes(active_fit, passive_fit, mask)
+        phi = np.angle(targets) % TWO_PI
+        try:
+            _assert_matches_reference(params, fits, phi, np.abs(targets))
+        except PhaseNotRealizableError:
+            with pytest.raises(PhaseNotRealizableError):
+                _reference_realize_design(params, fits, phi, np.abs(targets))
