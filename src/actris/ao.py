@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit, reflection
-from .channel import effective_channel, noise_covariance, rate_lmmse, stream_sinrs
+from .channel import effective_channel, lmmse_receiver, noise_covariance, rate_lmmse
 from .errors import BracketError, ConvergenceError, InfeasibleBudgetError
-from .numerics import hermitian_eig
+from .numerics import bisect, hermitian_eig
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
@@ -60,24 +60,6 @@ class PhaseObjective:
         val = (quad.real - 2.0 * lin.real)[..., 0, 0]
         val = float(val) if val.ndim == 0 else val
         return (val, tg[..., 0]) if with_tg else val
-
-
-def lmmse_combiner(ch, v, gamma, scenario):
-    """Scaling-invariant MMSE receive combiner for the current design."""
-    heff = effective_channel(ch, gamma)
-    g = heff @ v
-    f = noise_covariance(ch, gamma, scenario) + g @ g.conj().T
-    return np.linalg.solve(f, g)
-
-
-def update_auxiliaries(ch, v, gamma, scenario):
-    """Closed-form auxiliary directions and SINR weights at the current design."""
-    heff = effective_channel(ch, gamma)
-    g = heff @ v
-    f = noise_covariance(ch, gamma, scenario) + g @ g.conj().T
-    y = np.linalg.solve(f, g)
-    sigma_aux = stream_sinrs(ch, v, gamma, scenario)
-    return y, sigma_aux
 
 
 def opbar_objective(ch, v, y, sigma_aux, gamma, scenario):
@@ -130,26 +112,10 @@ def precoder_update(ch, y, sigma_aux, gamma, scenario, tol=1e-11):
             lam_hi *= 2.0
         else:
             raise BracketError("precoder power equation could not be bracketed")
-        lam_opt = _bisect_monotone(lambda lam: tx_power(lam) - p_t, 0.0, lam_hi, tol * p_t)
+        lam_opt = bisect(lambda lam: tx_power(lam) - p_t, 0.0, lam_hi, tol=tol * p_t)
     scale = np.zeros_like(vals)
     scale[keep] = 1.0 / (vals[keep] + lam_opt)
     return u @ (scale[:, None] * (u.conj().T @ z))
-
-
-def _bisect_monotone(f, lo, hi, tol):
-    flo = f(lo)
-    if flo <= 0.0:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol:
-            return mid
-        if fm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def build_phase_objective(ch, v, y, sigma_aux, fits, alpha_bar, scenario):
@@ -254,24 +220,40 @@ def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
     return phasor, s * np.asarray(trace)
 
 
-def _power_fit_arrays(fits, phi, params, m_band=(circuit.M_LO, circuit.M_HI)):
-    """Per-element linear power surrogate; zeros for passive elements."""
+# the last surrogate built: the QP re-solves and the power repair of one
+# design step ask for it again at the same phases
+_last_fit = [None, None]
+
+
+def _power_fit_arrays(fits, phi, params):
+    """Per-element linear power surrogate; zeros for passive elements.
+
+    Returns read-only arrays; a repeated call with the same fits, hardware
+    and phases returns the arrays of the previous call.
+    """
+    key, out = _last_fit
+    if key is not None and key[0] is fits and key[1] is params and key[2] == phi.tobytes():
+        return out
     lower, upper = fits.bounds(phi)
     n = phi.size
     p_min = np.zeros(n)
     slope = np.zeros(n)
     active = fits.active_mask
     if active.any():
-        band_lo, band_hi = circuit.diode_band(params, m_band)
+        band_lo, band_hi = circuit.diode_band(params)
         f = circuit.resistance_range(params, phi[active])
         r_min = np.maximum(-f, band_lo)
-        p_hi = circuit.power_consumption_vec(r_min, params)
-        p_lo = circuit.power_consumption(band_hi, params)
+        powers = circuit.power_consumption(np.append(r_min, band_hi), params)
+        p_hi, p_lo = powers[:-1], powers[-1]
         span = upper[active] - lower[active]
         p_min[active] = p_lo
         # a collapsed band pins the amplitude, so only the floor power counts
         slope[active] = np.where(span > 1e-12, (p_hi - p_lo) / np.maximum(span, 1e-12), 0.0)
-    return p_min, slope, lower, upper
+    out = (p_min, slope, lower, upper)
+    for a in out:
+        a.flags.writeable = False
+    _last_fit[:] = (fits, params, phi.tobytes()), out
+    return out
 
 
 def project_box_halfspace(v, lower, upper, w, b):
@@ -602,7 +584,7 @@ def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
     iterations = 0
     for _ in range(j_alt):
         iterations += 1
-        y, sigma_aux = update_auxiliaries(ch, v, gamma, scenario)
+        y, sigma_aux = lmmse_receiver(ch, v, gamma, scenario)
         v = precoder_update(ch, y, sigma_aux, gamma, scenario)
         obj = build_phase_objective(ch, v, y, sigma_aux, fits, alpha_bar, scenario)
         phasor, _ = rmo_phase_opt(obj, np.exp(1j * phi))
@@ -627,7 +609,7 @@ def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
         prev_rate = rate
 
     rate, v, design, _ = best
-    w = lmmse_combiner(ch, v, design.gamma, scenario)
+    w, _ = lmmse_receiver(ch, v, design.gamma, scenario)
     return AOResult(
         v=v,
         w=w,

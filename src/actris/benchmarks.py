@@ -2,15 +2,14 @@
 variables, and the phase-amplitude-independent ablation of the decoupled
 design."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import circuit, reflection
-from .ao import PhaseObjective, power_repair_loop, rmo_phase_opt
-from .channel import rate_lmmse, spectral_efficiency
-from .do import DOResult, svd_precoder_combiner
-from .errors import InfeasibleBudgetError
+from .ao import power_repair_loop, rmo_phase_opt
+from .channel import lmmse_receiver, rate_lmmse, spectral_efficiency
+from .do import DOResult, cascade_norm_objective, greedy_amplitudes, svd_precoder_combiner
 from .numerics import bisect
 
 
@@ -55,47 +54,24 @@ def run_paido(scenario, ch, fits, rng):
     const_upper = fits.beta_max
     const_lower = fits.delta_min
 
-    t = -(ch.h_2.conj().T @ ch.h_2) * (ch.h_1 @ ch.h_1.conj().T).T
-    if np.any(ch.h_d):
-        q = np.einsum("ij,ji->i", ch.h_2.conj().T, ch.h_d @ ch.h_1.conj().T)
-    else:
-        q = np.zeros(fits.n, dtype=complex)
-    obj = PhaseObjective(
-        t=t,
-        q=q,
-        z2=np.zeros(fits.n, dtype=complex),
-        z1=const_upper.astype(complex),
-        z=np.zeros(fits.n, dtype=complex),
-    )
+    zeros = np.zeros(fits.n, dtype=complex)
+    obj = replace(cascade_norm_objective(ch, fits, np.ones(fits.n)),
+                  z2=zeros, z1=const_upper.astype(complex), z=zeros)
     phasor0 = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, fits.n))
     phasor, _ = rmo_phase_opt(obj, phasor0)
     phi = np.angle(phasor) % (2.0 * np.pi)
 
     band_lo, band_hi = circuit.diode_band(params)
-    p_lo = circuit.power_consumption(band_hi, params)
-    p_hi = circuit.power_consumption(band_lo, params)
+    p_lo, p_hi = circuit.power_consumption(np.array([band_hi, band_lo]), params)
     active = fits.active_mask
     span = np.maximum(const_upper - const_lower, 1e-12)
     slope = np.where(active, (p_hi - p_lo) / span, 0.0)
     floor = np.where(active, p_lo, 0.0)
-    if floor.sum() > scenario.p_ris_w + 1e-12:
-        raise InfeasibleBudgetError("budget below the all-minimum surface power")
-
     lower_phase, upper_phase = fits.bounds(phi)
 
     def const_greedy(budget):
-        alpha = const_lower.copy()
-        remaining = budget - floor.sum()
-        order = np.flatnonzero(active & (slope > 0.0))
-        order = order[np.argsort(slope[order], kind="stable")]
-        for n in order:
-            cost = slope[n] * (const_upper[n] - const_lower[n])
-            if cost <= remaining:
-                alpha[n] = const_upper[n]
-                remaining -= cost
-            else:
-                alpha[n] = const_lower[n] + remaining / slope[n]
-                break
+        alpha = greedy_amplitudes(const_lower, const_upper, slope, floor, budget,
+                                  active & (slope > 0.0))
         return np.clip(alpha, lower_phase, upper_phase)
 
     alpha = const_greedy(scenario.p_ris_w)
@@ -206,9 +182,7 @@ class _CircuitSearchSpace:
         r = np.where(np.abs(r) > f, -np.minimum(np.abs(r), f), r)
 
         powers = np.zeros(r.shape)
-        powers[:, self.active] = circuit.power_consumption_vec(
-            r[:, self.active], self.params
-        )
+        powers[:, self.active] = circuit.power_consumption(r[:, self.active], self.params)
         for k in np.flatnonzero(powers.sum(axis=1) > self.scenario.p_ris_w + 1e-12):
             self._relax_to_budget(r[k], powers[k])
         gamma = circuit._gamma(self.params, c, r)
@@ -235,12 +209,10 @@ class BenchmarkResult:
 
 
 def _finalize(space, best_phenotype, best_rate, iterations):
-    from .ao import lmmse_combiner
-
     r, c, v, gamma = best_phenotype
     params = space.params
     phi = np.angle(gamma) % (2 * np.pi)
-    total = circuit.power_consumption_vec(r[space.active], params).sum()
+    total = circuit.power_consumption(r[space.active], params).sum()
     lower, upper = space.fits.bounds(phi)
     span = np.where(upper > lower, upper - lower, 1.0)
     alpha_bar = np.clip((np.abs(gamma) - lower) / span, 0.0, 1.0)
@@ -255,7 +227,7 @@ def _finalize(space, best_phenotype, best_rate, iterations):
         ris_power_w=float(total),
         band="exact",
     )
-    w = lmmse_combiner(space.ch, v, gamma, space.scenario)
+    w, _ = lmmse_receiver(space.ch, v, gamma, space.scenario)
     return BenchmarkResult(v=v, w=w, design=design, rate=best_rate, iterations=iterations)
 
 

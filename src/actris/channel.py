@@ -153,56 +153,46 @@ def spectral_efficiency(ch, v, w, gamma, scenario):
     noise picked up through the RX-side channel, and thermal noise. Streams
     with a zero combiner column contribute nothing.
     """
-    heff = effective_channel(ch, gamma)
-    g = heff @ v                      # (m_r, d)
-    h2g = ch.h_2 * np.asarray(gamma)[None, :]
-    rate = 0.0
-    d = v.shape[1]
-    for i in range(d):
-        wi = w[:, i]
-        wn2 = np.vdot(wi, wi).real
-        if wn2 <= 0.0:
-            continue
-        sig = abs(np.vdot(wi, g[:, i])) ** 2
-        interf = sum(abs(np.vdot(wi, g[:, j])) ** 2 for j in range(d) if j != i)
-        ris_noise = scenario.sigma2_w * scenario.f_s * np.linalg.norm(
-            wi.conj() @ h2g
-        ) ** 2
-        thermal = scenario.sigma2_w * scenario.f_r * wn2
-        rate += np.log2(1.0 + sig / (interf + ris_noise + thermal))
-    return float(rate)
+    g = effective_channel(ch, gamma) @ v                    # (m_r, d)
+    gains = np.abs(w.conj().T @ g) ** 2                     # |w_i^H g_j|^2
+    sig = np.diag(gains)
+    interf = np.sum(gains * (1.0 - np.eye(gains.shape[0])), axis=1)
+    noise = np.einsum("ij,ij->j", w.conj(), noise_covariance(ch, gamma, scenario) @ w).real
+    used = np.einsum("ij,ij->j", w.conj(), w).real > 0.0
+    return float(np.sum(np.log2(1.0 + sig[used] / (interf[used] + noise[used]))))
 
 
-def _solve_streams(f_stack, b, cols):
-    """Solve f_stack x = cols per stream; a singular design gets a small ridge.
+def _solve_designs(b, g):
+    """Solve b y = g per design; a singular design gets a small ridge.
 
     A LinAlgError in a stack of designs re-solves it design by design, so the
     ridge touches only the singular design and every other design keeps the
     bits of its own single-design solve.
     """
     try:
-        return np.linalg.solve(f_stack, cols[..., None])[..., 0]
+        return np.linalg.solve(b, g)
     except np.linalg.LinAlgError:
-        if f_stack.ndim > 3:
-            return np.stack([_solve_streams(*parts) for parts in zip(f_stack, b, cols)])
+        if b.ndim > 2:
+            return np.stack([_solve_designs(bk, gk) for bk, gk in zip(b, g)])
         ridge = 1e-12 * np.trace(b).real / b.shape[0]
-        eye = ridge * np.eye(b.shape[0])
-        return np.linalg.solve(f_stack + eye[None], cols[:, :, None])[:, :, 0]
+        return np.linalg.solve(b + ridge * np.eye(b.shape[0]), g)
 
 
-def stream_sinrs(ch, v, gamma, scenario):
-    """Per-stream SINRs under the optimal linear receiver.
+def lmmse_receiver(ch, v, gamma, scenario):
+    """Combiner and per-stream SINRs of the optimal linear receiver.
 
-    v (..., m_t, d) and gamma (..., n) may carry matching leading axes; the
-    result is then (..., d), one row per design.
+    With g the effective channel times the precoder and B the noise
+    covariance plus g g^H, the combiner is y = B^-1 g, from one solve per
+    design. With s_k = Re(g_k^H y_k), Sherman-Morrison gives the SINR of
+    stream k against B - g_k g_k^H as s_k / (1 - s_k). v (..., m_t, d) and
+    gamma (..., n) may carry matching leading axes; y is then
+    (..., m_r, d) and the SINRs (..., d), one row per design.
     """
     g = effective_channel(ch, gamma) @ v                    # (..., m_r, d)
     b = noise_covariance(ch, gamma, scenario) + g @ g.conj().swapaxes(-1, -2)
-    cols = g.swapaxes(-1, -2)                               # (..., d, m_r)
-    f_stack = b[..., None, :, :] - cols[..., :, :, None] * cols.conj()[..., None, :]
-    sol = _solve_streams(f_stack, b, cols)
-    sinrs = np.einsum("...ij,...ij->...i", cols.conj(), sol).real
-    return np.maximum(sinrs, 0.0)
+    y = _solve_designs(b, g)
+    s = np.einsum("...ij,...ij->...j", g.conj(), y).real
+    return y, np.maximum(s / (1.0 - s), 0.0)
 
 
 def rate_lmmse(ch, v, gamma, scenario):
@@ -210,5 +200,5 @@ def rate_lmmse(ch, v, gamma, scenario):
 
     A float for one design; an array of rates for a stack of designs.
     """
-    rates = np.sum(np.log2(1.0 + stream_sinrs(ch, v, gamma, scenario)), axis=-1)
+    rates = np.sum(np.log2(1.0 + lmmse_receiver(ch, v, gamma, scenario)[1]), axis=-1)
     return float(rates) if rates.ndim == 0 else rates

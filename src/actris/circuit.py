@@ -18,7 +18,7 @@ from .errors import (
     InfeasiblePhaseError,
     PhaseNotRealizableError,
 )
-from .numerics import lambert_w0, lambert_w0_vec
+from .numerics import lambert_w0
 
 TWO_PI = 2.0 * np.pi
 
@@ -146,34 +146,21 @@ def m_from_resistance(r, p):
     return 1.0 / lambert_w0(-r / (p.r0 * np.e))
 
 
-def _power_active(r, p):
-    # Smooth power law P(R) for R < 0; also evaluates slightly outside the
-    # diode band, which the budget-repair accounting relies on.
-    w = lambert_w0(-r / (p.r0 * np.e))
-    return (p.v0**2 / p.r0) * (w + 1.0) ** (2.0 * w)
-
-
-def power_consumption(r, p, extend_band=False):
-    """DC power drawn to bias the cell at resistance r.
+def power_consumption(r, p):
+    """DC power drawn to bias cells at resistances r, elementwise.
 
     Zero for passive (r >= 0) cells. On the negative axis the power law is
-    strictly decreasing in r. Resistances below the m = 1 band edge raise
-    unless extend_band is set, in which case the smooth law is evaluated
-    anyway (used when the amplitude model slightly overshoots the band).
+    strictly decreasing in r. Resistances below the m = 1 band edge raise.
+    A float for a scalar r.
     """
-    if r >= 0.0:
-        return 0.0
-    band_lo = diode_band(p)[0]
-    if r < band_lo * (1.0 + 1e-9) and not extend_band:
-        raise ValueError(f"resistance {r} below the diode band edge {band_lo:.4f}")
-    return _power_active(r, p)
-
-
-def power_consumption_vec(r, p):
-    """Vectorized power draw; zero on the passive side, smooth law below."""
     r = np.asarray(r, dtype=float)
-    w = lambert_w0_vec(np.maximum(-r, 0.0) / (p.r0 * np.e))
-    return np.where(r < 0.0, (p.v0**2 / p.r0) * (w + 1.0) ** (2.0 * w), 0.0)
+    band_lo = diode_band(p)[0]
+    if np.any(r < band_lo * (1.0 + 1e-9)):
+        raise ValueError(f"resistance {r.min()} below the diode band edge {band_lo:.4f}")
+    w = lambert_w0(np.maximum(-r, 0.0) / (p.r0 * np.e))
+    # np.power, not **: a float's ** calls libm pow, whose last bit can differ
+    out = np.where(r < 0.0, (p.v0**2 / p.r0) * np.power(w + 1.0, 2.0 * w), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def _tan_coefficients(p):
@@ -301,13 +288,11 @@ def exact_amplitude_bounds(p, phi, m_band=(M_LO, M_HI)):
 
     The amplitude decreases with the (negative) resistance, so the upper
     bound is realized at the most negative usable resistance and the lower
-    bound at the least negative one. NaN where no usable resistance
-    realizes the phase.
+    bound at the least negative one. Each bound is NaN where its own
+    resistance realizes no capacitance at the phase.
     """
     r_min, r_max = usable_resistance_band(p, phi, m_band)
-    a_hi = phase_amplitude(p, r_min, phi)
-    a_lo = phase_amplitude(p, r_max, phi)
-    return np.minimum(a_lo, a_hi)[()], np.maximum(a_lo, a_hi)[()]
+    return phase_amplitude(p, r_max, phi)[()], phase_amplitude(p, r_min, phi)[()]
 
 
 def circuit_from_gamma(p, gamma):

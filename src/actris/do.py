@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuit, reflection
-from .ao import PhaseObjective, power_repair_loop, rmo_phase_opt
+from . import reflection
+from .ao import PhaseObjective, _power_fit_arrays, power_repair_loop, rmo_phase_opt
 from .channel import effective_channel, spectral_efficiency
 from .errors import InfeasibleBudgetError
 from .numerics import svd
@@ -99,34 +99,37 @@ def do_phase_opt(ch, fits, scenario, phasor0):
     return np.angle(phasor) % (2.0 * np.pi), trace
 
 
-def do_amplitude_max(phi, fits, params, budget):
-    """Maximize the amplitude sum under the linearized power budget.
+def greedy_amplitudes(lower, upper, slope, p_min, budget, raisable):
+    """Maximize the amplitude sum under a linearized power budget.
 
-    Greedy in ascending power-per-amplitude slope, which is the exact
-    optimum of this box-constrained linear program.
+    Cells start at lower and draw p_min; the raisable ones go up to upper
+    in ascending power-per-amplitude slope until the budget is spent, which
+    is the exact optimum of this box-constrained linear program.
     """
-    from .ao import _power_fit_arrays
-
-    phi = np.asarray(phi, dtype=float)
-    p_min, slope, lower, upper = _power_fit_arrays(fits, phi, params)
     if p_min.sum() > budget + 1e-12:
         raise InfeasibleBudgetError(
             f"minimum amplitudes already need {p_min.sum():.4f} W > budget {budget:.4f} W"
         )
     alpha = lower.copy()
     remaining = budget - p_min.sum()
-    raisable = np.flatnonzero(fits.active_mask & (upper - lower > 1e-12) & (slope > 0.0))
-    order = raisable[np.argsort(slope[raisable], kind="stable")]
-    for n in order:
+    raisable = np.flatnonzero(raisable)
+    for n in raisable[np.argsort(slope[raisable], kind="stable")]:
         cost = slope[n] * (upper[n] - lower[n])
         if cost <= remaining:
             alpha[n] = upper[n]
             remaining -= cost
         else:
             alpha[n] = lower[n] + remaining / slope[n]
-            remaining = 0.0
             break
     return alpha
+
+
+def do_amplitude_max(phi, fits, params, budget):
+    """Amplitude-sum maximum under the linearized power budget, on the
+    cosine-model box at phases phi."""
+    p_min, slope, lower, upper = _power_fit_arrays(fits, np.asarray(phi, dtype=float), params)
+    raisable = fits.active_mask & (upper - lower > 1e-12) & (slope > 0.0)
+    return greedy_amplitudes(lower, upper, slope, p_min, budget, raisable)
 
 
 @dataclass

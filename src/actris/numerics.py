@@ -5,84 +5,36 @@ import numpy as np
 from .errors import BracketError
 
 _INV_E = 1.0 / np.e
+HALLEY_STEPS = 5  # four already reach rounding from every guess up to 1e12
 
 
 def lambert_w0(x):
-    """Principal branch of the Lambert W function.
+    """Principal branch of the Lambert W function, elementwise for x >= -1/e.
 
-    Halley iteration seeded from a log-based guess; accurate to ~1e-15 for
-    arguments away from the branch point at -1/e.
-    """
-    x = float(x)
-    if x < -_INV_E:
-        if x > -_INV_E - 1e-15:
-            return -1.0
-        raise ValueError(f"lambert_w0 undefined for x={x} < -1/e")
-    if x == 0.0:
-        return 0.0
-    if abs(x + _INV_E) < 1e-14:
-        return -1.0
-    # initial guess: series near the branch point, log asymptotics elsewhere
-    if x < -0.25:
-        p = np.sqrt(2.0 * (np.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0
-    elif x < 1.0:
-        w = x * (1.0 - x + 1.5 * x * x) if abs(x) < 0.3 else 0.5
-    else:
-        lx = np.log(x)
-        w = lx - np.log(lx) if lx > 1.0 else lx
-    for _ in range(50):
-        ew = np.exp(w)
-        f = w * ew - x
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0) if w != -1.0 else ew
-        w_new = w - f / denom
-        if abs(w_new - w) <= 1e-16 * (1.0 + abs(w_new)):
-            w = w_new
-            break
-        w = w_new
-    return float(w)
-
-
-def lambert_w0_vec(x):
-    """Vectorized principal-branch Lambert W for arrays with x >= -1/e.
-
-    Halley stops per slice along the last axis, so a stack of inputs gives
-    every row the same bits as a call on that row alone.
+    Piecewise initial guess (cubic, branch-point series, log asymptotics),
+    then HALLEY_STEPS Halley steps on every element. The fixed step count
+    gives each element the bits of a call on it alone. A float for a scalar.
     """
     x = np.asarray(x, dtype=float)
-    shape = x.shape
     if np.any(x < -_INV_E - 1e-15):
-        raise ValueError("lambert_w0_vec undefined below -1/e")
-    if x.size == 0:
-        return np.empty(shape)
-    x = np.maximum(x, -_INV_E).reshape(-1, shape[-1] if shape else 1)
-    # piecewise initial guess, then vectorized Halley
-    w = np.where(x < -0.25, -1.0 + np.sqrt(2.0 * np.maximum(np.e * x + 1.0, 0.0)), 0.0)
-    mid = (x >= -0.25) & (x < 1.0)
-    w = np.where(mid, x * (1.0 - x + 1.5 * x * x), w)
+        raise ValueError("lambert_w0 undefined below -1/e")
+    x = np.maximum(x, -_INV_E)
+    w = x * (1.0 - x + 1.5 * x * x)
+    near = x < -0.25
+    if near.any():
+        w = np.where(near, -1.0 + np.sqrt(2.0 * np.maximum(np.e * x + 1.0, 0.0)), w)
     big = x >= 1.0
-    if np.any(big):
+    if big.any():
         lx = np.log(np.where(big, x, 1.0))
         w = np.where(big, np.where(lx > 1.0, lx - np.log(np.maximum(lx, 1.1)), lx), w)
-    out = np.empty_like(w)
-    rows = np.arange(w.shape[0])
-    for _ in range(40):
-        ew = np.exp(w)
-        f = w * ew - x
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        step = f / np.where(denom != 0.0, denom, 1.0)
-        w = w - step
-        done = np.maximum.reduce(np.abs(step), axis=-1) <= 1e-16 * (
-            1.0 + np.maximum.reduce(np.abs(w), axis=-1)
-        )
-        n_done = np.count_nonzero(done)
-        if n_done == done.size:
-            break
-        if n_done:
-            out[rows[done]] = w[done]
-            rows, w, x = rows[~done], w[~done], x[~done]
-    out[rows] = w
-    return out.reshape(shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(HALLEY_STEPS):
+            ew = np.exp(w)
+            f = w * ew - x
+            w = w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+    # Halley divides by w + 1, which vanishes at the branch point
+    w = np.where(x == -_INV_E, -1.0, w)
+    return float(w) if w.ndim == 0 else w
 
 
 def bisect(f, lo, hi, tol=1e-12, max_iter=200):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit
-from .circuit import CellState, CircuitParams, TWO_PI
+from .circuit import CellState, TWO_PI
 from .errors import CircuitError
 
 
@@ -71,11 +71,7 @@ def exact_bound_curves(params, kind, grid_size=3600, m_band=(circuit.M_LO, circu
         return phis, amp, amp.copy()
     if kind != "active":
         raise ValueError(f"unknown element class {kind!r}")
-    # the upper curve sits at the most negative usable resistance, the lower
-    # one at the least negative; each is NaN where its own root misses
-    r_min, r_max = circuit.usable_resistance_band(params, phis, m_band)
-    upper = circuit.phase_amplitude(params, r_min, phis)
-    return phis, circuit.phase_amplitude(params, r_max, phis), upper
+    return (phis, *circuit.exact_amplitude_bounds(params, phis, m_band))
 
 
 def fit_amplitude_model(params, kind="active", grid_size=3600, m_band=(circuit.M_LO, circuit.M_HI)):
@@ -333,7 +329,7 @@ def realize_design(params, fits, phi, alpha, alpha_bar=None):
         gamma=gamma,
         r=r,
         c=c,
-        ris_power_w=float(circuit.power_consumption_vec(r[fits.active_mask], params).sum()),
+        ris_power_w=float(circuit.power_consumption(r[fits.active_mask], params).sum()),
     )
 
 
@@ -356,5 +352,5 @@ def realize_minimum_power(params, fits, phi):
         gamma=lower * np.exp(1j * phi),
         r=r,
         c=c,
-        ris_power_w=float(circuit.power_consumption_vec(r[fits.active_mask], params).sum()),
+        ris_power_w=float(circuit.power_consumption(r[fits.active_mask], params).sum()),
     )

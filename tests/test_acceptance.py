@@ -18,10 +18,9 @@ from actris.ao import (
     phase_gradient,
     random_init,
     run_ao,
-    update_auxiliaries,
 )
 from actris.benchmarks import budget_from_ao
-from actris.channel import ScenarioConfig, sample_channels
+from actris.channel import ScenarioConfig, lmmse_receiver, sample_channels
 from actris.constraints import validate_design
 from actris.do import do_amplitude_max, run_do, waterfill
 from actris.harness import (
@@ -140,7 +139,7 @@ def test_criterion_06_gradient_correctness(active_fit, passive_fit):
         ch = random_channels(rng, 4, 4, 8, direct=True)
         v = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         gamma = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        y, sig = update_auxiliaries(ch, v, gamma, sc)
+        y, sig = lmmse_receiver(ch, v, gamma, sc)
         obj = build_phase_objective(ch, v, y, sig, fits, rng.uniform(0, 1, 8), sc)
         s = max(np.abs(obj.t).max(), np.abs(obj.q).max())
         obj = PhaseObjective(t=obj.t / s, q=obj.q / s, z2=obj.z2, z1=obj.z1, z=obj.z)
@@ -171,7 +170,7 @@ def test_criterion_07_kronecker_free_assembly(active_fit, passive_fit):
         casc = hcal @ gamma + ch.h_d.reshape(-1, order="F")
         direct = effective_channel(ch, gamma).reshape(-1, order="F")
         worst_casc = max(worst_casc, np.linalg.norm(casc - direct) / np.linalg.norm(casc))
-        y, sig = update_auxiliaries(ch, v, gamma, sc)
+        y, sig = lmmse_receiver(ch, v, gamma, sc)
         ab = rng.uniform(0, 1, n)
         fast = build_phase_objective(ch, v, y, sig, fits, ab, sc)
         full = explicit_phase_objective(ch, v, y, sig, fits, ab, sc)
@@ -373,11 +372,9 @@ def test_criterion_12_power_element_tradeoff():
             res = run_ao(scenario, ch, fits, init, j_alt=8)
             rates[key].append(res.rate)
             if key == "all":
-                powers = np.array([
-                    circuit.power_consumption(c.r, params, extend_band=True)
-                    for c, active in zip(res.design.cells, res.design.active_mask)
-                    if active
-                ])
+                powers = circuit.power_consumption(
+                    res.design.r[res.design.active_mask], params
+                )
                 p_max_band = circuit.power_consumption(
                     circuit.stable_resistance(1.0, params), params
                 )

@@ -11,7 +11,6 @@ from actris.ao import (
     amplitude_qp,
     build_phase_objective,
     feasible_amplitude_scale,
-    lmmse_combiner,
     opbar_objective,
     phase_gradient,
     power_repair_loop,
@@ -20,10 +19,15 @@ from actris.ao import (
     random_init,
     rmo_phase_opt,
     run_ao,
-    update_auxiliaries,
 )
 from actris import circuit
-from actris.channel import MimoChannels, ScenarioConfig, rate_lmmse, spectral_efficiency, stream_sinrs
+from actris.channel import (
+    MimoChannels,
+    ScenarioConfig,
+    lmmse_receiver,
+    rate_lmmse,
+    spectral_efficiency,
+)
 from actris.do import cascade_norm_objective
 from actris.errors import ConvergenceError, InfeasibleBudgetError
 from actris.harness import (
@@ -81,7 +85,7 @@ class TestLmmseCombiner:
         rng = np.random.default_rng(0)
         for seed in range(5):
             sc, ch, v, gamma = make_instance(np.random.default_rng(seed), fits_all_active, n=6)
-            w = lmmse_combiner(ch, v, gamma, sc)
+            w = lmmse_receiver(ch, v, gamma, sc)[0]
             assert spectral_efficiency(ch, v, w, gamma, sc) == pytest.approx(
                 rate_lmmse(ch, v, gamma, sc), abs=1e-9
             )
@@ -95,7 +99,7 @@ class TestLmmseCombiner:
         gamma = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         from actris.channel import effective_channel
 
-        w = lmmse_combiner(ch, v, gamma, sc)
+        w = lmmse_receiver(ch, v, gamma, sc)[0]
         g = effective_channel(ch, gamma) @ v[:, 0]
         # interference-free, white noise: the combiner is collinear with the
         # effective signature up to the rank-one MMSE shrinkage
@@ -105,8 +109,7 @@ class TestLmmseCombiner:
     def test_beats_sampled_combiners_per_stream(self, fits_all_active):
         rng = np.random.default_rng(2)
         sc, ch, v, gamma = make_instance(rng, fits_all_active, n=6)
-        w = lmmse_combiner(ch, v, gamma, sc)
-        sinr_opt = stream_sinrs(ch, v, gamma, sc)
+        w, sinr_opt = lmmse_receiver(ch, v, gamma, sc)
 
         def per_stream_sinr(wi, i):
             from actris.channel import effective_channel, noise_covariance
@@ -124,12 +127,55 @@ class TestLmmseCombiner:
                 assert per_stream_sinr(wr, i) <= sinr_opt[i] * (1 + 1e-9)
 
 
+    def test_sinrs_match_per_stream_reference_on_paper_ao_designs(
+        self, active_fit, passive_fit
+    ):
+        # paper size at rho = -20 dB, where SINRs are highest and 1 - s_k
+        # cancels most in the one-solve Sherman-Morrison form
+        import mpmath
+
+        from actris.channel import effective_channel, noise_covariance
+        from actris.do import run_do
+        from test_channel import reference_stream_sinrs
+
+        sc = ScenarioConfig().with_rho_db(-20.0)
+        worst_ref = worst_exact = top = 0.0
+        for trial in range(2):
+            ch, mask = trial_channels(sc, 2020, 0, trial)
+            fits = ElementFits.from_classes(active_fit, passive_fit, mask)
+            do_res = run_do(sc, ch, fits, np.random.default_rng(trial))
+            res = run_ao(sc, ch, fits, ao.init_from_design(sc, fits, do_res.v, do_res.design),
+                         j_alt=4)
+            v, gamma = res.v, res.design.gamma
+            _, sinrs = lmmse_receiver(ch, v, gamma, sc)
+            ref = reference_stream_sinrs(ch, v, gamma, sc)
+            # 40-digit SINR of each stream against B - g_k g_k^H
+            g = effective_channel(ch, gamma) @ v
+            b = noise_covariance(ch, gamma, sc) + g @ g.conj().T
+            unit = 1.0 / np.abs(b).max()
+            exact = np.zeros(sc.d)
+            with mpmath.workdps(40):
+                big_b = mpmath.matrix((unit * b).tolist())
+                for k in range(sc.d):
+                    g_k = mpmath.matrix((np.sqrt(unit) * g[:, k]).tolist())
+                    f_k = big_b - g_k * g_k.H
+                    exact[k] = float(mpmath.re((g_k.H * mpmath.lu_solve(f_k, g_k))[0]))
+            on = ref > 0.0   # a zero precoder column carries no stream
+            assert np.all(sinrs[~on] == 0.0)
+            worst_ref = max(worst_ref, np.max(np.abs(sinrs[on] - ref[on]) / ref[on]))
+            worst_exact = max(worst_exact, np.max(np.abs(sinrs[on] - exact[on]) / exact[on]))
+            top = max(top, ref.max())
+        assert top > 1000.0
+        assert worst_ref <= 1e-12
+        assert worst_exact <= 1e-12
+
+
 class TestAuxiliaries:
     def test_transform_tightness(self, fits_all_active):
         for seed in range(5):
             rng = np.random.default_rng(seed + 10)
             sc, ch, v, gamma = make_instance(rng, fits_all_active, n=6)
-            y, sig = update_auxiliaries(ch, v, gamma, sc)
+            y, sig = lmmse_receiver(ch, v, gamma, sc)
             assert opbar_objective(ch, v, y, sig, gamma, sc) == pytest.approx(
                 rate_lmmse(ch, v, gamma, sc), abs=1e-8
             )
@@ -138,7 +184,7 @@ class TestAuxiliaries:
         rng = np.random.default_rng(3)
         sc, ch, v, _ = make_instance(rng, fits_all_active, n=6)
         gamma = np.zeros(6, dtype=complex)
-        y, sig = update_auxiliaries(ch, v, gamma, sc)
+        y, sig = lmmse_receiver(ch, v, gamma, sc)
         assert np.allclose(sig, 0.0)
         assert opbar_objective(ch, v, y, sig, gamma, sc) == pytest.approx(0.0, abs=1e-12)
 
@@ -146,7 +192,7 @@ class TestAuxiliaries:
         rng = np.random.default_rng(4)
         for _ in range(10):
             sc, ch, v, gamma = make_instance(rng, fits_all_active, n=6)
-            _, sig = update_auxiliaries(ch, v, gamma, sc)
+            _, sig = lmmse_receiver(ch, v, gamma, sc)
             assert np.all(sig >= 0.0)
 
 
@@ -154,7 +200,7 @@ class TestPrecoderUpdate:
     def test_binding_budget_hits_power_exactly(self, fits_all_active):
         rng = np.random.default_rng(5)
         sc, ch, v, gamma = make_instance(rng, fits_all_active, n=6)
-        y, sig = update_auxiliaries(ch, v, gamma, sc)
+        y, sig = lmmse_receiver(ch, v, gamma, sc)
         unconstrained = precoder_update(ch, y, sig, gamma, sc)
         free_power = np.trace(unconstrained.conj().T @ unconstrained).real
         # shrink the budget below the unconstrained optimum to make it bind
@@ -168,7 +214,7 @@ class TestPrecoderUpdate:
         rng = np.random.default_rng(6)
         sc, ch, v, gamma = make_instance(rng, fits_all_active, n=6)
         sc_big = dataclasses.replace(sc, p_t_w=1e9)
-        y, sig = update_auxiliaries(ch, v, gamma, sc_big)
+        y, sig = lmmse_receiver(ch, v, gamma, sc_big)
         v_new = precoder_update(ch, y, sig, gamma, sc_big)
         assert np.trace(v_new.conj().T @ v_new).real < sc_big.p_t_w * (1 - 1e-6)
 
@@ -176,7 +222,7 @@ class TestPrecoderUpdate:
         for seed in range(8):
             rng = np.random.default_rng(seed + 20)
             sc, ch, v, gamma = make_instance(rng, fits_all_active, n=6)
-            y, sig = update_auxiliaries(ch, v, gamma, sc)
+            y, sig = lmmse_receiver(ch, v, gamma, sc)
             before = opbar_objective(ch, v, y, sig, gamma, sc)
             v_new = precoder_update(ch, y, sig, gamma, sc)
             after = opbar_objective(ch, v_new, y, sig, gamma, sc)
@@ -192,7 +238,7 @@ class TestPhaseObjectiveAssembly:
                 mask[1] = False
             fits = ElementFits.from_classes(active_fit, passive_fit, mask)
             sc, ch, v, gamma = make_instance(rng, fits, n=n, direct=True)
-            y, sig = update_auxiliaries(ch, v, gamma, sc)
+            y, sig = lmmse_receiver(ch, v, gamma, sc)
             ab = rng.uniform(0, 1, n)
             fast = build_phase_objective(ch, v, y, sig, fits, ab, sc)
             full = explicit_phase_objective(ch, v, y, sig, fits, ab, sc)
@@ -205,7 +251,7 @@ class TestPhaseObjectiveAssembly:
     def test_value_is_real(self, fits_all_active):
         rng = np.random.default_rng(9)
         sc, ch, v, gamma = make_instance(rng, fits_all_active)
-        y, sig = update_auxiliaries(ch, v, gamma, sc)
+        y, sig = lmmse_receiver(ch, v, gamma, sc)
         obj = build_phase_objective(ch, v, y, sig, fits_all_active, rng.uniform(0, 1, 16), sc)
         for _ in range(100):
             ph = np.exp(1j * rng.uniform(0, TWO_PI, 16))
@@ -218,7 +264,7 @@ class TestPhaseObjectiveAssembly:
         sc, ch, _, gamma = make_instance(rng, fits_all_active)
         sc0 = dataclasses.replace(sc, f_s=1e-300)
         v0 = np.zeros((sc.m_t, sc.d), dtype=complex)
-        y, sig = update_auxiliaries(ch, v0, gamma, sc0)
+        y, sig = lmmse_receiver(ch, v0, gamma, sc0)
         obj = build_phase_objective(ch, v0, y, sig, fits_all_active, np.ones(16), sc0)
         assert np.abs(obj.t).max() < 1e-250
         assert np.abs(obj.q).max() < 1e-250
@@ -229,7 +275,7 @@ class TestPhaseObjectiveAssembly:
 class TestPhaseGradient:
     def _random_objective(self, rng, fits, n):
         sc, ch, v, gamma = make_instance(rng, fits, n=n, direct=True)
-        y, sig = update_auxiliaries(ch, v, gamma, sc)
+        y, sig = lmmse_receiver(ch, v, gamma, sc)
         obj = build_phase_objective(ch, v, y, sig, fits, rng.uniform(0, 1, n), sc)
         # normalize so finite differences work at a sane scale
         s = max(np.abs(obj.t).max(), np.abs(obj.q).max())
@@ -266,7 +312,7 @@ class TestPhaseGradient:
         rng = np.random.default_rng(77)
         fits = ElementFits.from_classes(active_fit, passive_fit, np.ones(4, dtype=bool))
         sc, ch, v, gamma = make_instance(rng, fits, n=4, direct=True)
-        y, sig = update_auxiliaries(ch, v, gamma, sc)
+        y, sig = lmmse_receiver(ch, v, gamma, sc)
         ab = rng.uniform(0, 1, 4)
         fast = build_phase_objective(ch, v, y, sig, fits, ab, sc)
         full = explicit_phase_objective(ch, v, y, sig, fits, ab, sc)
@@ -339,6 +385,15 @@ class TestLinearPowerFit:
         p_max = p_min[0] + slope[0] * (upper[0] - lower[0])
         return p_min[0], p_max, slope[0], lower[0], upper[0]
 
+    def test_repeated_phases_reuse_the_read_only_surrogate(self, params_va, fits_all_active):
+        phi = np.linspace(0.1, 6.0, 16)
+        first = ao._power_fit_arrays(fits_all_active, phi, params_va)
+        assert ao._power_fit_arrays(fits_all_active, phi.copy(), params_va) is first
+        assert not any(a.flags.writeable for a in first)
+        phi[3] += 0.1   # the same array with other phases is built afresh
+        moved = ao._power_fit_arrays(fits_all_active, phi, params_va)
+        assert moved is not first and moved[2][3] != first[2][3]
+
     def test_endpoint_exactness(self, params_va, active_fit):
         for phi in (0.5, 2.0, 4.0, 5.9):
             p_min, p_max, slope, lo, up = self._fit_one(active_fit, phi, params_va)
@@ -359,7 +414,7 @@ class TestLinearPowerFit:
             r, _, ok = circuit.circuit_from_gamma(params, alpha * np.exp(1j * phi))
             assert ok
             r = float(np.clip(r, band_lo, band_hi)) if r < 0 else float(r)
-            p_true = circuit.power_consumption(r, params, extend_band=True)
+            p_true = circuit.power_consumption(r, params)
             errs.append(abs(p_min + slope * (alpha - lo) - p_true))
         return np.array(errs), p_min, p_max
 
@@ -831,7 +886,7 @@ def _trial_objectives(sc, active_fit, passive_fit, seed):
     v *= np.sqrt(sc.p_t_w / np.trace(v.conj().T @ v).real)
     alpha_bar = np.where(mask, rng.uniform(0.0, 1.0, sc.n), 0.0)
     gamma = reflection_vector(rng.uniform(0.0, TWO_PI, sc.n), alpha_bar, fits)
-    y, sig = update_auxiliaries(ch, v, gamma, sc)
+    y, sig = lmmse_receiver(ch, v, gamma, sc)
     v = precoder_update(ch, y, sig, gamma, sc)
     cascade = cascade_norm_objective(ch, fits, np.ones(sc.n))
     zeros = np.zeros(sc.n, dtype=complex)

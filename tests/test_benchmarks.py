@@ -174,7 +174,7 @@ class _SequentialSpace:
         if over.any():
             r = np.where(over, -np.minimum(np.abs(r), f), r)
         powers = np.zeros(sp.n)
-        powers[sp.active] = circuit.power_consumption_vec(r[sp.active], sp.params)
+        powers[sp.active] = circuit.power_consumption(r[sp.active], sp.params)
         total = powers.sum()
         budget = sp.scenario.p_ris_w
         if total > budget + 1e-12:

@@ -8,12 +8,12 @@ from actris.channel import (
     ScenarioConfig,
     effective_channel,
     hop_gains,
+    lmmse_receiver,
     pathloss,
     rate_lmmse,
     noise_covariance,
     sample_channels,
     spectral_efficiency,
-    stream_sinrs,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -25,6 +25,47 @@ def selector_matrix(n):
     for j in range(n):
         d[j * n + j, j] = 1.0
     return d
+
+
+def _reference_solve_streams(f_stack, b, cols):
+    try:
+        return np.linalg.solve(f_stack, cols[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if f_stack.ndim > 3:
+            return np.stack([_reference_solve_streams(*parts) for parts in zip(f_stack, b, cols)])
+        ridge = 1e-12 * np.trace(b).real / b.shape[0]
+        eye = ridge * np.eye(b.shape[0])
+        return np.linalg.solve(f_stack + eye[None], cols[:, :, None])[:, :, 0]
+
+
+def reference_stream_sinrs(ch, v, gamma, scenario):
+    """Per-stream SINRs from one solve per stream against its interference-
+    plus-noise matrix B - g_k g_k^H: the reference receiver."""
+    g = effective_channel(ch, gamma) @ v
+    b = noise_covariance(ch, gamma, scenario) + g @ g.conj().swapaxes(-1, -2)
+    cols = g.swapaxes(-1, -2)
+    f_stack = b[..., None, :, :] - cols[..., :, :, None] * cols.conj()[..., None, :]
+    sol = _reference_solve_streams(f_stack, b, cols)
+    return np.maximum(np.einsum("...ij,...ij->...i", cols.conj(), sol).real, 0.0)
+
+
+def reference_spectral_efficiency(ch, v, w, gamma, scenario):
+    """Spectral efficiency summed stream by stream: the reference loop."""
+    g = effective_channel(ch, gamma) @ v
+    h2g = ch.h_2 * np.asarray(gamma)[None, :]
+    rate = 0.0
+    for i in range(v.shape[1]):
+        wi = w[:, i]
+        wn2 = np.vdot(wi, wi).real
+        if wn2 <= 0.0:
+            continue
+        sig = abs(np.vdot(wi, g[:, i])) ** 2
+        interf = sum(abs(np.vdot(wi, g[:, j])) ** 2 for j in range(v.shape[1]) if j != i)
+        noise = scenario.sigma2_w * (
+            scenario.f_s * np.linalg.norm(wi.conj() @ h2g) ** 2 + scenario.f_r * wn2
+        )
+        rate += np.log2(1.0 + sig / (interf + noise))
+    return float(rate)
 
 
 def random_channels(rng, m_r, m_t, n, scale=1.0, direct=False):
@@ -149,9 +190,21 @@ class TestSpectralEfficiency:
         expect = np.log2(1.0 + snr)
         assert spectral_efficiency(ch, v, w, gamma, sc) == pytest.approx(expect, rel=1e-12)
 
-    def test_lmmse_beats_random_combiners(self):
-        from actris.ao import lmmse_combiner
+    def test_matches_the_per_stream_loop(self):
+        sc = self._scenario(d=3)
+        rng = np.random.default_rng(8)
+        for trial in range(20):
+            ch = random_channels(rng, 4, 4, 6, direct=trial % 2 == 1)
+            gamma = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            v = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+            w = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+            if trial % 4 == 0:
+                w[:, trial % 3] = 0.0   # a zero combiner column drops its stream
+            assert spectral_efficiency(ch, v, w, gamma, sc) == pytest.approx(
+                reference_spectral_efficiency(ch, v, w, gamma, sc), rel=1e-12
+            )
 
+    def test_lmmse_beats_random_combiners(self):
         sc = self._scenario()
         rng = np.random.default_rng(7)
         for _ in range(100):
@@ -159,7 +212,7 @@ class TestSpectralEfficiency:
             gamma = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
             v *= np.sqrt(sc.p_t_w / np.trace(v.conj().T @ v).real)
-            w_opt = lmmse_combiner(ch, v, gamma, sc)
+            w_opt, _ = lmmse_receiver(ch, v, gamma, sc)
             best = spectral_efficiency(ch, v, w_opt, gamma, sc)
             w_rnd = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
             assert best >= spectral_efficiency(ch, v, w_rnd, gamma, sc) - 1e-9
@@ -177,11 +230,9 @@ class TestRateLmmse:
         return sc, ch, gamma, v
 
     def test_equals_spectral_efficiency_at_lmmse_combiner(self):
-        from actris.ao import lmmse_combiner
-
         for seed in range(10):
             sc, ch, gamma, v = self._setup(seed)
-            w = lmmse_combiner(ch, v, gamma, sc)
+            w, _ = lmmse_receiver(ch, v, gamma, sc)
             assert rate_lmmse(ch, v, gamma, sc) == pytest.approx(
                 spectral_efficiency(ch, v, w, gamma, sc), abs=1e-9
             )
@@ -220,6 +271,29 @@ class TestRateLmmse:
         assert rate_lmmse(ch, v, gamma, sc) == pytest.approx(np.log2(1 + sinr), rel=1e-10)
 
 
+class TestLmmseReceiver:
+    def test_matches_the_per_stream_reference(self):
+        rng = np.random.default_rng(31)
+        lo, hi = np.inf, 0.0
+        for trial in range(40):
+            d = 1 + trial % 4
+            # SINRs from about 0.5 to 250, like the paper's links
+            sc = ScenarioConfig(m_t=4, m_r=4, d=d, n=6, n_act=6, p_t_w=1.0,
+                                sigma2_w=0.5, f_r=2.0, f_s=1.5)
+            ch = random_channels(rng, 4, 4, 6, direct=trial % 2 == 1)
+            gamma = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            v = rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))
+            y, sinrs = lmmse_receiver(ch, v, gamma, sc)
+            # the combiner is the plain solve with B = noise + g g^H
+            g = effective_channel(ch, gamma) @ v
+            b = noise_covariance(ch, gamma, sc) + g @ g.conj().T
+            assert np.array_equal(y, np.linalg.solve(b, g))
+            ref = reference_stream_sinrs(ch, v, gamma, sc)
+            assert np.max(np.abs(sinrs - ref) / ref) <= 1e-12
+            lo, hi = min(lo, ref.min()), max(hi, ref.max())
+        assert lo < 1.0 < 10.0 < hi
+
+
 class TestStackedDesigns:
     """A (K, n) stack of designs gives each design the bits of its own call."""
 
@@ -230,13 +304,14 @@ class TestStackedDesigns:
         ch = random_channels(rng, 3, 4, 7, direct=True)
         gamma = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
         v = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
-        sinrs = stream_sinrs(ch, v, gamma, sc)
+        y, sinrs = lmmse_receiver(ch, v, gamma, sc)
         rates = rate_lmmse(ch, v, gamma, sc)
         heff = effective_channel(ch, gamma)
         cov = noise_covariance(ch, gamma, sc)
-        assert sinrs.shape == (5, 3) and rates.shape == (5,)
+        assert y.shape == (5, 3, 3) and sinrs.shape == (5, 3) and rates.shape == (5,)
         for k in range(5):
-            assert np.array_equal(sinrs[k], stream_sinrs(ch, v[k], gamma[k], sc))
+            y_k, sinrs_k = lmmse_receiver(ch, v[k], gamma[k], sc)
+            assert np.array_equal(y[k], y_k) and np.array_equal(sinrs[k], sinrs_k)
             assert rates[k] == rate_lmmse(ch, v[k], gamma[k], sc)
             assert np.array_equal(heff[k], effective_channel(ch, gamma[k]))
             assert np.array_equal(cov[k], noise_covariance(ch, gamma[k], sc))
@@ -244,8 +319,9 @@ class TestStackedDesigns:
 
     def test_singular_design_alone_gets_the_ridge(self):
         # one stream on two identical RX antennas: at gamma = 2^30 the thermal
-        # term drops below the rounding of the surface noise, so the stream's
-        # interference-plus-noise matrix is exactly singular
+        # term drops below the rounding of the surface noise, so the noise
+        # covariance and the receiver matrix B = noise + g g^H are exactly
+        # singular
         sc = ScenarioConfig(m_t=1, m_r=2, d=1, n=1, n_act=1, p_t_w=1.0,
                             sigma2_w=2.0**-10, f_r=1.0, f_s=1.0)
         ch = MimoChannels(h_d=np.zeros((2, 1), dtype=complex),
@@ -253,15 +329,17 @@ class TestStackedDesigns:
                           h_2=np.ones((2, 1), dtype=complex))
         gamma = np.array([[0.5], [2.0**30], [0.9 - 0.3j]], dtype=complex)
         v = np.ones((3, 1, 1), dtype=complex)
+        g = effective_channel(ch, gamma[1]) @ v[1]
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(
-                noise_covariance(ch, gamma[1], sc), np.ones((2, 1), dtype=complex)
-            )
-        sinrs = stream_sinrs(ch, v, gamma, sc)
+            np.linalg.solve(noise_covariance(ch, gamma[1], sc) + g @ g.conj().T, g)
+        y, sinrs = lmmse_receiver(ch, v, gamma, sc)
         rates = rate_lmmse(ch, v, gamma, sc)
         for k in range(3):
-            assert np.array_equal(sinrs[k], stream_sinrs(ch, v[k], gamma[k], sc))
+            y_k, sinrs_k = lmmse_receiver(ch, v[k], gamma[k], sc)
+            assert np.array_equal(y[k], y_k) and np.array_equal(sinrs[k], sinrs_k)
             assert rates[k] == rate_lmmse(ch, v[k], gamma[k], sc)
-        assert np.all(np.isfinite(rates))
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(rates))
+        # the ridge gives the singular design the SINR of the per-stream solve
+        assert sinrs[1] == pytest.approx(reference_stream_sinrs(ch, v[1], gamma[1], sc), rel=1e-9)
         # without the singular design the stack solves in one call, unchanged
         assert np.array_equal(rate_lmmse(ch, v[::2], gamma[::2], sc), rates[::2])

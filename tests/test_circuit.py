@@ -26,8 +26,17 @@ from actris.errors import (
     InfeasiblePhaseError,
     PhaseNotRealizableError,
 )
+from test_numerics import reference_lambert_w0
 
 TWO_PI = 2.0 * np.pi
+
+
+def reference_power(r, p):
+    """Scalar power law of one cell: the reference kernel."""
+    if r >= 0.0:
+        return 0.0
+    w = reference_lambert_w0(-r / (p.r0 * np.e))
+    return (p.v0**2 / p.r0) * (w + 1.0) ** (2.0 * w)
 
 
 def random_band_cells(params, rng, count, c_lo=0.3e-12, c_hi=20e-12):
@@ -174,16 +183,32 @@ class TestPowerConsumption:
     @pytest.mark.parametrize("shape", [(0,), (5, 0)])
     def test_vector_power_of_no_cells(self, params_va, shape):
         # a surface without active cells draws nothing
-        p = circuit.power_consumption_vec(np.zeros(shape), params_va)
+        p = power_consumption(np.zeros(shape), params_va)
         assert p.shape == shape and p.sum() == 0.0
 
     def test_below_band_rejected_unless_extended(self, params_va):
         r = stable_resistance(1.0, params_va) * 1.05
         with pytest.raises(ValueError):
             power_consumption(r, params_va)
-        assert power_consumption(r, params_va, extend_band=True) > power_consumption(
-            stable_resistance(1.0, params_va), params_va
-        )
+        with pytest.raises(ValueError):
+            power_consumption(np.array([-3.0, r, 1.5]), params_va)
+
+    def test_matches_the_scalar_reference(self, params_va):
+        rng = np.random.default_rng(12)
+        r, _ = random_band_cells(params_va, rng, 500)
+        r[::7] = params_va.r_passive
+        got = power_consumption(r, params_va)
+        want = np.array([reference_power(x, params_va) for x in r])
+        assert np.all((got == 0.0) == (want == 0.0))
+        assert np.max(np.abs(got - want) / np.maximum(want, 1e-300)) <= 1e-15
+        assert isinstance(power_consumption(-3.0, params_va), float)
+
+    def test_stack_rows_match_single_calls(self, params_va):
+        rng = np.random.default_rng(13)
+        r = rng.uniform(stable_resistance(1.0, params_va), 2.0, (40, 16))
+        p = power_consumption(r, params_va)
+        assert all(np.array_equal(p[k], power_consumption(r[k], params_va)) for k in range(40))
+        assert all(p[0, j] == power_consumption(r[0, j], params_va) for j in range(16))
 
 
 class TestCapacitanceForPhase:

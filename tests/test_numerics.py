@@ -2,7 +2,38 @@ import numpy as np
 import pytest
 
 from actris.errors import BracketError
-from actris.numerics import bisect, fd_gradient, hermitian_eig, lambert_w0, lambert_w0_vec, svd
+from actris.numerics import bisect, fd_gradient, hermitian_eig, lambert_w0, svd
+
+
+def reference_lambert_w0(x):
+    """Scalar Halley loop with a convergence test: the reference kernel."""
+    x = float(x)
+    if x < -1.0 / np.e:
+        if x > -1.0 / np.e - 1e-15:
+            return -1.0
+        raise ValueError(f"lambert_w0 undefined for x={x} < -1/e")
+    if x == 0.0:
+        return 0.0
+    if abs(x + 1.0 / np.e) < 1e-14:
+        return -1.0
+    if x < -0.25:
+        p = np.sqrt(2.0 * (np.e * x + 1.0))
+        w = -1.0 + p - p * p / 3.0
+    elif x < 1.0:
+        w = x * (1.0 - x + 1.5 * x * x) if abs(x) < 0.3 else 0.5
+    else:
+        lx = np.log(x)
+        w = lx - np.log(lx) if lx > 1.0 else lx
+    for _ in range(50):
+        ew = np.exp(w)
+        f = w * ew - x
+        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0) if w != -1.0 else ew
+        w_new = w - f / denom
+        if abs(w_new - w) <= 1e-16 * (1.0 + abs(w_new)):
+            w = w_new
+            break
+        w = w_new
+    return float(w)
 
 
 class TestLambertW:
@@ -13,12 +44,19 @@ class TestLambertW:
         assert lambert_w0(np.e) == pytest.approx(1.0, abs=1e-12)
 
     def test_branch_point(self):
-        assert lambert_w0(-1.0 / np.e) == pytest.approx(-1.0, abs=1e-6)
+        assert lambert_w0(-1.0 / np.e) == -1.0
+        assert lambert_w0(-1.0 / np.e + 1e-12) == pytest.approx(
+            reference_lambert_w0(-1.0 / np.e + 1e-12), abs=1e-11
+        )
 
     def test_defining_identity(self):
         for x in [1e-8, 0.1, 0.5, 2.0, 10.0, 1e3, 1e8, -0.05, -0.25, -0.36]:
             w = lambert_w0(x)
             assert w * np.exp(w) == pytest.approx(x, abs=1e-12 * max(1.0, abs(x)))
+        # the fixed Halley count converges from every initial guess
+        x = np.concatenate([np.linspace(-0.3678, 0.0, 1000), np.logspace(-8, 12, 2001)])
+        w = lambert_w0(x)
+        assert np.max(np.abs(w * np.exp(w) - x) / np.maximum(np.abs(x), 1e-300)) <= 4e-15
 
     def test_roundtrip_grid(self):
         # w in [-1, 5]: w0(w e^w) must recover w
@@ -29,23 +67,29 @@ class TestLambertW:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             lambert_w0(-1.0 / np.e - 1e-6)
-
+        with pytest.raises(ValueError):
+            lambert_w0(np.array([0.5, -1.0 / np.e - 1e-6]))
 
     def test_vector_matches_scalar(self):
         xs = np.array([0.0, 1e-8, 0.1, 0.5, 2.0, 10.0, 1e3, -0.05, -0.25, -0.36])
-        assert np.allclose(lambert_w0_vec(xs), [lambert_w0(x) for x in xs], atol=1e-12)
+        assert np.allclose(lambert_w0(xs), [reference_lambert_w0(x) for x in xs], atol=1e-12)
+        # the diode band maps to x in [0.46, 2.73]
+        xs = np.linspace(0.46, 2.73, 5001)
+        ref = np.array([reference_lambert_w0(x) for x in xs])
+        assert np.max(np.abs(lambert_w0(xs) - ref) / ref) <= 1e-15
 
     def test_stack_rows_match_single_calls(self):
-        # Halley stops per row, so a row's bits do not depend on its neighbours
+        # a fixed Halley count makes each element's bits its own
         rng = np.random.default_rng(4)
         x = rng.uniform(0.47, 2.72, (200, 16))
-        w = lambert_w0_vec(x)
-        assert all(np.array_equal(w[k], lambert_w0_vec(x[k])) for k in range(200))
-        assert lambert_w0_vec(2.0).shape == ()
+        w = lambert_w0(x)
+        assert all(np.array_equal(w[k], lambert_w0(x[k])) for k in range(200))
+        assert all(w[0, j] == lambert_w0(x[0, j]) for j in range(16))
+        assert isinstance(lambert_w0(2.0), float)
 
     @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4)])
     def test_empty_input_keeps_its_shape(self, shape):
-        w = lambert_w0_vec(np.zeros(shape))
+        w = lambert_w0(np.zeros(shape))
         assert w.shape == shape and w.dtype == float
 
 

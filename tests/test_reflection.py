@@ -235,7 +235,7 @@ def _ref_active(p, gamma, phi, band_lo, band_hi):
 
 def _ref_power(p, cells, mask):
     active_r = np.array([cell.r for cell, a in zip(cells, mask) if a])
-    return float(circuit.power_consumption_vec(active_r, p).sum()) if active_r.size else 0.0
+    return float(circuit.power_consumption(active_r, p).sum()) if active_r.size else 0.0
 
 
 def _reference_realize_design(params, fits, phi, alpha):
@@ -387,11 +387,13 @@ class TestRealizeOracle:
 class TestExactValidation:
     def test_flags_amplitudes_outside_the_exact_bounds(self, scenario_desk, fits_all_active):
         # cells: inside, above the upper bound, on the unrealizable arc (no
-        # bounds, not checked), below the lower bound, passive (not checked)
-        phi = np.array([1.0, 5.9271, 2.94, 4.0, 4.0] + [1.0] * 11)
+        # bounds, not checked), below the lower bound, passive (not checked),
+        # above the upper bound where only the lower root misses
+        phi = np.array([1.0, 5.9271, 2.94, 4.0, 4.0, 3.09] + [1.0] * 10)
         lo, hi = circuit.exact_amplitude_bounds(scenario_desk.circuit, phi)
+        assert np.isnan(lo[5]) and np.isfinite(hi[5])
         amp = 0.5 * (lo + hi)
-        amp[[1, 2, 3, 4]] = [hi[1] + 1e-3, 50.0, lo[3] - 1e-3, 50.0]
+        amp[[1, 2, 3, 4, 5]] = [hi[1] + 1e-3, 50.0, lo[3] - 1e-3, 50.0, hi[5] + 1e-3]
         mask = np.ones(16, dtype=bool)
         mask[4] = False
         design = reflection.RISDesign(
@@ -400,7 +402,7 @@ class TestExactValidation:
         )
         v = np.zeros((scenario_desk.m_t, scenario_desk.d), dtype=complex)
         problems = validate_design(scenario_desk, fits_all_active, v, design)
-        assert [p.split(":")[0] for p in problems] == ["element 1", "element 3"]
+        assert [p.split(":")[0] for p in problems] == ["element 1", "element 3", "element 5"]
 
 
 def _inversion_pole(p):
