@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit, reflection
-from .channel import effective_channel, lmmse_receiver, noise_covariance, rate_lmmse
+from .channel import effective_channel, lmmse_receiver, rate_lmmse
 from .errors import BracketError, ConvergenceError, InfeasibleBudgetError
 from .numerics import bisect, hermitian_eig
 
@@ -24,6 +24,7 @@ MAX_BACKTRACKS = 40
 LADDER = 8  # Armijo steps scored per stacked objective call
 STALL_WINDOW = 10  # accepted CG steps over which a stalled objective is judged
 REPAIR_BISECTIONS = 8  # working-budget halvings once the shortfall loop stops
+PIVOT_TRIES = 3  # whole-set QP pivots without a new fewest-infeasible count
 # the backtracking steps 1, 1/2, ..., 2^-39, one (LADDER, 1) rung per row
 _STEP_LADDER = (BACKTRACK ** np.arange(MAX_BACKTRACKS, dtype=float)).reshape(-1, LADDER, 1)
 
@@ -60,20 +61,6 @@ class PhaseObjective:
         val = (quad.real - 2.0 * lin.real)[..., 0, 0]
         val = float(val) if val.ndim == 0 else val
         return (val, tg[..., 0]) if with_tg else val
-
-
-def opbar_objective(ch, v, y, sigma_aux, gamma, scenario):
-    """Reformulated rate objective with explicit auxiliaries (bps/Hz at optimum)."""
-    heff = effective_channel(ch, gamma)
-    g = heff @ v
-    f = noise_covariance(ch, gamma, scenario) + g @ g.conj().T
-    total = 0.0
-    for i in range(v.shape[1]):
-        quad = 2.0 * np.vdot(y[:, i], g[:, i]).real - np.vdot(
-            y[:, i], f @ y[:, i]
-        ).real
-        total += np.log2(1.0 + sigma_aux[i]) - sigma_aux[i] + (1.0 + sigma_aux[i]) * quad
-    return float(total)
 
 
 def precoder_update(ch, y, sigma_aux, gamma, scenario, tol=1e-11):
@@ -309,36 +296,127 @@ class QpResult:
     trace: np.ndarray
 
 
-def _face_minimizer(x, m, c_lin, lower, upper, w, b):
-    """Exact minimizer of the QP on the face of x; None if infeasible or singular.
+def _budget_slack(b):
+    return 1e-15 * max(abs(b), 1.0)   # project_box_halfspace's slack
 
-    Cells on a box bound stay fixed. The free cells solve the stationarity
-    equations, bordered by the budget row when the box-only point breaks
-    the budget or does not exist.
+
+def _face_solve(free, x, m, c_lin, w, b):
+    """Stationary point of the QP on a face, and its budget multiplier.
+
+    Cells outside free keep their values in x. The free cells solve the
+    stationarity equations, bordered by the budget row when the box-only
+    point breaks the budget or does not exist; the multiplier is zero for
+    the box-only point. Raises LinAlgError when the bordered system is
+    singular, as it is when w is zero on the free cells.
     """
-    free = (x > lower) & (x < upper)
-    if not free.any():
-        return None
     fixed = ~free
-    budget_tol = 1e-15 * max(abs(b), 1.0)   # project_box_halfspace's slack
     m_ff = 2.0 * m[np.ix_(free, free)]
     rhs = -(c_lin[free] + 2.0 * (m[np.ix_(free, fixed)] @ x[fixed]))
     y = x.copy()
     try:
         y[free] = np.linalg.solve(m_ff, rhs)
-        box_only = w @ y <= b + budget_tol
+        if w @ y <= b + _budget_slack(b):
+            return y, 0.0
     except np.linalg.LinAlgError:
-        box_only = False   # flat along the face: only the budget row can pin it
-    if not box_only:
-        w_f = w[free]
-        bordered = np.block([[m_ff, w_f[:, None]], [w_f, 0.0]])
-        try:
-            y[free] = np.linalg.solve(bordered, np.append(rhs, b - w[fixed] @ x[fixed]))[:-1]
-        except np.linalg.LinAlgError:   # also raised when w_f is all zero
-            return None
-    if np.any(y < lower) or np.any(y > upper) or w @ y > b + budget_tol:
+        pass   # flat along the face: only the budget row can pin it
+    w_f = w[free]
+    bordered = np.block([[m_ff, w_f[:, None]], [w_f, 0.0]])
+    sol = np.linalg.solve(bordered, np.append(rhs, b - w[fixed] @ x[fixed]))
+    y[free] = sol[:-1]
+    return y, float(sol[-1])
+
+
+def _face_minimizer(x, m, c_lin, lower, upper, w, b):
+    """Exact minimizer of the QP on the face of x; None if infeasible or singular.
+
+    Cells on a box bound stay fixed; the free cells are solved by _face_solve.
+    """
+    free = (x > lower) & (x < upper)
+    if not free.any():
+        return None
+    try:
+        y, _ = _face_solve(free, x, m, c_lin, w, b)
+    except np.linalg.LinAlgError:
+        return None
+    if np.any(y < lower) or np.any(y > upper) or w @ y > b + _budget_slack(b):
         return None
     return y
+
+
+def _pivot_face(x, m, c_lin, lower, upper, w, b):
+    """Exact QP minimizer by block principal pivoting from the face of x.
+
+    Each step solves the face of the current lower, upper and free sets
+    (_face_solve). With g = 2 m y + c_lin + mu w, its infeasible cells are
+    the free cells outside the box and the cells on a bound whose g points
+    into the box, and a pivot moves them to the other set. The whole
+    infeasible set moves while its size keeps falling; after PIVOT_TRIES
+    pivots without a new minimum only its least index moves (Murty's rule),
+    which cannot cycle. At a vertex over the budget, a pivot frees the upper
+    cells that carry budget weight. Cells with no amplitude span stay fixed.
+    Returns (y, pivots); y is None when the pivoting cannot certify a point:
+    a singular face, an over-budget vertex with no cell to free, more than
+    10 n + 40 pivots, or a final point over the budget.
+    """
+    movable = upper > lower
+    at_lo = movable & (x <= lower)
+    at_hi = movable & (x >= upper)
+    fewest, tries = x.size + 1, PIVOT_TRIES
+    cap = 10 * x.size + 40
+    for pivots in range(cap + 1):
+        free = movable & ~at_lo & ~at_hi
+        y = np.where(at_lo, lower, np.where(at_hi, upper, x))
+        mu = 0.0
+        if free.any():
+            try:
+                y, mu = _face_solve(free, y, m, c_lin, w, b)
+            except np.linalg.LinAlgError:
+                return None, pivots
+        elif w @ y > b + _budget_slack(b):
+            release = at_hi & (w > 0.0)
+            if not release.any():
+                return None, pivots
+            at_hi &= ~release
+            continue
+        g = 2.0 * (m @ y) + c_lin + mu * w
+        below = free & (y < lower)
+        above = free & (y > upper)
+        flip = below | above | (at_lo & (g < 0.0)) | (at_hi & (g > 0.0))
+        count = int(flip.sum())
+        if count == 0:   # a bordered point may still break the budget by rounding
+            return (y if w @ y <= b + _budget_slack(b) else None), pivots
+        if count < fewest:
+            fewest, tries = count, PIVOT_TRIES
+        elif tries > 0:
+            tries -= 1
+        else:
+            flip[flip.argmax() + 1:] = False
+        at_lo = (at_lo & ~flip) | (below & flip)
+        at_hi = (at_hi & ~flip) | (above & flip)
+    return None, cap
+
+
+# the phase-only QP data of the last call: the power repair re-solves the
+# QP at the phases of one design step, under other budgets
+_last_qp = [None, None]
+
+
+def _qp_phase_data(obj, phi):
+    """Curvature, linear term and 2 lambda_max of the amplitude QP at phi.
+
+    Returns read-only arrays; a repeated call with the same objective data
+    and phases returns the data of the previous call.
+    """
+    key, out = _last_qp
+    if key is not None and key[0] is obj.t and key[1] is obj.q and key[2] == phi.tobytes():
+        return out
+    phasor = np.exp(1j * phi)
+    m = np.real(np.conj(phasor)[:, None] * obj.t * phasor[None, :])
+    c_lin = -2.0 * np.real(np.conj(phasor) * obj.q)
+    m.flags.writeable = c_lin.flags.writeable = False
+    out = (m, c_lin, 2.0 * float(np.linalg.eigvalsh(m)[-1]))
+    _last_qp[:] = (obj.t, obj.q, phi.tobytes()), out
+    return out
 
 
 def amplitude_qp(obj, phi, fits, scenario, budget=None, params=None,
@@ -346,21 +424,24 @@ def amplitude_qp(obj, phi, fits, scenario, budget=None, params=None,
     """Amplitude subproblem at fixed phases: convex QP over box and budget.
 
     Minimizes the reflected-signal quadratic subject to the per-element
-    amplitude box and the linearized power budget. Solved by projected
-    gradient with an exact box-halfspace projection and a monotone Nesterov
-    acceleration (the accelerated candidate is used only when it does not
-    increase the objective) at step 1/L. Every 10 iterations the
-    projected-gradient fixed-point residual, in amplitude units, is checked
-    against tol; when it fails, the exact minimizer on the iterate's face
-    is returned if it is feasible, does not raise the objective and passes
-    that check, and the iteration goes on otherwise.
+    amplitude box and the linearized power budget. From the exact
+    box-halfspace projection of the box midpoint, block principal pivoting
+    (_pivot_face) finds the optimal face and solves the quadratic on it
+    exactly; that point is returned when its projected-gradient fixed-point
+    residual, in amplitude units at step 1/L, is within tol. iterations then
+    counts pivots, and trace holds the objective at the start and at the
+    answer. Otherwise the pivots are followed by projected gradient with a
+    monotone Nesterov acceleration (the accelerated candidate is used only
+    when it does not increase the objective), for at most max_iters
+    iterations. Every 10 iterations the residual is checked against tol;
+    when it fails, the exact minimizer on the iterate's face is returned if
+    it is feasible, does not raise the objective and passes that check, and
+    the iteration goes on otherwise.
     """
     params = params or scenario.circuit
     budget = scenario.p_ris_w if budget is None else budget
     phi = np.asarray(phi, dtype=float)
-    phasor = np.exp(1j * phi)
-    m = np.real(np.conj(phasor)[:, None] * obj.t * phasor[None, :])
-    c_lin = -2.0 * np.real(np.conj(phasor) * obj.q)
+    m, c_lin, lip = _qp_phase_data(obj, phi)
 
     p_min, slope, lower, upper = _power_fit_arrays(fits, phi, params)
     if p_min.sum() > budget + 1e-12:
@@ -369,7 +450,6 @@ def amplitude_qp(obj, phi, fits, scenario, budget=None, params=None,
         )
     b = budget - float(p_min.sum() - slope @ lower)
 
-    lip = 2.0 * float(np.linalg.eigvalsh(m)[-1])
     span = float(np.max(upper - lower))
     scale = max(lip * span, np.abs(c_lin).max(), 1e-300)
     step = 1.0 / max(lip, scale / max(span, 1e-12))
@@ -389,6 +469,14 @@ def amplitude_qp(obj, phi, fits, scenario, budget=None, params=None,
     x = project_box_halfspace(0.5 * (lower + upper), lower, upper, slope, b)
     fx = fval(x)
     trace = [fx]
+    y, pivots = _pivot_face(x, m, c_lin, lower, upper, slope, b)
+    if y is not None:
+        kkt = residual(y)
+        if kkt <= tol:
+            fy = fval(y)
+            return QpResult(alpha=y, objective=fy, kkt_residual=kkt,
+                            iterations=pivots, trace=np.array([fx, fy]))
+
     x_prev = x.copy()
     t_momentum = 1.0
     kkt = np.inf
@@ -426,7 +514,7 @@ def amplitude_qp(obj, phi, fits, scenario, budget=None, params=None,
     if not np.isfinite(kkt):
         kkt = residual(x)
     return QpResult(alpha=x, objective=fx, kkt_residual=kkt,
-                    iterations=it, trace=np.asarray(trace))
+                    iterations=pivots + it, trace=np.asarray(trace))
 
 
 def power_repair_loop(alpha, phi, params, fits, p_ris, resolve, max_passes=8):

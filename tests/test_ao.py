@@ -11,7 +11,6 @@ from actris.ao import (
     amplitude_qp,
     build_phase_objective,
     feasible_amplitude_scale,
-    opbar_objective,
     phase_gradient,
     power_repair_loop,
     precoder_update,
@@ -24,7 +23,9 @@ from actris import circuit
 from actris.channel import (
     MimoChannels,
     ScenarioConfig,
+    effective_channel,
     lmmse_receiver,
+    noise_covariance,
     rate_lmmse,
     spectral_efficiency,
 )
@@ -97,8 +98,6 @@ class TestLmmseCombiner:
         ch = random_channels(rng, 4, 4, 4)
         v = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
         gamma = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        from actris.channel import effective_channel
-
         w = lmmse_receiver(ch, v, gamma, sc)[0]
         g = effective_channel(ch, gamma) @ v[:, 0]
         # interference-free, white noise: the combiner is collinear with the
@@ -112,8 +111,6 @@ class TestLmmseCombiner:
         w, sinr_opt = lmmse_receiver(ch, v, gamma, sc)
 
         def per_stream_sinr(wi, i):
-            from actris.channel import effective_channel, noise_covariance
-
             g = effective_channel(ch, gamma) @ v
             f_i = noise_covariance(ch, gamma, sc) + g @ g.conj().T - np.outer(g[:, i], g[:, i].conj())
             sig = abs(np.vdot(wi, g[:, i])) ** 2
@@ -134,7 +131,6 @@ class TestLmmseCombiner:
         # cancels most in the one-solve Sherman-Morrison form
         import mpmath
 
-        from actris.channel import effective_channel, noise_covariance
         from actris.do import run_do
         from test_channel import reference_stream_sinrs
 
@@ -168,6 +164,21 @@ class TestLmmseCombiner:
         assert top > 1000.0
         assert worst_ref <= 1e-12
         assert worst_exact <= 1e-12
+
+
+def opbar_objective(ch, v, y, sigma_aux, gamma, scenario):
+    """Reference: the reformulated rate objective with explicit auxiliaries,
+    stream by stream (bps/Hz at the optimal auxiliaries)."""
+    heff = effective_channel(ch, gamma)
+    g = heff @ v
+    f = noise_covariance(ch, gamma, scenario) + g @ g.conj().T
+    total = 0.0
+    for i in range(v.shape[1]):
+        quad = 2.0 * np.vdot(y[:, i], g[:, i]).real - np.vdot(
+            y[:, i], f @ y[:, i]
+        ).real
+        total += np.log2(1.0 + sigma_aux[i]) - sigma_aux[i] + (1.0 + sigma_aux[i]) * quad
+    return float(total)
 
 
 class TestAuxiliaries:
@@ -824,9 +835,41 @@ def _reference_project(v, lower, upper, w, b):
     return np.clip(v - mu_star * w, lower, upper)
 
 
-def _reference_qp(obj, phi, fits, scenario, budget, max_iters=5000, tol=1e-6):
+def _reference_face_minimizer(x, m, c_lin, lower, upper, w, b):
+    """Reference face solve: the exact QP minimizer on the face of x, with
+    cells on a box bound fixed and the budget row bordered in when the
+    box-only point breaks the budget or does not exist; None if the point is
+    infeasible or the face singular."""
+    free = (x > lower) & (x < upper)
+    if not free.any():
+        return None
+    fixed = ~free
+    budget_tol = 1e-15 * max(abs(b), 1.0)
+    m_ff = 2.0 * m[np.ix_(free, free)]
+    rhs = -(c_lin[free] + 2.0 * (m[np.ix_(free, fixed)] @ x[fixed]))
+    y = x.copy()
+    try:
+        y[free] = np.linalg.solve(m_ff, rhs)
+        box_only = w @ y <= b + budget_tol
+    except np.linalg.LinAlgError:
+        box_only = False
+    if not box_only:
+        w_f = w[free]
+        bordered = np.block([[m_ff, w_f[:, None]], [w_f, 0.0]])
+        try:
+            y[free] = np.linalg.solve(bordered, np.append(rhs, b - w[fixed] @ x[fixed]))[:-1]
+        except np.linalg.LinAlgError:
+            return None
+    if np.any(y < lower) or np.any(y > upper) or w @ y > b + budget_tol:
+        return None
+    return y
+
+
+def _reference_qp(obj, phi, fits, scenario, budget, max_iters=5000, tol=1e-6, face=False):
     """Reference amplitude QP: the monotone accelerated projected-gradient
-    loop without the face solve, stopped by the same fixed-point test."""
+    loop, stopped by the same fixed-point test. With face=True, each check
+    that misses tol also tries the exact minimizer on the iterate's face and
+    ends on it when it does not raise the objective and passes the test."""
     phasor = np.exp(1j * np.asarray(phi, dtype=float))
     m = np.real(np.conj(phasor)[:, None] * obj.t * phasor[None, :])
     c_lin = -2.0 * np.real(np.conj(phasor) * obj.q)
@@ -859,8 +902,16 @@ def _reference_qp(obj, phi, fits, scenario, budget, max_iters=5000, tol=1e-6):
                 cand, f_cand = x, fx
         x_prev, x, fx = x, cand, f_cand
         t_momentum = t_next
-        if it % 10 == 0 and np.max(np.abs(x - pg_step(x))) <= tol:
-            break
+        if it % 10 == 0 or (face and it == max_iters):
+            if np.max(np.abs(x - pg_step(x))) <= tol:
+                break
+            y = _reference_face_minimizer(x, m, c_lin, lower, upper, slope, b) if face else None
+            if y is None:
+                continue
+            change = float((y - x) @ (m @ (y + x) + c_lin))
+            if change <= 0.0 and np.max(np.abs(y - pg_step(y))) <= tol:
+                x, fx = y, fx + change
+                break
     return ao.QpResult(alpha=x, objective=fx, kkt_residual=float(np.max(np.abs(x - pg_step(x)))),
                        iterations=it, trace=np.array([fx]))
 
@@ -1076,30 +1127,136 @@ def _qp_defaults():
     return params["max_iters"].default, params["tol"].default
 
 
+@pytest.fixture
+def pivot_log(monkeypatch):
+    """(certified, pivots) of every _pivot_face call while the test runs."""
+    log = []
+    pivot_face = ao._pivot_face
+
+    def recording(*args):
+        y, pivots = pivot_face(*args)
+        log.append((y is not None, pivots))
+        return y, pivots
+
+    monkeypatch.setattr(ao, "_pivot_face", recording)
+    return log
+
+
+def _ao_qp_cases(sc, active_fit, passive_fit, seed):
+    """The AO objective of a harness trial at its CG phases, with the full
+    budget and two lowered budgets of power-repair re-solves."""
+    objectives, fits = _trial_objectives(sc, active_fit, passive_fit, seed)
+    obj = objectives["AO"]
+    phasor, _ = rmo_phase_opt(obj, np.exp(1j * np.zeros(sc.n)))
+    phi = np.angle(phasor) % TWO_PI
+    p_min, _, _, _ = ao._power_fit_arrays(fits, phi, sc.circuit)
+    floor = float(p_min.sum())
+    budgets = (sc.p_ris_w, floor + 0.5 * (sc.p_ris_w - floor), floor + 0.1 * (sc.p_ris_w - floor))
+    return obj, phi, fits, budgets
+
+
 class TestAmplitudeFaceSolve:
-    """The exact face solve must end every AO amplitude QP within the
-    iteration cap at the residual tolerance, and never above the objective
-    of the projected-gradient loop alone."""
+    """Block principal pivoting must end every AO amplitude QP at the
+    residual tolerance, on the face and with the bits of the
+    projected-gradient loop's face solve, and never above the objective of
+    that loop alone."""
 
     @pytest.mark.parametrize("size", sorted(SIZES))
-    def test_ao_objectives_converge_below_the_cap(self, size, active_fit, passive_fit):
+    def test_ao_objectives_converge_below_the_cap(self, size, active_fit, passive_fit, pivot_log):
         sc = SIZES[size]
         max_iters, tol = _qp_defaults()
         for seed in (3, 17):
-            objectives, fits = _trial_objectives(sc, active_fit, passive_fit, seed)
-            obj = objectives["AO"]
-            phasor, _ = rmo_phase_opt(obj, np.exp(1j * np.zeros(sc.n)))
-            phi = np.angle(phasor) % TWO_PI
-            p_min, _, _, _ = ao._power_fit_arrays(fits, phi, sc.circuit)
-            floor = float(p_min.sum())
-            # the full budget and two lowered budgets of power-repair re-solves
-            for budget in (sc.p_ris_w, floor + 0.5 * (sc.p_ris_w - floor),
-                           floor + 0.1 * (sc.p_ris_w - floor)):
+            obj, phi, fits, budgets = _ao_qp_cases(sc, active_fit, passive_fit, seed)
+            for budget in budgets:
                 res = amplitude_qp(obj, phi, fits, sc, budget=budget)
                 ref = _reference_qp(obj, phi, fits, sc, budget)
                 case = (size, seed, budget)
                 assert res.kkt_residual <= tol and res.iterations < max_iters, case
                 assert res.objective <= ref.objective + 1e-12 * abs(ref.objective), case
+                assert pivot_log[-1] == (True, res.iterations), case   # no guard
+                face = _reference_qp(obj, phi, fits, sc, budget, face=True)
+                assert _same_bits(res.alpha, face.alpha), case
+
+    def test_over_budget_vertex_frees_its_upper_cells(self, active_fit, passive_fit):
+        # from the all-upper vertex, which breaks the budget, the pivoting
+        # must free cells rather than give up
+        sc = SIZES["desk"]
+        obj, phi, fits, budgets = _ao_qp_cases(sc, active_fit, passive_fit, 3)
+        m, c_lin, _ = ao._qp_phase_data(obj, phi)
+        p_min, slope, lower, upper = ao._power_fit_arrays(fits, phi, sc.circuit)
+        b = budgets[1] - float(p_min.sum() - slope @ lower)
+        assert slope @ upper > b
+        y, pivots = ao._pivot_face(upper, m, c_lin, lower, upper, slope, b)
+        assert y is not None and pivots > 1
+        expected = amplitude_qp(obj, phi, fits, sc, budget=budgets[1]).alpha
+        assert np.max(np.abs(y - expected)) <= 1e-12
+
+    def test_ill_conditioned_curvature_ends_on_the_pivot_path(
+        self, fits_all_active, scenario_desk, pivot_log
+    ):
+        # low-rank curvature plus a small ridge: whole-set pivots cycle here,
+        # and only the single-index pivots let these runs end within the cap
+        n = 16
+        _, tol = _qp_defaults()
+        for seed in (9, 11, 14):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((n, rng.integers(1, 5)))
+            g = g + 1j * rng.standard_normal(g.shape)
+            obj = PhaseObjective(t=g @ g.conj().T / n + 1e-3 * np.eye(n),
+                                 q=3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+                                 z2=None, z1=None, z=None)
+            phi = rng.uniform(0.0, TWO_PI, n)
+            p_min, slope, lower, upper = ao._power_fit_arrays(fits_all_active, phi,
+                                                              scenario_desk.circuit)
+            floor = float(p_min.sum())
+            budget = floor + rng.uniform(0.05, 0.9) * float(slope @ (upper - lower))
+            res = amplitude_qp(obj, phi, fits_all_active, scenario_desk, budget=budget)
+            assert pivot_log[-1] == (True, res.iterations), seed
+            assert res.kkt_residual <= tol, seed
+            ref = _reference_qp(obj, phi, fits_all_active, scenario_desk, budget)
+            assert res.objective <= ref.objective + 1e-12 * abs(ref.objective), seed
+
+    def test_singular_curvature_ends_on_the_guard(self, fits_all_active, scenario_desk, pivot_log):
+        # zero curvature makes every face solve with two free cells singular,
+        # so the projected-gradient loop must finish the call
+        rng = np.random.default_rng(41)
+        n = 16
+        phi = rng.uniform(0.0, TWO_PI, n)
+        zeros = np.zeros(n, dtype=complex)
+        obj = PhaseObjective(t=np.zeros((n, n), dtype=complex),
+                             q=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                             z2=zeros, z1=zeros + 1.0, z=zeros)
+        p_min, slope, lower, upper = ao._power_fit_arrays(fits_all_active, phi,
+                                                          scenario_desk.circuit)
+        floor = float(p_min.sum())
+        budget = floor + 0.3 * float(slope @ (upper - lower))
+        _, tol = _qp_defaults()
+        res = amplitude_qp(obj, phi, fits_all_active, scenario_desk, budget=budget)
+        certified, pivots = pivot_log[-1]
+        assert not certified and res.iterations > pivots
+        b = budget - (floor - float(slope @ lower))
+        assert np.all(res.alpha >= lower) and np.all(res.alpha <= upper)
+        assert slope @ res.alpha <= b + 1e-15 * max(abs(b), 1.0)
+        assert res.kkt_residual <= tol
+        ref = _reference_qp(obj, phi, fits_all_active, scenario_desk, budget)
+        assert res.objective <= ref.objective + 1e-12 * abs(ref.objective)
+        assert np.all(np.diff(res.trace) <= 0.0)
+
+    def test_repeated_phases_reuse_the_qp_data(self, active_fit, passive_fit):
+        sc = SIZES["paper"]
+        obj, phi, fits, budgets = _ao_qp_cases(sc, active_fit, passive_fit, 17)
+        first = ao._qp_phase_data(obj, phi)
+        assert ao._qp_phase_data(obj, phi.copy()) is first
+        assert not any(a.flags.writeable for a in first[:2])
+        reused = [amplitude_qp(obj, phi, fits, sc, budget=budget) for budget in budgets]
+        assert ao._qp_phase_data(obj, phi) is first
+        for budget, res in zip(budgets, reused):
+            ao._last_qp[:] = [None, None]   # the same solve from fresh data
+            fresh = amplitude_qp(obj, phi, fits, sc, budget=budget)
+            assert _same_bits(res.alpha, fresh.alpha) and res.objective == fresh.objective
+        moved = phi.copy()
+        moved[3] += 0.1
+        assert ao._qp_phase_data(obj, moved)[1][3] != first[1][3]
 
 
 @st.composite
@@ -1125,6 +1282,8 @@ class TestAmplitudeFaceSolveProperties:
     @example((np.ones(4, dtype=bool), np.ones(4, dtype=bool), 4, 0.5, 2))    # all spans collapsed
     @example((np.ones(5, dtype=bool), np.zeros(5, dtype=bool), 5, "corner", 3))
     @example((np.ones(5, dtype=bool), np.zeros(5, dtype=bool), 0, "inactive", 4))
+    # the projected-gradient loop alone ran to its cap here; pivoting ends it
+    @example((np.ones(2, dtype=bool), np.zeros(2, dtype=bool), 1, 0.6075303578376887, 1134172256))
     def test_feasible_converged_and_no_worse_than_pg(self, active_fit, passive_fit, problem):
         active, collapsed, rank, budget, seed = problem
         n = active.size
