@@ -23,6 +23,7 @@ BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
 LADDER = 8  # Armijo steps scored per stacked objective call
 STALL_WINDOW = 10  # accepted CG steps over which a stalled objective is judged
+REPAIR_PASSES = 8  # shortfall passes of the power repair at most
 REPAIR_BISECTIONS = 8  # working-budget halvings once the shortfall loop stops
 PIVOT_TRIES = 3  # whole-set QP pivots without a new fewest-infeasible count
 # the backtracking steps 1, 1/2, ..., 2^-39, one (LADDER, 1) rung per row
@@ -63,7 +64,7 @@ class PhaseObjective:
         return (val, tg[..., 0]) if with_tg else val
 
 
-def precoder_update(ch, y, sigma_aux, gamma, scenario, tol=1e-11):
+def precoder_update(ch, y, sigma_aux, gamma, scenario):
     """Power-constrained precoder from the KKT conditions.
 
     The multiplier is zero when the unconstrained solution fits the budget;
@@ -99,7 +100,7 @@ def precoder_update(ch, y, sigma_aux, gamma, scenario, tol=1e-11):
             lam_hi *= 2.0
         else:
             raise BracketError("precoder power equation could not be bracketed")
-        lam_opt = bisect(lambda lam: tx_power(lam) - p_t, 0.0, lam_hi, tol=tol * p_t)
+        lam_opt = bisect(lambda lam: tx_power(lam) - p_t, 0.0, lam_hi, tol=1e-11 * p_t)
     scale = np.zeros_like(vals)
     scale[keep] = 1.0 / (vals[keep] + lam_opt)
     return u @ (scale[:, None] * (u.conj().T @ z))
@@ -419,8 +420,7 @@ def _qp_phase_data(obj, phi):
     return out
 
 
-def amplitude_qp(obj, phi, fits, scenario, budget=None, params=None,
-                 max_iters=5000, tol=1e-6):
+def amplitude_qp(obj, phi, fits, scenario, budget=None, max_iters=5000, tol=1e-6):
     """Amplitude subproblem at fixed phases: convex QP over box and budget.
 
     Minimizes the reflected-signal quadratic subject to the per-element
@@ -438,12 +438,11 @@ def amplitude_qp(obj, phi, fits, scenario, budget=None, params=None,
     it is feasible, does not raise the objective and passes that check, and
     the iteration goes on otherwise.
     """
-    params = params or scenario.circuit
     budget = scenario.p_ris_w if budget is None else budget
     phi = np.asarray(phi, dtype=float)
     m, c_lin, lip = _qp_phase_data(obj, phi)
 
-    p_min, slope, lower, upper = _power_fit_arrays(fits, phi, params)
+    p_min, slope, lower, upper = _power_fit_arrays(fits, phi, scenario.circuit)
     if p_min.sum() > budget + 1e-12:
         raise InfeasibleBudgetError(
             f"minimum amplitudes already need {p_min.sum():.4f} W > budget {budget:.4f} W"
@@ -517,14 +516,14 @@ def amplitude_qp(obj, phi, fits, scenario, budget=None, params=None,
                     iterations=pivots + it, trace=np.asarray(trace))
 
 
-def power_repair_loop(alpha, phi, params, fits, p_ris, resolve, max_passes=8):
+def power_repair_loop(alpha, phi, params, fits, p_ris, resolve):
     """Map amplitudes to circuits, then lower the working budget until the
     true power fits.
 
     The linearized budget can under-account the circuit power; each pass
     lowers the working budget by the realized shortfall and re-solves. The
     passes stop when one does not bring the realized power below the best
-    pass so far, at max_passes, or when a re-solve finds its budget
+    pass so far, at REPAIR_PASSES, or when a re-solve finds its budget
     infeasible. The working budget is then bisected REPAIR_BISECTIONS times
     between the linearized floor, whose minimum-bias realization always
     fits a reachable budget, and the last working budget; the design of the
@@ -538,12 +537,12 @@ def power_repair_loop(alpha, phi, params, fits, p_ris, resolve, max_passes=8):
     working = p_ris
     best_power = np.inf
     alpha = np.asarray(alpha, dtype=float)
-    for k in range(1, max_passes + 1):
+    for k in range(1, REPAIR_PASSES + 1):
         design = reflection.realize_design(params, fits, phi, alpha)
         if design.ris_power_w <= p_ris + 1e-9:
             design.repair_passes = k
             return design
-        if design.ris_power_w >= best_power or k == max_passes:
+        if design.ris_power_w >= best_power or k == REPAIR_PASSES:
             break
         best_power = design.ris_power_w
         shortfall = design.ris_power_w - float(floor + slope @ (alpha - lower))
@@ -586,8 +585,7 @@ def feasible_amplitude_scale(scenario, fits, phi, alpha_bar):
     params = scenario.circuit
 
     def power_at(scale):
-        lower, upper = fits.bounds(phi)
-        alpha = lower + scale * alpha_bar * (upper - lower)
+        alpha = reflection.amplitude_from_normalized(fits, phi, scale * alpha_bar)
         return reflection.realize_design(params, fits, phi, alpha).ris_power_w
 
     if power_at(1.0) <= scenario.p_ris_w:
@@ -604,7 +602,7 @@ def feasible_amplitude_scale(scenario, fits, phi, alpha_bar):
     return lo
 
 
-def random_init(scenario, ch, fits, rng):
+def random_init(scenario, fits, rng):
     """Random feasible starting point (v0, phi0, alpha_bar0)."""
     v0 = rng.standard_normal((scenario.m_t, scenario.d)) + 1j * rng.standard_normal(
         (scenario.m_t, scenario.d)
@@ -617,7 +615,7 @@ def random_init(scenario, ch, fits, rng):
     return v0, phi0, scale * alpha_bar0
 
 
-def init_from_design(scenario, fits, v, design):
+def init_from_design(scenario, v, design):
     """Turn a finished design into a feasible AO starting point."""
     v0 = np.asarray(v, dtype=complex)
     if v0.shape[1] < scenario.d:
@@ -653,8 +651,7 @@ def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
     phi = np.asarray(phi0, dtype=float)
     alpha_bar = np.asarray(alpha_bar0, dtype=float)
 
-    lower, upper = fits.bounds(phi)
-    alpha = lower + alpha_bar * (upper - lower)
+    alpha = reflection.amplitude_from_normalized(fits, phi, alpha_bar)
     design = reflection.realize_design(params, fits, phi, alpha, alpha_bar)
     if design.ris_power_w > scenario.p_ris_w + 1e-9:
         # a floor-tight budget cannot host the model floor; start from the
@@ -679,7 +676,7 @@ def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
         phi = np.angle(phasor) % (2.0 * np.pi)
 
         def resolve(budget):
-            return amplitude_qp(obj, phi, fits, scenario, budget=budget, params=params).alpha
+            return amplitude_qp(obj, phi, fits, scenario, budget=budget).alpha
 
         alpha = resolve(scenario.p_ris_w)
         design = power_repair_loop(alpha, phi, params, fits, scenario.p_ris_w, resolve)

@@ -23,16 +23,17 @@ class MetaheuristicBudget:
     target: float
 
 
-def budget_from_ao(scenario, j_alt=20, j_p=2, k=40):
+def budget_from_ao(scenario, j_alt=20, j_p=2):
     """Derive (K, P) so K*P rate evaluations match the AO complexity budget.
 
     The per-evaluation cost model is N*M_T*M_R + d*M_R^3 and the AO target is
-    J_alt * j_P * N^3.5; K is adjusted when rounding P alone would miss the
-    +/-10 percent matching window.
+    J_alt * j_P * N^3.5; K starts at 40 and is adjusted when rounding
+    P alone would miss the +/-10 percent matching window.
     """
     n, m_t, m_r, d = scenario.n, scenario.m_t, scenario.m_r, scenario.d
     unit = n * m_t * m_r + d * m_r**3
     target = j_alt * j_p * n**3.5
+    k = 40
     p = max(1, round(target / (k * unit)))
     if abs(k * p * unit - target) / target > 0.1:
         k = max(2, round(target / (p * unit)))
@@ -213,13 +214,9 @@ def _finalize(space, best_phenotype, best_rate, iterations):
     params = space.params
     phi = np.angle(gamma) % (2 * np.pi)
     total = circuit.power_consumption(r[space.active], params).sum()
-    lower, upper = space.fits.bounds(phi)
-    span = np.where(upper > lower, upper - lower, 1.0)
-    alpha_bar = np.clip((np.abs(gamma) - lower) / span, 0.0, 1.0)
-    alpha_bar[~space.fits.active_mask] = 0.0
     design = reflection.RISDesign(
         phi=phi,
-        alpha_bar=alpha_bar,
+        alpha_bar=reflection.normalized_amplitude(space.fits, phi, np.abs(gamma)),
         active_mask=space.fits.active_mask.copy(),
         gamma=gamma,
         r=r,

@@ -48,6 +48,9 @@ class ScenarioConfig:
     cascade_ref_d_rx_ris_m: float = None
 
     def __post_init__(self):
+        for name in ("m_t", "m_r", "d", "n"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"ScenarioConfig.{name} must be at least 1")
         if self.d > min(self.m_t, self.m_r):
             raise ValueError("stream count d must not exceed min(m_t, m_r)")
         if not 0 <= self.n_act <= self.n:

@@ -127,12 +127,12 @@ def stable_resistance(m, p):
 
 
 @lru_cache(maxsize=64)
-def diode_band(p, m_band=(M_LO, M_HI)):
-    """Usable diode resistances (band_lo, band_hi) of an exponent band.
+def diode_band(p):
+    """Usable diode resistances (band_lo, band_hi) of the exponent band [M_LO, M_HI].
 
     Cached per hardware: CircuitParams is frozen and hashable.
     """
-    return stable_resistance(m_band[0], p), stable_resistance(m_band[1], p)
+    return stable_resistance(M_LO, p), stable_resistance(M_HI, p)
 
 
 def m_from_resistance(r, p):
@@ -219,13 +219,13 @@ def _phase_distance(a, b):
     return np.abs((a - b + np.pi) % TWO_PI - np.pi)
 
 
-def phase_capacitance(p, r, phi, tol=1e-6):
+def phase_capacitance(p, r, phi):
     """Capacitance realizing reflection phase phi at resistance r, elementwise.
 
     Both positive roots of the phase quadratic are evaluated through the
     reflection coefficient; the spurious root realizes phi +/- pi. The root
     with the smaller phase error wins, ties to the first. NaN where no root
-    lands within tol of phi: |R| beyond the feasible range, or a phase on
+    lands within 1e-6 rad of phi: |R| beyond the feasible range, or a phase on
     the unrealizable arc of the reflection locus.
     """
     phi = np.asarray(phi, dtype=float) % TWO_PI
@@ -240,7 +240,7 @@ def phase_capacitance(p, r, phi, tol=1e-6):
         realized = np.angle(_gamma(p, roots, r)) % TWO_PI
         err = np.where(valid, _phase_distance(realized, phi), np.inf)
     c = np.where(err[1] < err[0], roots[1], roots[0])
-    return np.where(np.minimum(err[0], err[1]) <= tol, c, np.nan)[()]
+    return np.where(np.minimum(err[0], err[1]) <= 1e-6, c, np.nan)[()]
 
 
 def capacitance_for_phase(p, r, phi):
@@ -270,20 +270,20 @@ def phase_amplitude(p, r, phi):
         return np.abs(_gamma(p, phase_capacitance(p, r, phi), r))
 
 
-def usable_resistance_band(p, phi, m_band=(M_LO, M_HI)):
+def usable_resistance_band(p, phi):
     """Usable (most negative, least negative) resistances at phases phi.
 
     Intersects the symmetric feasibility bound |R| <= F(phi) with the
     diode-achievable interval and the R < 0 sign constraint. Both are NaN
     where the intersection is empty.
     """
-    band_lo, band_hi = diode_band(p, m_band)
+    band_lo, band_hi = diode_band(p)
     r_min = np.maximum(-resistance_range(p, phi), band_lo)
     empty = band_hi < r_min
     return np.where(empty, np.nan, r_min)[()], np.where(empty, np.nan, band_hi)[()]
 
 
-def exact_amplitude_bounds(p, phi, m_band=(M_LO, M_HI)):
+def exact_amplitude_bounds(p, phi):
     """Exact reflection-amplitude interval (lower, upper) at phases phi.
 
     The amplitude decreases with the (negative) resistance, so the upper
@@ -291,7 +291,7 @@ def exact_amplitude_bounds(p, phi, m_band=(M_LO, M_HI)):
     bound at the least negative one. Each bound is NaN where its own
     resistance realizes no capacitance at the phase.
     """
-    r_min, r_max = usable_resistance_band(p, phi, m_band)
+    r_min, r_max = usable_resistance_band(p, phi)
     return phase_amplitude(p, r_max, phi)[()], phase_amplitude(p, r_min, phi)[()]
 
 
@@ -315,9 +315,9 @@ def circuit_from_gamma(p, gamma):
     return r[()], c[()], ok[()]
 
 
-def realizable_phase(p, r, phi, tol=1e-6):
+def realizable_phase(p, r, phi):
     """True where some positive capacitance realizes phase phi at resistance r."""
-    return np.isfinite(phase_capacitance(p, r, phi, tol=tol))
+    return np.isfinite(phase_capacitance(p, r, phi))
 
 
 def nearest_realizable_cell(p, r, phi, max_offset=0.5):

@@ -23,7 +23,8 @@ from .harness import (
     run_experiment,
     summarize,
 )
-from .reflection import ElementFits, exact_bound_curves, fit_amplitude_model, approx_amplitude_bounds
+from .reflection import (ElementFits, approx_amplitude_bounds, class_fits, exact_bound_curves,
+                         fit_amplitude_model)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,8 +100,6 @@ def _cmd_fit_model(args):
 
 
 def _export_curves(params, grid, path):
-    from .reflection import FitParams
-
     active = fit_amplitude_model(params, "active", grid_size=grid)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("phi_rad,exact_lower,exact_upper,approx_lower,approx_upper\n")
@@ -151,12 +150,7 @@ def _cmd_validate(args):
     n = design.gamma.size
     if n != scenario.n:
         scenario = replace(scenario, n=n, n_act=int(design.active_mask.sum()))
-    params = scenario.circuit
-    fits = ElementFits.from_classes(
-        fit_amplitude_model(params, "active"),
-        fit_amplitude_model(params, "passive"),
-        design.active_mask,
-    )
+    fits = ElementFits(*class_fits(scenario.circuit), design.active_mask)
     problems = validate_design(scenario, fits, v, design)
     if problems:
         for p in problems:

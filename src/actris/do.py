@@ -14,7 +14,7 @@ from .errors import InfeasibleBudgetError
 from .numerics import svd
 
 
-def waterfill(gains, p_t, tol=1e-12):
+def waterfill(gains, p_t):
     """Waterfilling power allocation over parallel channels.
 
     gains are per-unit-power SINRs; returns powers summing to the budget
@@ -35,7 +35,7 @@ def waterfill(gains, p_t, tol=1e-12):
     for _ in range(200):
         eta = 0.5 * (lo + hi)
         t = total(eta)
-        if abs(t - p_t) <= tol * max(p_t, 1.0):
+        if abs(t - p_t) <= 1e-12 * max(p_t, 1.0):
             break
         if t > p_t:
             lo = eta
@@ -49,12 +49,12 @@ def waterfill(gains, p_t, tol=1e-12):
     return p
 
 
-def svd_precoder_combiner(ch, gamma, scenario, ris_noise_in_gains=True):
+def svd_precoder_combiner(ch, gamma, scenario):
     """Eigenmode precoder/combiner with waterfilled stream powers.
 
     Diagonalizes the effective channel, feeds the per-unit-power SINRs
-    (including the surface-noise quadratic unless disabled) to waterfilling,
-    and keeps only the streams that receive power.
+    (surface-noise quadratic included) to waterfilling, and keeps only the
+    streams that receive power.
     """
     heff = effective_channel(ch, gamma)
     u1, lam, u2h = svd(heff)
@@ -62,11 +62,9 @@ def svd_precoder_combiner(ch, gamma, scenario, ris_noise_in_gains=True):
     u1 = u1[:, :d]
     u2 = u2h.conj().T[:, :d]
     lam = lam[:d]
-    noise = scenario.sigma2_w * scenario.f_r * np.ones(d)
-    if ris_noise_in_gains:
-        h2g = ch.h_2 * np.asarray(gamma)[None, :]
-        pickup = np.linalg.norm(h2g.conj().T @ u1, axis=0) ** 2
-        noise = noise + scenario.sigma2_w * scenario.f_s * pickup
+    h2g = ch.h_2 * np.asarray(gamma)[None, :]
+    pickup = np.linalg.norm(h2g.conj().T @ u1, axis=0) ** 2
+    noise = scenario.sigma2_w * scenario.f_r + scenario.sigma2_w * scenario.f_s * pickup
     gains = lam**2 / noise
     powers = waterfill(gains, scenario.p_t_w)
     keep = powers > 0.0
@@ -92,7 +90,7 @@ def cascade_norm_objective(ch, fits, alpha_bar):
     return PhaseObjective(t=t, q=q, z2=z2, z1=z1, z=z)
 
 
-def do_phase_opt(ch, fits, scenario, phasor0):
+def do_phase_opt(ch, fits, phasor0):
     """Phases maximizing the effective-channel Frobenius norm at full amplitude."""
     obj = cascade_norm_objective(ch, fits, np.ones(fits.n))
     phasor, trace = rmo_phase_opt(obj, phasor0)
@@ -141,20 +139,18 @@ class DOResult:
     rate: float
 
 
-def run_do(scenario, ch, fits, rng, ris_noise_in_gains=True):
+def run_do(scenario, ch, fits, rng):
     """One pass of the decoupled design; the rate is evaluated with the full
     spectral-efficiency expression, surface noise included."""
     params = scenario.circuit
     phasor0 = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, fits.n))
-    phi, _ = do_phase_opt(ch, fits, scenario, phasor0)
+    phi, _ = do_phase_opt(ch, fits, phasor0)
     alpha = do_amplitude_max(phi, fits, params, scenario.p_ris_w)
 
     def resolve(budget):
         return do_amplitude_max(phi, fits, params, budget)
 
     design = power_repair_loop(alpha, phi, params, fits, scenario.p_ris_w, resolve)
-    v, w, gains, powers = svd_precoder_combiner(
-        ch, design.gamma, scenario, ris_noise_in_gains
-    )
+    v, w, gains, powers = svd_precoder_combiner(ch, design.gamma, scenario)
     rate = spectral_efficiency(ch, v, w, design.gamma, scenario)
     return DOResult(v=v, w=w, design=design, stream_powers=powers, rate=rate)

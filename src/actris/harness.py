@@ -19,7 +19,7 @@ from .circuit import CircuitParams
 from .constraints import validate_design
 from .do import run_do
 from .errors import ConfigError, SimulationError
-from .reflection import ElementFits, fit_amplitude_model
+from .reflection import ElementFits, class_fits
 
 CSV_HEADER = "trial,scheme,sweep_value,rate_bps_hz,ris_power_w,tx_power_w,iterations_used,wall_ms,seed"
 
@@ -76,6 +76,12 @@ class ExperimentSpec:
             raise ConfigError(f"unknown sweep kind {self.sweep_kind!r}")
         if not self.variants:
             raise ConfigError("at least one scheme required")
+        for variant in self.variants:
+            for value in self.sweep_values:
+                try:
+                    _scenario_for(self, variant, value)
+                except ValueError as exc:
+                    raise ConfigError(f"{self.sweep_kind} = {value:g}: {exc}") from exc
 
     @property
     def schemes(self):
@@ -368,25 +374,6 @@ def _scenario_for(spec, variant, sweep_value):
     return replace(scenario, n_act=n_act), j_alt
 
 
-class _FitRegistry:
-    """Per-run cache of fitted element classes and masks keyed by hardware."""
-
-    def __init__(self):
-        self._class_fits = {}
-
-    def class_fits(self, params):
-        if params not in self._class_fits:
-            self._class_fits[params] = (
-                fit_amplitude_model(params, "active"),
-                fit_amplitude_model(params, "passive"),
-            )
-        return self._class_fits[params]
-
-    def element_fits(self, params, active_mask):
-        active_fit, passive_fit = self.class_fits(params)
-        return ElementFits.from_classes(active_fit, passive_fit, active_mask)
-
-
 def trial_channels(scenario, seed, sweep_index, trial_index):
     """Channels and active-element mask shared by all schemes of one trial."""
     rng = np.random.default_rng(
@@ -417,11 +404,11 @@ def run_scheme(scheme, scenario, ch, fits, rng, j_alt=20, eps=1e-3, ga_j_p=2):
         return res.rate, res.v, res.design, 1
     if scheme == "AO":
         do_res = run_do(scenario, ch, fits, rng)
-        init = init_from_design(scenario, fits, do_res.v, do_res.design)
+        init = init_from_design(scenario, do_res.v, do_res.design)
         res = run_ao(scenario, ch, fits, init, eps=eps, j_alt=j_alt)
         return res.rate, res.v, res.design, res.iterations
     if scheme == "AO-random-init":
-        init = random_init(scenario, ch, fits, rng)
+        init = random_init(scenario, fits, rng)
         res = run_ao(scenario, ch, fits, init, eps=eps, j_alt=j_alt)
         return res.rate, res.v, res.design, res.iterations
     if scheme in ("GA", "PSO"):
@@ -432,14 +419,14 @@ def run_scheme(scheme, scenario, ch, fits, rng, j_alt=20, eps=1e-3, ga_j_p=2):
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 
-def _run_task(spec, registry, sweep_index, trial_index):
+def _run_task(spec, sweep_index, trial_index):
     rows = []
     seed = spec.scenario.seed
     sweep_value = spec.sweep_values[sweep_index]
     for variant_index, variant in enumerate(spec.variants):
         scenario, j_alt = _scenario_for(spec, variant, sweep_value)
         ch, mask = trial_channels(scenario, seed, sweep_index, trial_index)
-        fits = registry.element_fits(scenario.circuit, mask)
+        fits = ElementFits(*class_fits(scenario.circuit), mask)
         rng = _scheme_rng(seed, sweep_index, trial_index, variant_index)
         start = time.perf_counter()
         try:
@@ -476,14 +463,6 @@ def _run_task(spec, registry, sweep_index, trial_index):
                 error=type(exc).__name__,
             ))
     return (sweep_index, trial_index), rows
-
-
-# Per-process fit cache for pool workers (each forked worker fills its own).
-_WORKER_REGISTRY = _FitRegistry()
-
-
-def _run_task_pooled(spec, sweep_index, trial_index):
-    return _run_task(spec, _WORKER_REGISTRY, sweep_index, trial_index)
 
 
 def _openblas_threads_fn(action):
@@ -523,8 +502,10 @@ def run_experiment(spec):
 
     Channels are sampled once per trial and shared by all schemes. Tasks run
     on a process pool when more than one worker is requested; the row order
-    and content are independent of the worker count.
+    and content are independent of the worker count. The element classes
+    are fitted before the pool forks, so the workers inherit the fits.
     """
+    class_fits(spec.scenario.circuit)
     tasks = [
         (si, ti)
         for si in range(len(spec.sweep_values))
@@ -534,15 +515,14 @@ def run_experiment(spec):
     if spec.threads > 1:
         with _worker_pool(spec.threads) as pool:
             futures = [
-                pool.submit(_run_task_pooled, spec, si, ti) for si, ti in tasks
+                pool.submit(_run_task, spec, si, ti) for si, ti in tasks
             ]
             for fut in futures:
                 key, rows = fut.result()
                 results[key] = rows
     else:
-        registry = _FitRegistry()
         for si, ti in tasks:
-            key, rows = _run_task(spec, registry, si, ti)
+            key, rows = _run_task(spec, si, ti)
             results[key] = rows
     ordered = []
     for si, ti in tasks:

@@ -37,11 +37,12 @@ def lambert_w0(x):
     return float(w) if w.ndim == 0 else w
 
 
-def bisect(f, lo, hi, tol=1e-12, max_iter=200):
+def bisect(f, lo, hi, tol=1e-12):
     """Bisection root search on [lo, hi].
 
     Requires f(lo) and f(hi) of opposite (or zero) sign. Returns a point x
-    with |f(x)| <= tol or bracketing interval narrower than tol.
+    with |f(x)| <= tol or bracketing interval narrower than tol, or the
+    midpoint after 200 halvings.
     """
     if not lo < hi:
         raise ValueError("bisect requires lo < hi")
@@ -53,7 +54,7 @@ def bisect(f, lo, hi, tol=1e-12, max_iter=200):
         return hi
     if flo * fhi > 0.0:
         raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if abs(fm) <= tol or (hi - lo) <= tol:

@@ -9,6 +9,7 @@ polynomial in the unit-modulus phasors).
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,7 +59,7 @@ class FitParams:
         )
 
 
-def exact_bound_curves(params, kind, grid_size=3600, m_band=(circuit.M_LO, circuit.M_HI)):
+def exact_bound_curves(params, kind, grid_size=3600):
     """Exact amplitude bounds swept over a uniform phase grid.
 
     Returns (phis, lower, upper); grid points on the unrealizable arc of the
@@ -71,10 +72,10 @@ def exact_bound_curves(params, kind, grid_size=3600, m_band=(circuit.M_LO, circu
         return phis, amp, amp.copy()
     if kind != "active":
         raise ValueError(f"unknown element class {kind!r}")
-    return (phis, *circuit.exact_amplitude_bounds(params, phis, m_band))
+    return (phis, *circuit.exact_amplitude_bounds(params, phis))
 
 
-def fit_amplitude_model(params, kind="active", grid_size=3600, m_band=(circuit.M_LO, circuit.M_HI)):
+def fit_amplitude_model(params, kind="active", grid_size=3600):
     """Fit the cosine amplitude model for an element class.
 
     Sweeps the exact bounds over a uniform grid, takes the grid extrema as
@@ -84,7 +85,7 @@ def fit_amplitude_model(params, kind="active", grid_size=3600, m_band=(circuit.M
     """
     if grid_size < 360:
         raise ValueError("fitting grid must have at least 360 points")
-    phis, lower, upper = exact_bound_curves(params, kind, grid_size, m_band)
+    phis, lower, upper = exact_bound_curves(params, kind, grid_size)
     if not np.isfinite(upper).any():
         raise CircuitError("no realizable phase found while fitting")
     i_up = int(np.nanargmax(upper))
@@ -104,8 +105,16 @@ def fit_amplitude_model(params, kind="active", grid_size=3600, m_band=(circuit.M
     )
 
 
+@lru_cache(maxsize=64)
+def class_fits(params):
+    """(active, passive) fits of the hardware, once per process: CircuitParams
+    is frozen and hashable, and a pool forked after the first call inherits them."""
+    return fit_amplitude_model(params, "active"), fit_amplitude_model(params, "passive")
+
+
 def approx_amplitude_bounds(fit, phi):
-    """Cosine-model amplitude interval (lower, upper) at phase phi."""
+    """Cosine-model amplitude interval (lower, upper) at phase phi; fit is a
+    FitParams or an ElementFits."""
     cos_term = np.cos(np.asarray(phi, dtype=float) + fit.theta) + 1.0
     lower = 0.5 * (fit.delta_max - fit.delta_min) * cos_term + fit.delta_min
     upper = 0.5 * (fit.beta_max - fit.beta_min) * cos_term + fit.beta_min
@@ -121,41 +130,42 @@ def amplitude_from_normalized(fit, phi, alpha_bar):
     return lower + alpha_bar * (upper - lower)
 
 
+def normalized_amplitude(fits, phi, alpha):
+    """Normalized controls of amplitudes alpha at phases phi, clipped to
+    [0, 1] and zero on passive cells."""
+    lower, upper = fits.bounds(phi)
+    span = np.where(upper > lower, upper - lower, 1.0)
+    alpha_bar = np.clip((alpha - lower) / span, 0.0, 1.0)
+    alpha_bar[~fits.active_mask] = 0.0
+    return alpha_bar
+
+
 class ElementFits:
     """Per-element fit coefficients for an RIS with mixed active/passive cells.
 
-    Stores the class fits plus vectorized coefficient arrays. x is the
-    amplitude-range excess of the upper curve over the lower one and is zero
-    for passive elements, which makes their entries independent of the
-    normalized amplitude control.
+    Each coefficient array holds the active class's value on active_mask and
+    the passive class's elsewhere. x is the amplitude-range excess of the
+    upper curve over the lower one and is zero for passive elements, which
+    makes their entries independent of the normalized amplitude control.
     """
 
-    def __init__(self, fits, active_mask):
+    def __init__(self, active_fit, passive_fit, active_mask):
         self.active_mask = np.asarray(active_mask, dtype=bool)
-        self.fits = list(fits)
-        if len(self.fits) != self.active_mask.size:
-            raise ValueError("one FitParams per element required")
         self.n = self.active_mask.size
-        self.delta_min = np.array([f.delta_min for f in self.fits])
-        self.delta_max = np.array([f.delta_max for f in self.fits])
-        self.beta_min = np.array([f.beta_min for f in self.fits])
-        self.beta_max = np.array([f.beta_max for f in self.fits])
-        self.theta = np.array([f.theta for f in self.fits])
+        for name in ("delta_min", "delta_max", "beta_min", "beta_max", "theta"):
+            setattr(self, name, np.where(
+                self.active_mask, getattr(active_fit, name), getattr(passive_fit, name)
+            ))
         self.y = self.delta_max - self.delta_min
         self.x = (self.beta_max - self.beta_min) - self.y
 
     @classmethod
     def from_classes(cls, active_fit, passive_fit, active_mask):
-        active_mask = np.asarray(active_mask, dtype=bool)
-        fits = [active_fit if a else passive_fit for a in active_mask]
-        return cls(fits, active_mask)
+        return cls(active_fit, passive_fit, active_mask)
 
     def bounds(self, phi):
         """Per-element (lower, upper) amplitude bounds at phases phi."""
-        cos_term = np.cos(np.asarray(phi, dtype=float) + self.theta) + 1.0
-        lower = 0.5 * self.y * cos_term + self.delta_min
-        upper = 0.5 * (self.x + self.y) * cos_term + self.beta_min
-        return lower, upper
+        return approx_amplitude_bounds(self, phi)
 
     def coefficients(self, alpha_bar):
         """Quadratic-polynomial coefficients (z2, z1, z) of the reflection vector.
@@ -318,10 +328,7 @@ def realize_design(params, fits, phi, alpha, alpha_bar=None):
     gamma = alpha * np.exp(1j * phi)
     r, c, _ = _realize_cells(params, fits.active_mask, phi, gamma)
     if alpha_bar is None:
-        lower, upper = fits.bounds(phi)
-        span = np.where(upper > lower, upper - lower, 1.0)
-        alpha_bar = np.clip((alpha - lower) / span, 0.0, 1.0)
-        alpha_bar[~fits.active_mask] = 0.0
+        alpha_bar = normalized_amplitude(fits, phi, alpha)
     return RISDesign(
         phi=phi,
         alpha_bar=np.asarray(alpha_bar, dtype=float),

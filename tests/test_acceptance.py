@@ -32,13 +32,13 @@ from actris.harness import (
     run_experiment,
     summarize,
     trial_channels,
-    _FitRegistry,
     _scenario_for,
 )
 from actris.numerics import fd_gradient, lambert_w0
 from actris.reflection import (
     ElementFits,
     approx_amplitude_bounds,
+    class_fits,
     exact_bound_curves,
     fit_amplitude_model,
 )
@@ -181,18 +181,17 @@ def test_criterion_07_kronecker_free_assembly(active_fit, passive_fit):
 
 
 def test_criterion_08_ao_soundness(fits_all_active, scenario_desk):
-    registry = _FitRegistry()
     repair_counts = []
     ok_monotone = True
     ok_constraints = True
     for trial in range(50):
         ch, mask = trial_channels(scenario_desk, 7, 0, trial)
-        fits = registry.element_fits(scenario_desk.circuit, mask)
+        fits = ElementFits(*class_fits(scenario_desk.circuit), mask)
         rng = np.random.default_rng(8000 + trial)
         do_res = run_do(scenario_desk, ch, fits, rng)
         from actris.ao import init_from_design
 
-        init = init_from_design(scenario_desk, fits, do_res.v, do_res.design)
+        init = init_from_design(scenario_desk, do_res.v, do_res.design)
         res = run_ao(scenario_desk, ch, fits, init, j_alt=20)
         best = np.maximum.accumulate(res.rate_history)
         if not np.all(np.diff(best) >= -1e-12):
@@ -277,7 +276,6 @@ def test_criterion_10_gap_trend_paper_dimensions():
     # spread over many receive modes, so the trend is measured at the
     # reference antenna dimensions
     scenario = ScenarioConfig(seed=1010)
-    registry = _FitRegistry()
     gaps = []
     sems = []
     for rho in (-40.0, -30.0, -20.0):
@@ -285,7 +283,7 @@ def test_criterion_10_gap_trend_paper_dimensions():
         per_trial = []
         for t in range(15):
             ch, mask = trial_channels(sc, sc.seed, 0, t)
-            fits = registry.element_fits(sc.circuit, mask)
+            fits = ElementFits(*class_fits(sc.circuit), mask)
             from actris.harness import run_scheme, _scheme_rng
 
             r_do, _, _, _ = run_scheme("DO", sc, ch, fits, _scheme_rng(sc.seed, 0, t, 1))
@@ -354,7 +352,6 @@ def test_criterion_12_power_element_tradeoff():
     nfp_ok = abs(nfp - 34) <= 1
     spec = fig_presets("fig7", scale="desk", seed=12)
     spec = dataclasses.replace(spec, trials=6, threads=2)
-    registry = _FitRegistry()
     p_min = circuit.power_consumption(circuit.stable_resistance(3.0, params), params)
 
     rates = {"all": [], "nfp12": []}
@@ -363,12 +360,12 @@ def test_criterion_12_power_element_tradeoff():
         scenario, j_alt = _scenario_for(spec, rule, 144.0)
         for trial in range(spec.trials):
             ch, mask = trial_channels(scenario, spec.scenario.seed, 0, trial)
-            fits = registry.element_fits(scenario.circuit, mask)
+            fits = ElementFits(*class_fits(scenario.circuit), mask)
             rng = np.random.default_rng(1200 + trial)
             do_res = run_do(scenario, ch, fits, rng)
             from actris.ao import init_from_design
 
-            init = init_from_design(scenario, fits, do_res.v, do_res.design)
+            init = init_from_design(scenario, do_res.v, do_res.design)
             res = run_ao(scenario, ch, fits, init, j_alt=8)
             rates[key].append(res.rate)
             if key == "all":

@@ -140,7 +140,7 @@ class TestLmmseCombiner:
             ch, mask = trial_channels(sc, 2020, 0, trial)
             fits = ElementFits.from_classes(active_fit, passive_fit, mask)
             do_res = run_do(sc, ch, fits, np.random.default_rng(trial))
-            res = run_ao(sc, ch, fits, ao.init_from_design(sc, fits, do_res.v, do_res.design),
+            res = run_ao(sc, ch, fits, ao.init_from_design(sc, do_res.v, do_res.design),
                          j_alt=4)
             v, gamma = res.v, res.design.gamma
             _, sinrs = lmmse_receiver(ch, v, gamma, sc)
@@ -391,7 +391,7 @@ class TestLinearPowerFit:
     def _fit_one(fit, phi, params):
         """The linear power surrogate of a one-cell surface at phase phi:
         (p_min, p_max, slope, lower, upper), p_max read off the chord."""
-        fits = ElementFits([fit], np.ones(1, dtype=bool))
+        fits = ElementFits(fit, fit, np.ones(1, dtype=bool))
         p_min, slope, lower, upper = ao._power_fit_arrays(fits, np.array([phi]), params)
         p_max = p_min[0] + slope[0] * (upper[0] - lower[0])
         return p_min[0], p_max, slope[0], lower[0], upper[0]
@@ -695,7 +695,7 @@ class TestRunAO:
         from actris.channel import sample_channels
 
         ch = sample_channels(scenario_desk, rng)
-        init = random_init(scenario_desk, ch, fits_all_active, rng)
+        init = random_init(scenario_desk, fits_all_active, rng)
         lower, upper = fits_all_active.bounds(init[1])
         d0 = realize_design(
             scenario_desk.circuit, fits_all_active, init[1],
@@ -710,7 +710,7 @@ class TestRunAO:
         from actris.channel import sample_channels
 
         ch = sample_channels(scenario_desk, rng)
-        init = random_init(scenario_desk, ch, fits_all_active, rng)
+        init = random_init(scenario_desk, fits_all_active, rng)
         res = run_ao(scenario_desk, ch, fits_all_active, init, eps=np.inf, j_alt=20)
         assert res.iterations == 1
 
@@ -726,7 +726,7 @@ class TestRunAO:
         for seed in range(3):
             rng = np.random.default_rng(seed + 60)
             ch = sample_channels(scenario_desk, rng)
-            init = random_init(scenario_desk, ch, fits_all_active, rng)
+            init = random_init(scenario_desk, fits_all_active, rng)
             res = run_ao(scenario_desk, ch, fits_all_active, init, j_alt=8)
             best = np.maximum.accumulate(res.rate_history)
             assert np.all(np.diff(best) >= -1e-12)
@@ -1292,8 +1292,9 @@ class TestAmplitudeFaceSolveProperties:
         # cosine term does, at phase pi - theta
         pinned = dataclasses.replace(active_fit, beta_min=active_fit.delta_min)
         phi = np.where(collapsed, (np.pi - active_fit.theta) % TWO_PI, rng.uniform(0.0, TWO_PI, n))
-        fits = ElementFits([(pinned if c else active_fit) if a else passive_fit
-                            for a, c in zip(active, collapsed)], active)
+        # every active cell takes the pinned class when one of them is collapsed
+        fits = ElementFits(pinned if (active & collapsed).any() else active_fit,
+                           passive_fit, active)
         g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
         z2, z1, z = fits.coefficients(np.ones(n))
         obj = PhaseObjective(t=g @ g.conj().T / n,

@@ -55,12 +55,12 @@ class TestImpedance:
         # independent evaluation with 50-digit arithmetic
         import mpmath
 
-        mpmath.mp.dps = 50
-        w = mpmath.mpf(2) * mpmath.pi * mpmath.mpf("2.4e9")
-        l1, l2, c, r = (mpmath.mpf(x) for x in ("4.5e-9", "0.7e-9", "1e-12", "1"))
-        j = mpmath.mpc(0, 1)
-        series = j * w * l2 + 1 / (j * w * c) + r
-        z_ref = (j * w * l1 * series) / (j * w * l1 + series)
+        with mpmath.workdps(50):
+            w = mpmath.mpf(2) * mpmath.pi * mpmath.mpf("2.4e9")
+            l1, l2, c, r = (mpmath.mpf(x) for x in ("4.5e-9", "0.7e-9", "1e-12", "1"))
+            j = mpmath.mpc(0, 1)
+            series = j * w * l2 + 1 / (j * w * c) + r
+            z_ref = (j * w * l1 * series) / (j * w * l1 + series)
         z = impedance(params_fig2, CellState(r=1.0, c=1e-12))
         assert abs(z - complex(z_ref)) / abs(complex(z_ref)) < 1e-12
 

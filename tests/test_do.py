@@ -147,7 +147,7 @@ class TestDoPhaseOpt:
         rng = np.random.default_rng(9)
         sc = desk_scenario()
         ch = sample_channels(sc, rng)
-        phi_opt, _ = do_phase_opt(ch, fits_all_active, sc, np.exp(1j * rng.uniform(0, TWO_PI, 16)))
+        phi_opt, _ = do_phase_opt(ch, fits_all_active, np.exp(1j * rng.uniform(0, TWO_PI, 16)))
         lower, upper = fits_all_active.bounds(phi_opt)
         norm_opt = np.linalg.norm(
             effective_channel(ch, upper * np.exp(1j * phi_opt))
@@ -210,7 +210,7 @@ class TestRunDo:
         ch = sample_channels(scenario_desk, rng)
         res = run_do(scenario_desk, ch, fits_all_active, rng)
         assert validate_design(scenario_desk, fits_all_active, res.v, res.design) == []
-        init = init_from_design(scenario_desk, fits_all_active, res.v, res.design)
+        init = init_from_design(scenario_desk, res.v, res.design)
         ao_res = run_ao(scenario_desk, ch, fits_all_active, init, j_alt=2)
         assert ao_res.rate >= res.rate - 1e-9
 

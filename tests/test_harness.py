@@ -1,11 +1,13 @@
 import ctypes
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 import yaml
 
+from actris import reflection
 from actris.channel import ScenarioConfig, dbm_to_watt
 from actris.errors import ConfigError
 from actris.harness import (
@@ -77,6 +79,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             spec_from_dict({"m_t": 4, "m_r": 4, "d": 5})
 
+    @pytest.mark.parametrize("raw", [
+        {"m_t": 0}, {"m_r": 0}, {"d": 0}, {"n_elements": 0},
+        {"sweep": {"kind": "n_elements", "values": [16, 0]}},
+    ])
+    def test_zero_dimension_rejected(self, raw):
+        with pytest.raises(ConfigError, match="at least 1"):
+            spec_from_dict(raw)
+
+    def test_no_active_cells_allowed(self):
+        assert spec_from_dict({"n_elements": 4, "n_act": 0}).scenario.n_act == 0
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             spec_from_dict({"p_t": -12.75})
@@ -125,6 +138,19 @@ class TestDeterminism:
             paths.append(tmp_path / f"w{threads}.csv")
             export_csv(run_experiment(spec), paths[-1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_pool_workers_inherit_the_class_fits(self, monkeypatch):
+        parent, fit = os.getpid(), reflection.fit_amplitude_model
+
+        def parent_only_fit(*args, **kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("a pool worker fitted an element class")
+            return fit(*args, **kwargs)
+
+        reflection.class_fits.cache_clear()
+        monkeypatch.setattr(reflection, "fit_amplitude_model", parent_only_fit)
+        pooled = run_experiment(small_spec(trials=2, threads=2))
+        assert pooled == run_experiment(small_spec(trials=2, threads=1))
 
     @pytest.mark.skipif(_openblas_threads_fn("get") is None,
                         reason="numpy's OpenBLAS exports no thread control")
@@ -348,6 +374,10 @@ class TestCli:
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump({"nonsense_key": 1}))
         assert main(["run", "--config", str(bad)]) == 2
+        for key in ("d", "n_elements"):
+            empty = tmp_path / f"zero_{key}.yaml"
+            empty.write_text(yaml.safe_dump({key: 0, "schemes": ["DO"], "trials": 1}))
+            assert main(["run", "--config", str(empty)]) == 2
         assert main(["run", "--config", str(tmp_path / "missing.yaml")]) == 2
 
     def test_validate_subcommand(self, tmp_path, capsys, fits_all_active, scenario_desk):

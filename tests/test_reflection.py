@@ -20,6 +20,7 @@ from actris.reflection import (
     FitParams,
     amplitude_from_normalized,
     approx_amplitude_bounds,
+    class_fits,
     exact_bound_curves,
     fit_amplitude_model,
     realize_design,
@@ -108,6 +109,65 @@ class TestNormalizedAmplitude:
     def test_rejects_out_of_range_control(self, active_fit):
         with pytest.raises(ValueError):
             amplitude_from_normalized(active_fit, 0.3, 1.2)
+
+
+def per_cell_arrays(active_fit, passive_fit, mask):
+    """Coefficient arrays built cell by cell from one FitParams per element."""
+    cells = [active_fit if a else passive_fit for a in mask]
+    names = ("delta_min", "delta_max", "beta_min", "beta_max", "theta")
+    return {name: np.array([getattr(f, name) for f in cells]) for name in names}
+
+
+class TestElementFits:
+    @pytest.mark.parametrize("hardware", ["default", "fig2"])
+    def test_arrays_match_per_cell_reference(self, hardware):
+        from test_ao import _same_bits
+
+        params = circuit.CircuitParams() if hardware == "default" else circuit.fig2_params()
+        active_fit, passive_fit = class_fits(params)
+        rng = np.random.default_rng(23)
+        masks = [np.ones(9, dtype=bool), np.zeros(9, dtype=bool)]
+        masks += [rng.uniform(size=n) < 0.6 for n in (1, 5, 16, 64)]
+        for mask in masks:
+            fits = ElementFits(active_fit, passive_fit, mask)
+            assert fits.n == mask.size and np.array_equal(fits.active_mask, mask)
+            ref = per_cell_arrays(active_fit, passive_fit, mask)
+            for name, arr in ref.items():
+                assert _same_bits(getattr(fits, name), arr), name
+            y = ref["delta_max"] - ref["delta_min"]
+            assert _same_bits(fits.y, y)
+            assert _same_bits(fits.x, (ref["beta_max"] - ref["beta_min"]) - y)
+            # the bounds keep the bits of the per-cell (x + y) form
+            phi = rng.uniform(0.0, TWO_PI, mask.size)
+            cos_term = np.cos(phi + ref["theta"]) + 1.0
+            lower, upper = fits.bounds(phi)
+            assert _same_bits(lower, 0.5 * y * cos_term + ref["delta_min"])
+            assert _same_bits(upper, 0.5 * (fits.x + y) * cos_term + ref["beta_min"])
+
+    def test_from_classes_is_the_constructor(self, active_fit, passive_fit):
+        mask = np.array([True, False, True])
+        a = ElementFits.from_classes(active_fit, passive_fit, active_mask=mask)
+        b = ElementFits(active_fit, passive_fit, mask)
+        assert all(np.array_equal(getattr(a, k), getattr(b, k))
+                   for k in ("delta_min", "delta_max", "beta_min", "beta_max", "theta"))
+
+    def test_class_fits_are_cached_per_hardware(self, active_fit, passive_fit):
+        first = class_fits(circuit.CircuitParams())
+        again = class_fits(circuit.CircuitParams())
+        assert again[0] is first[0] and again[1] is first[1]
+        assert first == (active_fit, passive_fit)
+        assert class_fits(circuit.fig2_params())[0] != first[0]
+
+    def test_normalized_amplitude_inverts_the_forward_map(self, active_fit, passive_fit):
+        rng = np.random.default_rng(29)
+        mask = rng.uniform(size=12) < 0.7
+        fits = ElementFits(active_fit, passive_fit, mask)
+        phi = rng.uniform(0.0, TWO_PI, 12)
+        alpha_bar = np.where(mask, rng.uniform(0.0, 1.0, 12), 0.0)
+        alpha = amplitude_from_normalized(fits, phi, alpha_bar)
+        back = reflection.normalized_amplitude(fits, phi, alpha)
+        assert np.allclose(back, alpha_bar, atol=1e-12)
+        assert not back[~mask].any()
 
 
 class TestReflectionVector:
