@@ -123,9 +123,6 @@ class _CircuitSearchSpace:
         ])
         self.dim = self.lower.size
 
-    def sample(self, rng):
-        return rng.uniform(self.lower, self.upper)
-
     def decode(self, x):
         k = x.shape[0]
         r = np.full((k, self.n), self.params.r_passive)
@@ -180,13 +177,19 @@ class _CircuitSearchSpace:
         # defensively in case of numerical corner cases
         gamma = circuit._gamma(self.params, c, r)
         f = circuit.resistance_range(self.params, np.angle(gamma) % (2 * np.pi))
-        r = np.where(np.abs(r) > f, -np.minimum(np.abs(r), f), r)
+        clamped = np.abs(r) > f
+        r = np.where(clamped, -np.minimum(np.abs(r), f), r)
+        changed = clamped.any(axis=1)
 
         powers = np.zeros(r.shape)
         powers[:, self.active] = circuit.power_consumption(r[:, self.active], self.params)
-        for k in np.flatnonzero(powers.sum(axis=1) > self.scenario.p_ris_w + 1e-12):
+        over = np.flatnonzero(powers.sum(axis=1) > self.scenario.p_ris_w + 1e-12)
+        for k in over:
             self._relax_to_budget(r[k], powers[k])
-        gamma = circuit._gamma(self.params, c, r)
+        changed[over] = True
+        # gamma is elementwise in (c, r): only rows whose r moved need it again
+        if changed.any():
+            gamma[changed] = circuit._gamma(self.params, c[changed], r[changed])
         return self.encode(r, c, v), r, c, v, gamma
 
     def fitness(self, x):
@@ -233,29 +236,29 @@ def run_ga(scenario, ch, fits, budget, rng):
 
     Tournament selection of size two, uniform blend crossover, Gaussian
     mutation at rate 1/dimension with a step of 5 percent of each range, and
-    single-individual elitism. Each generation is scored in one population
-    call once all its children are drawn.
+    single-individual elitism. The initial population is one uniform draw
+    over the box. Each generation breeds its K - 1 children from four array
+    draws, in this order: the tournament index pairs (parent A's row, then
+    parent B's; ties go to the first index), the blend weights, the mutation
+    mask and the mutation noise. It then scores them in one population call.
     """
     space = _CircuitSearchSpace(scenario, ch, fits)
-    k, p = budget.k, budget.p
-    pop, fitness, phenos = space.fitness(np.array([space.sample(rng) for _ in range(k)]))
+    k, p, dim = budget.k, budget.p, space.dim
+    pop, fitness, phenos = space.fitness(rng.uniform(space.lower, space.upper, size=(k, dim)))
     sigma = 0.05 * (space.upper - space.lower)
     best_idx = int(np.argmax(fitness))
     best_fit, best_pheno = fitness[best_idx], _individual(phenos, best_idx)
     for _ in range(p - 1):
         elite = np.argsort(fitness)[::-1][:1]
-        children = []
-        while len(children) < k - 1:
-            ia, ib = rng.integers(0, k, size=2)
-            pa = pop[ia] if fitness[ia] >= fitness[ib] else pop[ib]
-            ia, ib = rng.integers(0, k, size=2)
-            pb = pop[ia] if fitness[ia] >= fitness[ib] else pop[ib]
-            u = rng.uniform(0.0, 1.0, size=space.dim)
-            child = u * pa + (1.0 - u) * pb
-            mutate = rng.uniform(size=space.dim) < 1.0 / space.dim
-            child = np.where(mutate, child + sigma * rng.standard_normal(space.dim), child)
-            children.append(child)  # repair clips it into the box
-        kids, kid_fit, kid_phenos = space.fitness(np.array(children))
+        pairs = rng.integers(0, k, size=(2, k - 1, 2))
+        u = rng.uniform(0.0, 1.0, size=(k - 1, dim))
+        mutate = rng.uniform(size=(k - 1, dim)) < 1.0 / dim
+        noise = rng.standard_normal((k - 1, dim))
+        i, j = pairs[..., 0], pairs[..., 1]
+        pa, pb = pop[np.where(fitness[i] >= fitness[j], i, j)]
+        blend = u * pa + (1.0 - u) * pb
+        children = np.where(mutate, blend + sigma * noise, blend)  # repair clips into the box
+        kids, kid_fit, kid_phenos = space.fitness(children)
         pop = np.concatenate([pop[elite], kids])
         fitness = np.concatenate([fitness[elite], kid_fit])
         phenos = tuple(np.concatenate([a[elite], b]) for a, b in zip(phenos, kid_phenos))
@@ -277,7 +280,7 @@ def run_pso(scenario, ch, fits, budget, rng):
     space = _CircuitSearchSpace(scenario, ch, fits)
     k, p = budget.k, budget.p
     omega, c1, c2 = 0.72, 1.49, 1.49
-    x, fit, phenos = space.fitness(np.array([space.sample(rng) for _ in range(k)]))
+    x, fit, phenos = space.fitness(rng.uniform(space.lower, space.upper, size=(k, space.dim)))
     vel = np.zeros_like(x)
     span = space.upper - space.lower
     pbest = x.copy()

@@ -119,6 +119,23 @@ class TestMetaheuristics:
                      np.random.default_rng(13))
         assert r6.rate >= r1.rate - 1e-12
 
+    def test_ga_draw_order(self, fits_all_active):
+        import dataclasses
+
+        sc, ch = self._setup(2)
+        budget = dataclasses.replace(budget_from_ao(sc, j_alt=4, j_p=1), p=2)
+        rng = np.random.default_rng(21)
+        run_ga(sc, ch, fits_all_active, budget, rng)
+        space = _CircuitSearchSpace(sc, ch, fits_all_active)
+        k, dim = budget.k, space.dim
+        want = np.random.default_rng(21)
+        want.uniform(space.lower, space.upper, size=(k, dim))
+        want.integers(0, k, size=(2, k - 1, 2))
+        want.uniform(0.0, 1.0, size=(k - 1, dim))
+        want.uniform(size=(k - 1, dim))
+        want.standard_normal((k - 1, dim))
+        assert rng.bit_generator.state == want.bit_generator.state
+
     def test_repair_respects_both_budgets(self, fits_all_active):
         sc, ch = self._setup(6)
         budget = budget_from_ao(sc, j_alt=4, j_p=1)
@@ -203,7 +220,7 @@ class _SequentialSpace:
 def _reference_ga(seq, budget, rng):
     space = seq.space
     k, p = budget.k, budget.p
-    pop = [space.sample(rng) for _ in range(k)]
+    pop = [rng.uniform(space.lower, space.upper) for _ in range(k)]
     fitness = np.empty(k)
     phenos = [None] * k
     for i in range(k):
@@ -215,16 +232,18 @@ def _reference_ga(seq, budget, rng):
         order = np.argsort(fitness)[::-1]
         elite = pop[order[0]].copy()
         elite_fit, elite_pheno = fitness[order[0]], phenos[order[0]]
+        pairs = rng.integers(0, k, size=(2, k - 1, 2))
+        u = rng.uniform(0.0, 1.0, size=(k - 1, space.dim))
+        mutate = rng.uniform(size=(k - 1, space.dim)) < 1.0 / space.dim
+        noise = rng.standard_normal((k - 1, space.dim))
         children = [elite]
-        while len(children) < k:
-            ia, ib = rng.integers(0, k, size=2)
+        for c in range(k - 1):
+            ia, ib = pairs[0, c]
             pa = pop[ia] if fitness[ia] >= fitness[ib] else pop[ib]
-            ia, ib = rng.integers(0, k, size=2)
+            ia, ib = pairs[1, c]
             pb = pop[ia] if fitness[ia] >= fitness[ib] else pop[ib]
-            u = rng.uniform(0.0, 1.0, size=space.dim)
-            child = u * pa + (1.0 - u) * pb
-            mutate = rng.uniform(size=space.dim) < 1.0 / space.dim
-            child = np.where(mutate, child + sigma * rng.standard_normal(space.dim), child)
+            child = u[c] * pa + (1.0 - u[c]) * pb
+            child = np.where(mutate[c], child + sigma * noise[c], child)
             children.append(np.clip(child, space.lower, space.upper))
         pop = children
         fitness[0], phenos[0] = elite_fit, elite_pheno
@@ -240,7 +259,7 @@ def _reference_pso(seq, budget, rng):
     space = seq.space
     k, p = budget.k, budget.p
     omega, c1, c2 = 0.72, 1.49, 1.49
-    x = np.array([space.sample(rng) for _ in range(k)])
+    x = np.array([rng.uniform(space.lower, space.upper) for _ in range(k)])
     vel = np.zeros_like(x)
     span = space.upper - space.lower
     pbest = x.copy()
