@@ -175,7 +175,7 @@ class _CircuitSearchSpace:
 
         # any realized (R, C) already satisfies |R| <= F(arg gamma); clamp
         # defensively in case of numerical corner cases
-        gamma = circuit._gamma(self.params, c, r)
+        gamma = circuit.reflection(self.params, r, c)
         f = circuit.resistance_range(self.params, np.angle(gamma) % (2 * np.pi))
         clamped = np.abs(r) > f
         r = np.where(clamped, -np.minimum(np.abs(r), f), r)
@@ -187,9 +187,9 @@ class _CircuitSearchSpace:
         for k in over:
             self._relax_to_budget(r[k], powers[k])
         changed[over] = True
-        # gamma is elementwise in (c, r): only rows whose r moved need it again
+        # gamma is elementwise in (r, c): only rows whose r moved need it again
         if changed.any():
-            gamma[changed] = circuit._gamma(self.params, c[changed], r[changed])
+            gamma[changed] = circuit.reflection(self.params, r[changed], c[changed])
         return self.encode(r, c, v), r, c, v, gamma
 
     def fitness(self, x):

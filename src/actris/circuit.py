@@ -12,12 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    CapacitanceRangeError,
-    CircuitError,
-    InfeasiblePhaseError,
-    PhaseNotRealizableError,
-)
+from .errors import CircuitError, PhaseNotRealizableError
 from .numerics import lambert_w0
 
 TWO_PI = 2.0 * np.pi
@@ -76,41 +71,26 @@ def fig2_params():
     return CircuitParams(r0=0.5)
 
 
-def _impedance(p, c, r):
+def _impedance(p, r, c):
     series = 1j * p.omega * p.l2 + 1.0 / (1j * p.omega * c) + r
     return (1j * p.omega * p.l1 * series) / (1j * p.omega * p.l1 + series)
 
 
-def _gamma_of_z(p, z):
+def reflection(p, r, c):
+    """Reflection coefficients of cells at resistances r and capacitances c,
+    elementwise: the mismatch (Z - Z0) / (Z + Z0) of the cell impedance Z."""
+    z = _impedance(p, r, c)
     return (z - p.z0) / (z + p.z0)
 
 
-def _gamma(p, c, r):
-    return _gamma_of_z(p, _impedance(p, c, r))
-
-
-def impedance(p, cell):
-    """Cell impedance of the parallel resonant circuit."""
+def reflection_coeff(p, cell):
+    """Reflection coefficient of one CellState; raises at c <= 0 and at the
+    reflection pole Z = -Z0."""
     if cell.c <= 0.0:
         raise CircuitError("capacitance must be positive")
-    return complex(_impedance(p, cell.c, cell.r))
-
-
-def reflection_coeff(p, cell):
-    """Reflection coefficient from the cell/free-space impedance mismatch."""
-    z = impedance(p, cell)
-    if abs(z + p.z0) < 1e-12 * p.z0:
+    if abs(_impedance(p, cell.r, cell.c) + p.z0) < 1e-12 * p.z0:
         raise CircuitError("impedance equals -Z0: reflection pole (infeasible state)")
-    return complex(_gamma_of_z(p, z))
-
-
-def tunneling_current(v, p, m):
-    """Diode current in the tunneling region for applied voltage v."""
-    if not M_LO <= m <= M_HI:
-        raise ValueError(f"steepness exponent m={m} outside [{M_LO}, {M_HI}]")
-    if v < 0.0:
-        raise ValueError("tunneling current model requires v >= 0")
-    return (v / p.r0) * np.exp(-((v / p.v0) ** m))
+    return complex(reflection(p, cell.r, cell.c))
 
 
 def stable_resistance(m, p):
@@ -237,37 +217,17 @@ def phase_capacitance(p, r, phi):
     with np.errstate(divide="ignore", invalid="ignore"):
         roots = np.stack(np.broadcast_arrays(q / qa, qc / q))
         valid = (roots > 0.0) & np.isfinite(roots) & (disc >= 0.0)
-        realized = np.angle(_gamma(p, roots, r)) % TWO_PI
+        realized = np.angle(reflection(p, r, roots)) % TWO_PI
         err = np.where(valid, _phase_distance(realized, phi), np.inf)
     c = np.where(err[1] < err[0], roots[1], roots[0])
     return np.where(np.minimum(err[0], err[1]) <= 1e-6, c, np.nan)[()]
-
-
-def capacitance_for_phase(p, r, phi):
-    """Capacitance that realizes reflection phase phi at one resistance r."""
-    c = float(phase_capacitance(p, r, phi))
-    if np.isnan(c):
-        phi = float(phi) % TWO_PI
-        qa, qb, qc = _phase_quadratic(p, r, phi)
-        if qb * qb - 4.0 * qa * qc < 0.0:
-            raise InfeasiblePhaseError(
-                f"|R|={abs(r):.4f} exceeds the feasible range "
-                f"F(phi)={resistance_range(p, phi):.4f}"
-            )
-        raise PhaseNotRealizableError(f"no capacitance realizes phase {phi:.6f} at R={r:.4f}")
-    c_lo, c_hi = p.c_range
-    if not c_lo <= c <= c_hi:
-        raise CapacitanceRangeError(
-            f"realizing capacitance {c:.4g} F outside range [{c_lo:.4g}, {c_hi:.4g}]"
-        )
-    return c
 
 
 def phase_amplitude(p, r, phi):
     """Reflection amplitude of the cell at resistance r that realizes phase
     phi, elementwise; NaN where no capacitance realizes it."""
     with np.errstate(invalid="ignore"):
-        return np.abs(_gamma(p, phase_capacitance(p, r, phi), r))
+        return np.abs(reflection(p, r, phase_capacitance(p, r, phi)))
 
 
 def usable_resistance_band(p, phi):
@@ -313,11 +273,6 @@ def circuit_from_gamma(p, gamma):
         r = np.where(ok, x.real, np.nan)
         c = np.where(ok, 1.0 / (np.abs(x.imag) * w), np.nan)
     return r[()], c[()], ok[()]
-
-
-def realizable_phase(p, r, phi):
-    """True where some positive capacitance realizes phase phi at resistance r."""
-    return np.isfinite(phase_capacitance(p, r, phi))
 
 
 def nearest_realizable_cell(p, r, phi, max_offset=0.5):

@@ -11,7 +11,6 @@ from . import reflection
 from .ao import PhaseObjective, _power_fit_arrays, power_repair_loop, rmo_phase_opt
 from .channel import effective_channel, spectral_efficiency
 from .errors import InfeasibleBudgetError
-from .numerics import svd
 
 
 def waterfill(gains, p_t):
@@ -57,7 +56,7 @@ def svd_precoder_combiner(ch, gamma, scenario):
     streams that receive power.
     """
     heff = effective_channel(ch, gamma)
-    u1, lam, u2h = svd(heff)
+    u1, lam, u2h = np.linalg.svd(heff, full_matrices=False)
     d = min(scenario.d, lam.size)
     u1 = u1[:, :d]
     u2 = u2h.conj().T[:, :d]

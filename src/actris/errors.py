@@ -25,13 +25,5 @@ class CircuitError(SimulationError):
     """Base class for unit-cell circuit model failures."""
 
 
-class InfeasiblePhaseError(CircuitError):
-    """No real capacitance solves the phase equation for the given resistance."""
-
-
 class PhaseNotRealizableError(CircuitError):
     """The requested reflection phase lies outside the realizable locus."""
-
-
-class CapacitanceRangeError(CircuitError):
-    """The realizing capacitance falls outside the tunable range."""

@@ -139,10 +139,7 @@ def _circuit_from_config(d):
         kwargs["c_range"] = (lo, hi)
     if "r_passive_ohm" in d:
         kwargs["r_passive"] = float(d["r_passive_ohm"])
-    try:
-        return CircuitParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return CircuitParams(**kwargs)
 
 
 def load_config(path):
@@ -153,11 +150,24 @@ def load_config(path):
     unit-less keys are rejected.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     return spec_from_dict(raw or {})
 
 
 def spec_from_dict(raw):
+    """Experiment spec of a configuration mapping. A value that does not
+    convert (text for a number, a list for a scalar, a null or scalar where
+    a list belongs) or that the scenario rejects raises ConfigError."""
+    try:
+        return _parse_spec(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse_spec(raw):
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a mapping")
     unknown = set(raw) - _CONFIG_KEYS
@@ -213,10 +223,7 @@ def spec_from_dict(raw):
         kwargs["seed"] = int(raw["seed"])
     if "circuit" in raw:
         kwargs["circuit"] = _circuit_from_config(raw["circuit"] or {})
-    try:
-        scenario = ScenarioConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    scenario = ScenarioConfig(**kwargs)
     if "rho_db" in raw:
         scenario = scenario.with_rho_db(float(raw["rho_db"]))
 
@@ -552,31 +559,6 @@ def export_csv(rows, path):
             )) + "\n")
 
 
-def parse_csv(path):
-    """Read back an exported CSV into ResultRow records."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ConfigError(f"unexpected CSV header: {header}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            scheme, _, error = parts[1].partition("!")
-            rows.append(ResultRow(
-                trial=int(parts[0]),
-                scheme=scheme,
-                sweep_value=float(parts[2]),
-                rate_bps_hz=float(parts[3]),
-                ris_power_w=float(parts[4]),
-                tx_power_w=float(parts[5]),
-                iterations_used=int(parts[6]),
-                wall_ms=float(parts[7]),
-                seed=int(parts[8]),
-                error=error,
-            ))
-    return rows
-
-
 def summarize(rows):
     """Mean and standard error of the rate per (scheme, sweep value).
 
@@ -632,16 +614,19 @@ def load_design(path):
     from .reflection import RISDesign
 
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    design = RISDesign(
-        phi=np.asarray(payload["phi"], dtype=float),
-        alpha_bar=np.asarray(payload["alpha_bar"], dtype=float),
-        active_mask=np.asarray(payload["active_mask"], dtype=bool),
-        gamma=np.asarray(payload["gamma_re"]) + 1j * np.asarray(payload["gamma_im"]),
-        r=payload["cells_r"],
-        c=payload["cells_c"],
-        ris_power_w=float(payload["ris_power_w"]),
-        band=payload.get("band", "approx"),
-    )
-    v = np.asarray(payload["v_re"]) + 1j * np.asarray(payload["v_im"])
+        try:
+            payload = json.load(fh)
+            design = RISDesign(
+                phi=np.asarray(payload["phi"], dtype=float),
+                alpha_bar=np.asarray(payload["alpha_bar"], dtype=float),
+                active_mask=np.asarray(payload["active_mask"], dtype=bool),
+                gamma=np.asarray(payload["gamma_re"]) + 1j * np.asarray(payload["gamma_im"]),
+                r=payload["cells_r"],
+                c=payload["cells_c"],
+                ris_power_w=float(payload["ris_power_w"]),
+                band=payload.get("band", "approx"),
+            )
+            v = np.asarray(payload["v_re"]) + 1j * np.asarray(payload["v_im"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed design file {path}: {exc!r}") from exc
     return design, v

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: Lambert W, bisection, factorizations, FD oracle."""
+"""Shared numerical kernels: Lambert W, bisection, Hermitian eigendecomposition."""
 
 import numpy as np
 
@@ -80,26 +80,3 @@ def hermitian_eig(a):
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
-
-
-def svd(a):
-    """Singular value decomposition, numpy convention: a = u @ diag(s) @ vh."""
-    return np.linalg.svd(np.asarray(a), full_matrices=False)
-
-
-def fd_gradient(f, x, h=1e-6):
-    """Central-difference gradient of a real scalar field over a complex vector.
-
-    Component k is df/dRe(x_k) + 1j * df/dIm(x_k), i.e. twice the conjugate
-    Wirtinger derivative, matching the convention of the analytic gradients.
-    """
-    x = np.asarray(x, dtype=complex)
-    g = np.zeros_like(x)
-    for k in range(x.size):
-        e = np.zeros_like(x)
-        e[k] = h
-        d_re = (f(x + e) - f(x - e)) / (2.0 * h)
-        e[k] = 1j * h
-        d_im = (f(x + e) - f(x - e)) / (2.0 * h)
-        g[k] = d_re + 1j * d_im
-    return g

@@ -1,10 +1,10 @@
-"""Cosine-fit phase-amplitude model and assembly of the reflection vector.
+"""Cosine-fit phase-amplitude model and circuit realization of designs.
 
 The exact amplitude bounds of the circuit model are fitted once per element
 class with shifted cosines; the resulting closed form is what the optimizers
-differentiate. The N-element reflection vector is assembled elementwise from
-the fit coefficients (the Kronecker-structured form collapses to a quadratic
-polynomial in the unit-modulus phasors).
+differentiate. The fit coefficients make the N-element reflection vector a
+quadratic polynomial in the unit-modulus phasors (the Kronecker-structured
+form collapses to it elementwise); designs are then realized cell by cell.
 """
 
 import warnings
@@ -183,19 +183,6 @@ class ElementFits:
         ).astype(complex)
         z = 0.25 * np.exp(-1j * self.theta) * mix
         return z2, z1, z
-
-
-def reflection_vector(phi, alpha_bar, fits):
-    """Reflection coefficients of all N elements for phases and amplitude controls."""
-    phi = np.asarray(phi, dtype=float)
-    alpha_bar = np.asarray(alpha_bar, dtype=float)
-    if not phi.shape == alpha_bar.shape == (fits.n,):
-        raise ValueError("phi, alpha_bar and fits must agree on the element count")
-    if np.any(alpha_bar < 0.0) or np.any(alpha_bar > 1.0):
-        raise ValueError("normalized amplitude outside [0, 1]")
-    z2, z1, z = fits.coefficients(alpha_bar)
-    phasor = np.exp(1j * phi)
-    return z2 * phasor**2 + z1 * phasor + z
 
 
 @dataclass(init=False)

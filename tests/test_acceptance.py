@@ -34,7 +34,7 @@ from actris.harness import (
     trial_channels,
     _scenario_for,
 )
-from actris.numerics import fd_gradient, lambert_w0
+from actris.numerics import lambert_w0
 from actris.reflection import (
     ElementFits,
     approx_amplitude_bounds,
@@ -43,6 +43,7 @@ from actris.reflection import (
     fit_amplitude_model,
 )
 from conftest import desk_scenario
+from test_numerics import fd_gradient
 
 ACCEPTANCE_LOG = []
 TWO_PI = 2.0 * np.pi
@@ -94,13 +95,13 @@ def test_criterion_03_phase_realization(params_va):
     band = (circuit.stable_resistance(1.0, params_va), circuit.stable_resistance(3.0, params_va))
     draws = np.array([(rng.uniform(*band), rng.uniform(0.3e-12, 20e-12)) for _ in range(1000)])
     r, c = draws.T
-    g = circuit._gamma(params_va, c, r)
+    g = circuit.reflection(params_va, r, c)
     phi = np.angle(g) % TWO_PI
     c_back = circuit.phase_capacitance(params_va, r, phi)
-    realized = np.angle(circuit._gamma(params_va, c_back, r)) % TWO_PI
+    realized = np.angle(circuit.reflection(params_va, r, c_back)) % TWO_PI
     worst_phase = np.max(np.abs((realized - phi + np.pi) % TWO_PI - np.pi))
     r_inv, c_inv, _ = circuit.circuit_from_gamma(params_va, g)
-    worst_gamma = np.max(np.abs(circuit._gamma(params_va, c_inv, r_inv) - g))
+    worst_gamma = np.max(np.abs(circuit.reflection(params_va, r_inv, c_inv) - g))
     ok = worst_phase <= 1e-6 and worst_gamma <= 1e-9
     report(3, ok, f"phase err {worst_phase:.2e} rad, reflection roundtrip err {worst_gamma:.2e}")
 

@@ -39,16 +39,16 @@ from actris.harness import (
     run_experiment,
     trial_channels,
 )
-from actris.numerics import fd_gradient
+from test_numerics import fd_gradient
 from actris.reflection import (
     ElementFits,
     approx_amplitude_bounds,
     realize_design,
     realize_minimum_power,
-    reflection_vector,
 )
 from conftest import desk_scenario
 from test_channel import random_channels, selector_matrix
+from test_reflection import model_gamma
 
 TWO_PI = 2.0 * np.pi
 
@@ -437,7 +437,7 @@ class TestLinearPowerFit:
         rng = np.random.default_rng(99)
         worst = 0.0
         for phi in rng.uniform(0, TWO_PI, 40):
-            if not circuit.realizable_phase(params_va, -5.0, phi):
+            if np.isnan(circuit.phase_capacitance(params_va, -5.0, phi)):
                 continue
             errs, p_min, p_max = self._surrogate_errors(params_va, active_fit, phi)
             worst = max(worst, errs.max() / p_max)
@@ -936,7 +936,7 @@ def _trial_objectives(sc, active_fit, passive_fit, seed):
     v = rng.standard_normal((sc.m_t, sc.d)) + 1j * rng.standard_normal((sc.m_t, sc.d))
     v *= np.sqrt(sc.p_t_w / np.trace(v.conj().T @ v).real)
     alpha_bar = np.where(mask, rng.uniform(0.0, 1.0, sc.n), 0.0)
-    gamma = reflection_vector(rng.uniform(0.0, TWO_PI, sc.n), alpha_bar, fits)
+    gamma = model_gamma(fits, rng.uniform(0.0, TWO_PI, sc.n), alpha_bar)
     y, sig = lmmse_receiver(ch, v, gamma, sc)
     v = precoder_update(ch, y, sig, gamma, sc)
     cascade = cascade_norm_objective(ch, fits, np.ones(sc.n))

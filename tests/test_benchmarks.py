@@ -185,7 +185,7 @@ class _SequentialSpace:
         if tx > sp.scenario.p_t_w:
             self.rescaled += 1
             v = v * np.sqrt(sp.scenario.p_t_w / tx)
-        gamma = circuit._gamma(sp.params, c, r)
+        gamma = circuit.reflection(sp.params, r, c)
         f = circuit.resistance_range(sp.params, np.angle(gamma) % (2 * np.pi))
         over = np.abs(r) > f
         if over.any():
@@ -209,7 +209,7 @@ class _SequentialSpace:
             new_p = circuit.power_consumption(r[i], sp.params)
             total += new_p - powers[i]
             powers[i] = new_p
-        gamma = circuit._gamma(sp.params, c, r)
+        gamma = circuit.reflection(sp.params, r, c)
         return self.encode(r, c, v), r, c, v, gamma
 
     def fitness(self, x):
@@ -324,6 +324,19 @@ class TestPopulationOracle:
         budget = budget_from_ao(sc, j_alt=6, j_p=1)
         seqs = self._compare(sc, 5, budget, fits_of)
         assert all(seq.relaxed > 0 for seq in seqs)
+
+    def test_best_individual_is_a_bred_child(self, fits_of):
+        import dataclasses
+
+        sc = desk_scenario(p_ris_w=0.2, n_act=11)
+        budget = budget_from_ao(sc, j_alt=20, j_p=1)
+        ch, mask = trial_channels(sc, 5, 0, 0)
+        fits = fits_of(mask)
+        initial = run_ga(sc, ch, fits, dataclasses.replace(budget, p=1), np.random.default_rng(5))
+        bred = run_ga(sc, ch, fits, budget, np.random.default_rng(5))
+        # precondition: the best individual comes from a bred generation
+        assert bred.rate > initial.rate
+        self._compare(sc, 5, budget, fits_of)
 
     def test_transmit_rescale_and_partly_passive_surface(self, fits_of):
         sc = desk_scenario(n_act=11)

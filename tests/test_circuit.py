@@ -3,29 +3,24 @@ import pytest
 
 from actris import circuit
 from actris.circuit import (
+    M_HI,
+    M_LO,
     CellState,
     CircuitParams,
-    capacitance_for_phase,
     circuit_from_gamma,
     exact_amplitude_bounds,
     feasibility_condition,
     nearest_realizable_cell,
     phase_capacitance,
-    impedance,
     m_from_resistance,
     power_consumption,
+    reflection,
     reflection_coeff,
     resistance_range,
     stable_resistance,
-    tunneling_current,
     usable_resistance_band,
 )
-from actris.errors import (
-    CapacitanceRangeError,
-    CircuitError,
-    InfeasiblePhaseError,
-    PhaseNotRealizableError,
-)
+from actris.errors import CircuitError, PhaseNotRealizableError
 from test_numerics import reference_lambert_w0
 
 TWO_PI = 2.0 * np.pi
@@ -39,6 +34,16 @@ def reference_power(r, p):
     return (p.v0**2 / p.r0) * (w + 1.0) ** (2.0 * w)
 
 
+def tunneling_current(v, p, m):
+    """Diode current in the tunneling region for applied voltage v: the
+    reference the stability-point power law is checked against."""
+    if not M_LO <= m <= M_HI:
+        raise ValueError(f"steepness exponent m={m} outside [{M_LO}, {M_HI}]")
+    if v < 0.0:
+        raise ValueError("tunneling current model requires v >= 0")
+    return (v / p.r0) * np.exp(-((v / p.v0) ** m))
+
+
 def random_band_cells(params, rng, count, c_lo=0.3e-12, c_hi=20e-12):
     """Random in-band (R, C) pairs; feasibility holds by construction."""
     r = rng.uniform(stable_resistance(1.0, params), stable_resistance(3.0, params), count)
@@ -48,8 +53,10 @@ def random_band_cells(params, rng, count, c_lo=0.3e-12, c_hi=20e-12):
 
 class TestImpedance:
     def test_large_resistance_opens_series_branch(self, params_fig2):
-        z = impedance(params_fig2, CellState(r=1e9, c=1e-12))
-        assert z == pytest.approx(1j * params_fig2.omega * params_fig2.l1, rel=1e-6)
+        # the open series branch leaves the bottom-layer inductance alone
+        z = 1j * params_fig2.omega * params_fig2.l1
+        g = reflection(params_fig2, 1e9, 1e-12)
+        assert g == pytest.approx((z - params_fig2.z0) / (z + params_fig2.z0), rel=1e-6)
 
     def test_against_high_precision_arithmetic(self, params_fig2):
         # independent evaluation with 50-digit arithmetic
@@ -57,12 +64,15 @@ class TestImpedance:
 
         with mpmath.workdps(50):
             w = mpmath.mpf(2) * mpmath.pi * mpmath.mpf("2.4e9")
-            l1, l2, c, r = (mpmath.mpf(x) for x in ("4.5e-9", "0.7e-9", "1e-12", "1"))
+            l1, l2, c, r, z0 = (
+                mpmath.mpf(x) for x in ("4.5e-9", "0.7e-9", "1e-12", "1", "377")
+            )
             j = mpmath.mpc(0, 1)
             series = j * w * l2 + 1 / (j * w * c) + r
             z_ref = (j * w * l1 * series) / (j * w * l1 + series)
-        z = impedance(params_fig2, CellState(r=1.0, c=1e-12))
-        assert abs(z - complex(z_ref)) / abs(complex(z_ref)) < 1e-12
+            g_ref = complex((z_ref - z0) / (z_ref + z0))
+        g = reflection(params_fig2, 1.0, 1e-12)
+        assert abs(g - g_ref) / abs(g_ref) < 1e-12
 
     def test_negative_resistance_amplifies(self, params_fig2):
         a_passive = abs(reflection_coeff(params_fig2, CellState(r=1.0, c=1e-12)))
@@ -71,16 +81,15 @@ class TestImpedance:
 
     def test_rejects_zero_capacitance(self, params_fig2):
         with pytest.raises(CircuitError):
-            impedance(params_fig2, CellState(r=1.0, c=0.0))
+            reflection_coeff(params_fig2, CellState(r=1.0, c=0.0))
 
 
 class TestReflection:
     def test_matched_load_reflects_nothing(self, params_va):
-        # invert gamma = 0 and verify the cell impedance equals Z0
+        # invert gamma = 0 and verify the cell reflects nothing back
         r, c, ok = circuit_from_gamma(params_va, 0.0)
         assert ok
-        z = impedance(params_va, CellState(r=float(r), c=float(c)))
-        assert z == pytest.approx(params_va.z0, abs=1e-6)
+        assert abs(reflection(params_va, float(r), float(c))) < 1e-9
 
     def test_near_resonance_reflects_fully(self, params_va):
         # parallel resonance with a tiny loss: |Z| huge, gamma near +1
@@ -91,7 +100,7 @@ class TestReflection:
     def test_passive_sweep_peak_amplitude(self, params_va):
         # quoted varactor range of the reference hardware
         cs = np.linspace(0.85e-12, 6.25e-12, 20000)
-        amps = np.abs(circuit._gamma(params_va, cs, params_va.r_passive))
+        amps = np.abs(reflection(params_va, params_va.r_passive, cs))
         assert amps.max() == pytest.approx(0.99, rel=0.02)
 
 
@@ -216,23 +225,23 @@ class TestCapacitanceForPhase:
         rng = np.random.default_rng(21)
         rs, cs = random_band_cells(params_va, rng, 200)
         for r, c in zip(rs, cs):
-            phi = float(np.angle(circuit._gamma(params_va, c, r)) % TWO_PI)
-            c_back = capacitance_for_phase(params_va, r, phi)
-            realized = np.angle(circuit._gamma(params_va, c_back, r)) % TWO_PI
+            phi = float(np.angle(reflection(params_va, r, c)) % TWO_PI)
+            c_back = phase_capacitance(params_va, r, phi)
+            realized = np.angle(reflection(params_va, r, c_back)) % TWO_PI
             assert abs((realized - phi + np.pi) % TWO_PI - np.pi) < 1e-6
             assert c_back == pytest.approx(c, rel=1e-6)
 
     def test_near_tan_singularity(self, params_va):
         for phi in (np.pi / 2, np.pi / 2 - 1e-3, np.pi / 2 + 1e-3, 3 * np.pi / 2):
-            c = capacitance_for_phase(params_va, -5.0, phi)
-            realized = np.angle(circuit._gamma(params_va, c, -5.0)) % TWO_PI
+            c = phase_capacitance(params_va, -5.0, phi)
+            realized = np.angle(reflection(params_va, -5.0, c)) % TWO_PI
             assert abs((realized - phi + np.pi) % TWO_PI - np.pi) < 1e-6
 
     def test_resistance_beyond_range_is_infeasible(self, params_va):
         phi = 1.2147  # near the minimum of the feasible range
         f = resistance_range(params_va, phi)
-        with pytest.raises(InfeasiblePhaseError):
-            capacitance_for_phase(params_va, -(f * 1.01), phi)
+        qa, qb, qc = circuit._phase_quadratic(params_va, -(f * 1.01), phi)
+        assert qb * qb - 4.0 * qa * qc < 0.0
         assert np.isnan(phase_capacitance(params_va, -(f * 1.01), phi))
 
     def test_equal_phase_errors_take_the_first_root(self, params_va):
@@ -243,7 +252,7 @@ class TestCapacitanceForPhase:
         q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
         first, second = q / qa, qc / q
         errs = [
-            circuit._phase_distance(np.angle(circuit._gamma(params_va, c, r)) % TWO_PI, phi)
+            circuit._phase_distance(np.angle(reflection(params_va, r, c)) % TWO_PI, phi)
             for c in (first, second)
         ]
         assert first != second and errs[0] == errs[1] <= 1e-6
@@ -254,7 +263,7 @@ class TestCapacitanceForPhase:
         phis = np.array([1.0, 2.94, 3.0])
         c, offset = nearest_realizable_cell(params_va, params_va.r_passive, phis)
         assert offset[0] == 0.0 and offset[1] != 0.0
-        realized = np.angle(circuit._gamma(params_va, c, params_va.r_passive)) % TWO_PI
+        realized = np.angle(reflection(params_va, params_va.r_passive, c)) % TWO_PI
         assert np.all(np.abs((realized - phis - offset + np.pi) % TWO_PI - np.pi) < 1e-6)
         # no earlier offset of the schedule +2 mrad, -2 mrad, +3.2 mrad, ...
         # realizes the phase
@@ -264,23 +273,15 @@ class TestCapacitanceForPhase:
         schedule = np.ravel([(step, -step) for step in schedule])
         for i in (1, 2):
             earlier = phis[i] + schedule[:np.flatnonzero(schedule == offset[i])[0]]
-            assert not circuit.realizable_phase(params_va, params_va.r_passive, earlier).any()
+            assert np.isnan(phase_capacitance(params_va, params_va.r_passive, earlier)).all()
         with pytest.raises(PhaseNotRealizableError):
             nearest_realizable_cell(params_va, params_va.r_passive, 2.94, max_offset=1e-3)
 
     def test_unrealizable_arc_raises(self, params_va):
         # phases opposite the amplitude peak are not on the reflection locus
+        assert np.isnan(phase_capacitance(params_va, -5.0, 2.94))
         with pytest.raises(PhaseNotRealizableError):
-            capacitance_for_phase(params_va, -5.0, 2.94)
-
-    def test_range_check(self, params_va):
-        import dataclasses
-
-        tight = dataclasses.replace(params_va, c_range=(0.85e-12, 6.25e-12))
-        # phase pi/3 at R=-5 needs roughly 0.77 pF, outside the tight range
-        with pytest.raises(CapacitanceRangeError):
-            capacitance_for_phase(tight, -5.0, np.pi / 3)
-        assert capacitance_for_phase(params_va, -5.0, np.pi / 3) < 0.85e-12
+            nearest_realizable_cell(params_va, -5.0, 2.94, max_offset=0.0)
 
 
 class TestResistanceRange:
@@ -339,13 +340,13 @@ class TestAmplitudeBounds:
     def test_upper_bound_attained_at_most_negative_resistance(self, params_va):
         rng = np.random.default_rng(9)
         phis = rng.uniform(0.0, TWO_PI, 30)
-        phis = phis[circuit.realizable_phase(params_va, -5.0, phis)]
+        phis = phis[np.isfinite(phase_capacitance(params_va, -5.0, phis))]
         lo, hi = exact_amplitude_bounds(params_va, phis)
         r_min, r_max = usable_resistance_band(params_va, phis)
         c = phase_capacitance(params_va, r_min, phis)
-        assert np.abs(circuit._gamma(params_va, c, r_min)) == pytest.approx(hi, rel=1e-12)
+        assert np.abs(reflection(params_va, r_min, c)) == pytest.approx(hi, rel=1e-12)
         c = phase_capacitance(params_va, r_max, phis)
-        assert np.abs(circuit._gamma(params_va, c, r_max)) == pytest.approx(lo, rel=1e-12)
+        assert np.abs(reflection(params_va, r_max, c)) == pytest.approx(lo, rel=1e-12)
 
     def test_peak_amplification_factor(self, params_va):
         # a single active element can supply as much gain as ~30 passive ones
@@ -364,17 +365,17 @@ class TestCircuitFromGamma:
     def test_forward_inverse_identity(self, params_va):
         rng = np.random.default_rng(33)
         rs, cs = random_band_cells(params_va, rng, 1000)
-        g = circuit._gamma(params_va, cs, rs)
+        g = reflection(params_va, rs, cs)
         r, c, ok = circuit_from_gamma(params_va, g)
         assert ok.all()
         assert r == pytest.approx(rs, rel=1e-9)
         assert c == pytest.approx(cs, rel=1e-9)
-        g_back = circuit._gamma(params_va, c, r)
+        g_back = reflection(params_va, r, c)
         assert np.all(np.abs(g_back - g) <= 1e-9 * np.maximum(1.0, np.abs(g)))
 
     def test_passive_sweep_recovers_nonnegative_resistance(self, params_va):
         cs = np.linspace(0.9e-12, 6.0e-12, 100)
-        g = circuit._gamma(params_va, cs, params_va.r_passive)
+        g = reflection(params_va, params_va.r_passive, cs)
         r, _, ok = circuit_from_gamma(params_va, g)
         assert ok.all() and np.all(r >= 0.0)
         assert r == pytest.approx(np.full(100, params_va.r_passive), rel=1e-9)
@@ -397,9 +398,9 @@ class TestPhaseIdentity:
     def test_thousand_random_feasible_pairs(self, params_va):
         rng = np.random.default_rng(44)
         rs, cs = random_band_cells(params_va, rng, 1000)
-        phis = np.angle(circuit._gamma(params_va, cs, rs)) % TWO_PI
+        phis = np.angle(reflection(params_va, rs, cs)) % TWO_PI
         c_back = phase_capacitance(params_va, rs, phis)
-        realized = np.angle(circuit._gamma(params_va, c_back, rs)) % TWO_PI
+        realized = np.angle(reflection(params_va, rs, c_back)) % TWO_PI
         worst = np.max(np.abs((realized - phis + np.pi) % TWO_PI - np.pi))
         assert worst < 1e-6
 

@@ -13,13 +13,13 @@ from actris.errors import ConfigError
 from actris.harness import (
     CSV_HEADER,
     ExperimentSpec,
+    ResultRow,
     SchemeVariant,
     export_csv,
     fig_presets,
     load_config,
     load_design,
     n_full_power,
-    parse_csv,
     run_experiment,
     save_design,
     spec_from_dict,
@@ -30,6 +30,20 @@ from actris.harness import (
     _worker_pool,
 )
 from conftest import desk_scenario
+
+
+def read_rows(path):
+    """ResultRows read back from an exported CSV; a failure tag follows '!'
+    in the scheme cell."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        assert fh.readline() == CSV_HEADER + "\n"
+        for line in fh:
+            trial, cell, sweep, rate, ris, tx, iters, wall, seed = line.rstrip("\n").split(",")
+            scheme, _, error = cell.partition("!")
+            rows.append(ResultRow(int(trial), scheme, float(sweep), float(rate), float(ris),
+                                  float(tx), int(iters), float(wall), int(seed), error))
+    return rows
 
 
 def _blas_threads():
@@ -193,7 +207,7 @@ class TestCsv:
         rows = run_experiment(spec)
         path = tmp_path / "rows.csv"
         export_csv(rows, path)
-        back = parse_csv(path)
+        back = read_rows(path)
         assert back == rows
 
     def test_wall_ms_zero_without_timing_flag(self):
@@ -201,8 +215,6 @@ class TestCsv:
         assert all(r.wall_ms == 0.0 for r in rows)
 
     def test_summary_hand_check(self):
-        from actris.harness import ResultRow
-
         rows = [
             ResultRow(0, "DO", -30.0, 10.0, 0.1, 1e-4, 1, 0.0, 0),
             ResultRow(1, "DO", -30.0, 14.0, 0.1, 1e-4, 1, 0.0, 0),
@@ -213,8 +225,6 @@ class TestCsv:
         assert entry["stderr_rate_bps_hz"] == pytest.approx(2.0 / np.sqrt(3.0))
 
     def test_summary_counts_failed_rows(self):
-        from actris.harness import ResultRow
-
         rows = [
             ResultRow(0, "DO", -30.0, 10.0, 0.1, 1e-4, 1, 0.0, 0),
             ResultRow(1, "DO", -30.0, 0.0, 0.0, 0.0, 0, 0.0, 0, error="ConvergenceError"),
@@ -232,8 +242,6 @@ class TestCsv:
 
     def test_cli_table_shows_failed_counts(self, tmp_path, capsys, monkeypatch):
         from actris import cli
-        from actris.harness import ResultRow
-
         rows = [
             ResultRow(0, "DO", -30.0, 10.0, 0.1, 1e-4, 1, 0.0, 0),
             ResultRow(1, "DO", -30.0, 0.0, 0.0, 0.0, 0, 0.0, 0, error="ValueError"),
@@ -243,8 +251,6 @@ class TestCsv:
         assert "mean=10.0000 bps/Hz failed=1/2 (+/- 0.0000, n=1)" in capsys.readouterr().out
 
     def test_summary_of_constant_column(self):
-        from actris.harness import ResultRow
-
         rows = [ResultRow(i, "DO", -30.0, 5.0, 0.1, 1e-4, 1, 0.0, 0) for i in range(4)]
         (entry,) = summarize(rows)
         assert entry["stderr_rate_bps_hz"] == 0.0
@@ -379,6 +385,25 @@ class TestCli:
             empty.write_text(yaml.safe_dump({key: 0, "schemes": ["DO"], "trials": 1}))
             assert main(["run", "--config", str(empty)]) == 2
         assert main(["run", "--config", str(tmp_path / "missing.yaml")]) == 2
+
+    @pytest.mark.parametrize("command, text", [
+        ("run", "trials: abc\n"),
+        ("run", "m_t: [1, 2]\n"),
+        ("run", "schemes:\n"),
+        ("run", "sweep: {kind: rho_db, values: 5}\n"),
+        ("run", "trials: 2: 3\n"),
+        ("validate", '{"phi": [0.0], "active_mask": [1]}'),
+        ("validate", "phi: [0.0]\n"),
+    ], ids=["text-count", "list-count", "null-schemes", "scalar-sweep", "yaml-syntax",
+            "design-without-alpha-bar", "design-not-json"])
+    def test_malformed_input_is_a_configuration_error(self, tmp_path, capsys, command, text):
+        from actris.cli import main
+
+        path = tmp_path / "input"
+        path.write_text(text)
+        flag = "--config" if command == "run" else "--design"
+        assert main([command, flag, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
     def test_validate_subcommand(self, tmp_path, capsys, fits_all_active, scenario_desk):
         from actris.channel import sample_channels

@@ -2,7 +2,31 @@ import numpy as np
 import pytest
 
 from actris.errors import BracketError
-from actris.numerics import bisect, fd_gradient, hermitian_eig, lambert_w0, svd
+from actris.numerics import bisect, hermitian_eig, lambert_w0
+
+
+def svd(a):
+    """The SVD call of do.svd_precoder_combiner: reduced factors, a = u @ diag(s) @ vh."""
+    return np.linalg.svd(a, full_matrices=False)
+
+
+def fd_gradient(f, x, h=1e-6):
+    """Central-difference gradient of a real scalar field over a complex vector:
+    the reference the analytic phase gradients are checked against.
+
+    Component k is df/dRe(x_k) + 1j * df/dIm(x_k), i.e. twice the conjugate
+    Wirtinger derivative, matching the convention of the analytic gradients.
+    """
+    x = np.asarray(x, dtype=complex)
+    g = np.zeros_like(x)
+    for k in range(x.size):
+        e = np.zeros_like(x)
+        e[k] = h
+        d_re = (f(x + e) - f(x - e)) / (2.0 * h)
+        e[k] = 1j * h
+        d_im = (f(x + e) - f(x - e)) / (2.0 * h)
+        g[k] = d_re + 1j * d_im
+    return g
 
 
 def reference_lambert_w0(x):

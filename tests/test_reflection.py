@@ -9,7 +9,8 @@ from actris import circuit, reflection
 from actris.channel import ScenarioConfig
 from actris.circuit import CellState
 from actris.constraints import validate_design
-from actris.errors import CircuitError, InfeasiblePhaseError, PhaseNotRealizableError
+from actris.ao import PhaseObjective
+from actris.errors import CircuitError, PhaseNotRealizableError
 from actris.harness import _scheme_rng, run_scheme, trial_channels
 from actris.reflection import (
     CLIPPED,
@@ -25,11 +26,16 @@ from actris.reflection import (
     fit_amplitude_model,
     realize_design,
     realize_minimum_power,
-    reflection_vector,
 )
 from conftest import desk_scenario
 
 TWO_PI = 2.0 * np.pi
+
+
+def model_gamma(fits, phi, alpha_bar):
+    """Model reflection vector: PhaseObjective.gamma_of over the fit coefficients."""
+    z2, z1, z = fits.coefficients(alpha_bar)
+    return PhaseObjective(t=None, q=None, z2=z2, z1=z1, z=z).gamma_of(np.exp(1j * phi))
 
 
 def scalar_reflection(fit, phi, alpha_bar):
@@ -179,7 +185,7 @@ class TestReflectionVector:
         for _ in range(1000):
             phi = rng.uniform(0.0, TWO_PI, 12)
             ab = rng.uniform(0.0, 1.0, 12)
-            vec = reflection_vector(phi, ab, fits)
+            vec = model_gamma(fits, phi, ab)
             for i in range(12):
                 fit = active_fit if mask[i] else passive_fit
                 ref = scalar_reflection(fit, phi[i], ab[i])
@@ -194,20 +200,16 @@ class TestReflectionVector:
         ab1 = rng.uniform(0.0, 1.0, 6)
         ab2 = ab1.copy()
         ab2[~mask] = rng.uniform(0.0, 1.0, 4)
-        v1 = reflection_vector(phi, ab1, fits)
-        v2 = reflection_vector(phi, ab2, fits)
+        v1 = model_gamma(fits, phi, ab1)
+        v2 = model_gamma(fits, phi, ab2)
         assert np.array_equal(v1[~mask], v2[~mask])
         assert np.array_equal(v1[mask], v2[mask])
 
     def test_full_gain_at_peak_phase(self, active_fit, passive_fit):
         fits = ElementFits.from_classes(active_fit, passive_fit, np.ones(4, dtype=bool))
         phi = np.full(4, -active_fit.theta % TWO_PI)
-        vec = reflection_vector(phi, np.ones(4), fits)
+        vec = model_gamma(fits, phi, np.ones(4))
         assert np.allclose(np.abs(vec), active_fit.beta_max, atol=1e-9)
-
-    def test_length_mismatch(self, fits_all_active):
-        with pytest.raises(ValueError):
-            reflection_vector(np.zeros(3), np.zeros(3), fits_all_active)
 
 
 # Per-cell reference: the scalar realization path that the vector layer in
@@ -222,7 +224,7 @@ def _ref_phase_roots(p, r, phi):
     else:
         disc = qb * qb - 4.0 * qa * qc
         if disc < 0.0:
-            raise InfeasiblePhaseError("|R| exceeds the feasible range")
+            raise CircuitError("|R| exceeds the feasible range")
         q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
         roots = np.array([q / qa, qc / q]) if q != 0.0 else np.array([0.0, 0.0])
     return roots[roots > 0.0]
@@ -232,7 +234,7 @@ def _ref_capacitance(p, r, phi, tol=1e-6):
     phi = float(phi) % TWO_PI
     best, best_err = None, np.inf
     for c in _ref_phase_roots(p, r, phi):
-        realized = np.angle(circuit._gamma(p, c, r)) % TWO_PI
+        realized = np.angle(circuit.reflection(p, r, c)) % TWO_PI
         err = circuit._phase_distance(realized, phi)
         if err < best_err:
             best, best_err = c, err
@@ -390,13 +392,13 @@ class TestRealizeOracle:
         band_lo, band_hi = circuit.diode_band(params_va)
         pole = _inversion_pole(params_va)
         targets = [
-            circuit._gamma(params_va, 2e-12, -5.0),              # direct
-            circuit._gamma(params_va, 2e-12, 1.2 * band_lo),     # clipped below
-            circuit._gamma(params_va, 2e-12, 0.5 * band_hi),     # clipped above
-            np.exp(1j * 2.94),                                   # inductive branch
-            pole + 1e-13j,                                       # inversion pole
-            0.5 * np.exp(1j * 1.0),                              # passive, exact
-            0.5 * np.exp(1j * 2.94),                             # passive, nudged
+            circuit.reflection(params_va, -5.0, 2e-12),           # direct
+            circuit.reflection(params_va, 1.2 * band_lo, 2e-12),  # clipped below
+            circuit.reflection(params_va, 0.5 * band_hi, 2e-12),  # clipped above
+            np.exp(1j * 2.94),                                    # inductive branch
+            pole + 1e-13j,                                        # inversion pole
+            0.5 * np.exp(1j * 1.0),                               # passive, exact
+            0.5 * np.exp(1j * 2.94),                              # passive, nudged
         ]
         mask = np.array([True] * 5 + [False] * 2)
         fits = ElementFits.from_classes(active_fit, passive_fit, mask)
@@ -494,7 +496,7 @@ def realization_targets(draw):
             r = draw(st.sampled_from([band_lo, band_hi]))
             if kind == "beyond":
                 r *= draw(st.sampled_from([1.3, 0.7]))
-            g = circuit._gamma(params, draw(st.floats(0.3e-12, 20e-12)), r)
+            g = circuit.reflection(params, r, draw(st.floats(0.3e-12, 20e-12)))
         elif kind == "arc":
             g = draw(st.floats(0.5, 1.5)) * np.exp(1j * draw(st.floats(2.85, 3.1)))
         else:
