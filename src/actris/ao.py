@@ -208,20 +208,9 @@ def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
     return phasor, s * np.asarray(trace)
 
 
-# the last surrogate built: the QP re-solves and the power repair of one
-# design step ask for it again at the same phases
-_last_fit = [None, None]
-
-
 def _power_fit_arrays(fits, phi, params):
-    """Per-element linear power surrogate; zeros for passive elements.
-
-    Returns read-only arrays; a repeated call with the same fits, hardware
-    and phases returns the arrays of the previous call.
-    """
-    key, out = _last_fit
-    if key is not None and key[0] is fits and key[1] is params and key[2] == phi.tobytes():
-        return out
+    """Per-element linear power surrogate (p_min, slope, lower, upper) at
+    phases phi; zeros for passive elements."""
     lower, upper = fits.bounds(phi)
     n = phi.size
     p_min = np.zeros(n)
@@ -237,11 +226,7 @@ def _power_fit_arrays(fits, phi, params):
         p_min[active] = p_lo
         # a collapsed band pins the amplitude, so only the floor power counts
         slope[active] = np.where(span > 1e-12, (p_hi - p_lo) / np.maximum(span, 1e-12), 0.0)
-    out = (p_min, slope, lower, upper)
-    for a in out:
-        a.flags.writeable = False
-    _last_fit[:] = (fits, params, phi.tobytes()), out
-    return out
+    return p_min, slope, lower, upper
 
 
 def project_box_halfspace(v, lower, upper, w, b):
@@ -327,23 +312,6 @@ def _face_solve(free, x, m, c_lin, w, b):
     return y, float(sol[-1])
 
 
-def _face_minimizer(x, m, c_lin, lower, upper, w, b):
-    """Exact minimizer of the QP on the face of x; None if infeasible or singular.
-
-    Cells on a box bound stay fixed; the free cells are solved by _face_solve.
-    """
-    free = (x > lower) & (x < upper)
-    if not free.any():
-        return None
-    try:
-        y, _ = _face_solve(free, x, m, c_lin, w, b)
-    except np.linalg.LinAlgError:
-        return None
-    if np.any(y < lower) or np.any(y > upper) or w @ y > b + _budget_slack(b):
-        return None
-    return y
-
-
 def _pivot_face(x, m, c_lin, lower, upper, w, b):
     """Exact QP minimizer by block principal pivoting from the face of x.
 
@@ -397,35 +365,21 @@ def _pivot_face(x, m, c_lin, lower, upper, w, b):
     return None, cap
 
 
-# the phase-only QP data of the last call: the power repair re-solves the
-# QP at the phases of one design step, under other budgets
-_last_qp = [None, None]
-
-
 def _qp_phase_data(obj, phi):
-    """Curvature, linear term and 2 lambda_max of the amplitude QP at phi.
-
-    Returns read-only arrays; a repeated call with the same objective data
-    and phases returns the data of the previous call.
-    """
-    key, out = _last_qp
-    if key is not None and key[0] is obj.t and key[1] is obj.q and key[2] == phi.tobytes():
-        return out
+    """Curvature, linear term and 2 lambda_max of the amplitude QP at phases phi."""
     phasor = np.exp(1j * phi)
     m = np.real(np.conj(phasor)[:, None] * obj.t * phasor[None, :])
     c_lin = -2.0 * np.real(np.conj(phasor) * obj.q)
-    m.flags.writeable = c_lin.flags.writeable = False
-    out = (m, c_lin, 2.0 * float(np.linalg.eigvalsh(m)[-1]))
-    _last_qp[:] = (obj.t, obj.q, phi.tobytes()), out
-    return out
+    return m, c_lin, 2.0 * float(np.linalg.eigvalsh(m)[-1])
 
 
-def amplitude_qp(obj, phi, fits, scenario, budget=None, max_iters=5000, tol=1e-6):
+def amplitude_qp(qp_data, surrogate, budget, max_iters=5000, tol=1e-6):
     """Amplitude subproblem at fixed phases: convex QP over box and budget.
 
-    Minimizes the reflected-signal quadratic subject to the per-element
-    amplitude box and the linearized power budget. From the exact
-    box-halfspace projection of the box midpoint, block principal pivoting
+    Minimizes the reflected-signal quadratic (qp_data, from _qp_phase_data)
+    subject to the per-element amplitude box and the linearized power
+    budget (surrogate, from _power_fit_arrays at the same phases). From the
+    exact box-halfspace projection of the box midpoint, block principal pivoting
     (_pivot_face) finds the optimal face and solves the quadratic on it
     exactly; that point is returned when its projected-gradient fixed-point
     residual, in amplitude units at step 1/L, is within tol. iterations then
@@ -434,15 +388,12 @@ def amplitude_qp(obj, phi, fits, scenario, budget=None, max_iters=5000, tol=1e-6
     monotone Nesterov acceleration (the accelerated candidate is used only
     when it does not increase the objective), for at most max_iters
     iterations. Every 10 iterations the residual is checked against tol;
-    when it fails, the exact minimizer on the iterate's face is returned if
-    it is feasible, does not raise the objective and passes that check, and
+    when it fails, the point the pivoting reaches from the iterate's face is
+    returned if it does not raise the objective and passes that check, and
     the iteration goes on otherwise.
     """
-    budget = scenario.p_ris_w if budget is None else budget
-    phi = np.asarray(phi, dtype=float)
-    m, c_lin, lip = _qp_phase_data(obj, phi)
-
-    p_min, slope, lower, upper = _power_fit_arrays(fits, phi, scenario.circuit)
+    m, c_lin, lip = qp_data
+    p_min, slope, lower, upper = surrogate
     if p_min.sum() > budget + 1e-12:
         raise InfeasibleBudgetError(
             f"minimum amplitudes already need {p_min.sum():.4f} W > budget {budget:.4f} W"
@@ -498,7 +449,7 @@ def amplitude_qp(obj, phi, fits, scenario, budget=None, max_iters=5000, tol=1e-6
             kkt = residual(x)
             if kkt <= tol:
                 break
-            y = _face_minimizer(x, m, c_lin, lower, upper, slope, b)
+            y, _ = _pivot_face(x, m, c_lin, lower, upper, slope, b)
             if y is None:
                 continue
             # f(y) - f(x) without the cancellation of two fval calls, which
@@ -516,27 +467,28 @@ def amplitude_qp(obj, phi, fits, scenario, budget=None, max_iters=5000, tol=1e-6
                     iterations=pivots + it, trace=np.asarray(trace))
 
 
-def power_repair_loop(alpha, phi, params, fits, p_ris, resolve):
-    """Map amplitudes to circuits, then lower the working budget until the
-    true power fits.
+def power_repair_loop(scenario, fits, phi, surrogate, resolve):
+    """Solve the amplitudes at the surface budget, map them to circuits, then
+    lower the working budget until the true power fits.
 
-    The linearized budget can under-account the circuit power; each pass
-    lowers the working budget by the realized shortfall and re-solves. The
-    passes stop when one does not bring the realized power below the best
-    pass so far, at REPAIR_PASSES, or when a re-solve finds its budget
-    infeasible. The working budget is then bisected REPAIR_BISECTIONS times
+    resolve(budget) returns the amplitudes at phases phi for a working
+    budget; surrogate is _power_fit_arrays at phi. The linearized budget can
+    under-account the circuit power; each pass lowers the working budget by
+    the realized shortfall and re-solves. The passes stop when one does not
+    bring the realized power below the best pass so far, at REPAIR_PASSES,
+    or when a re-solve finds its budget infeasible. The working budget is then bisected REPAIR_BISECTIONS times
     between the linearized floor, whose minimum-bias realization always
     fits a reachable budget, and the last working budget; the design of the
     highest budget that fits is kept. repair_passes counts the shortfall
     passes. Raises ConvergenceError only when the budget is below the
     minimum-bias power.
     """
-    phi = np.asarray(phi, dtype=float)
-    p_min, slope, lower, _ = _power_fit_arrays(fits, phi, params)
+    params, p_ris = scenario.circuit, scenario.p_ris_w
+    p_min, slope, lower, _ = surrogate
     floor = float(p_min.sum())
     working = p_ris
     best_power = np.inf
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = np.asarray(resolve(p_ris), dtype=float)
     for k in range(1, REPAIR_PASSES + 1):
         design = reflection.realize_design(params, fits, phi, alpha)
         if design.ris_power_w <= p_ris + 1e-9:
@@ -674,12 +626,12 @@ def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
         obj = build_phase_objective(ch, v, y, sigma_aux, fits, alpha_bar, scenario)
         phasor, _ = rmo_phase_opt(obj, np.exp(1j * phi))
         phi = np.angle(phasor) % (2.0 * np.pi)
-
-        def resolve(budget):
-            return amplitude_qp(obj, phi, fits, scenario, budget=budget).alpha
-
-        alpha = resolve(scenario.p_ris_w)
-        design = power_repair_loop(alpha, phi, params, fits, scenario.p_ris_w, resolve)
+        qp_data = _qp_phase_data(obj, phi)
+        surrogate = _power_fit_arrays(fits, phi, params)
+        design = power_repair_loop(
+            scenario, fits, phi, surrogate,
+            lambda budget: amplitude_qp(qp_data, surrogate, budget).alpha,
+        )
         repair_max = max(repair_max, design.repair_passes)
         gamma = design.gamma
         alpha_bar = design.alpha_bar

@@ -7,9 +7,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import circuit, reflection
-from .ao import power_repair_loop, rmo_phase_opt
-from .channel import lmmse_receiver, rate_lmmse, spectral_efficiency
-from .do import DOResult, cascade_norm_objective, greedy_amplitudes, svd_precoder_combiner
+from .channel import lmmse_receiver, rate_lmmse
+from .do import cascade_norm_objective, decoupled_design, greedy_amplitudes
 from .numerics import bisect
 
 
@@ -49,7 +48,8 @@ def run_paido(scenario, ch, fits, rng):
     Phases are optimized with amplitudes frozen at their phase-independent
     maxima (the reflection becomes linear in the phasors), amplitudes are
     then raised under constant bounds, and the result is clamped back into
-    the true phase-dependent bounds before the power repair.
+    the phase-dependent bounds of the power surrogate before the power
+    repair.
     """
     params = scenario.circuit
     const_upper = fits.beta_max
@@ -58,30 +58,20 @@ def run_paido(scenario, ch, fits, rng):
     zeros = np.zeros(fits.n, dtype=complex)
     obj = replace(cascade_norm_objective(ch, fits, np.ones(fits.n)),
                   z2=zeros, z1=const_upper.astype(complex), z=zeros)
-    phasor0 = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, fits.n))
-    phasor, _ = rmo_phase_opt(obj, phasor0)
-    phi = np.angle(phasor) % (2.0 * np.pi)
-
     band_lo, band_hi = circuit.diode_band(params)
     p_lo, p_hi = circuit.power_consumption(np.array([band_hi, band_lo]), params)
     active = fits.active_mask
     span = np.maximum(const_upper - const_lower, 1e-12)
     slope = np.where(active, (p_hi - p_lo) / span, 0.0)
     floor = np.where(active, p_lo, 0.0)
-    lower_phase, upper_phase = fits.bounds(phi)
 
-    def const_greedy(budget):
+    def const_greedy(surrogate, budget):
+        _, _, lower, upper = surrogate
         alpha = greedy_amplitudes(const_lower, const_upper, slope, floor, budget,
                                   active & (slope > 0.0))
-        return np.clip(alpha, lower_phase, upper_phase)
+        return np.clip(alpha, lower, upper)
 
-    alpha = const_greedy(scenario.p_ris_w)
-    design = power_repair_loop(
-        alpha, phi, params, fits, scenario.p_ris_w, const_greedy
-    )
-    v, w, _, powers = svd_precoder_combiner(ch, design.gamma, scenario)
-    rate = spectral_efficiency(ch, v, w, design.gamma, scenario)
-    return DOResult(v=v, w=w, design=design, stream_powers=powers, rate=rate)
+    return decoupled_design(scenario, ch, fits, rng, obj, const_greedy)
 
 
 class _CircuitSearchSpace:

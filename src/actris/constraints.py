@@ -12,17 +12,30 @@ def validate_design(scenario, fits, v, design):
     """Check a finished design against the problem constraints.
 
     Returns a list of human-readable violations (empty when valid): transmit
-    power within budget, true surface power within budget, and every
-    reflection amplitude inside its phase-dependent band. Model-space designs
-    are checked against the cosine bounds, circuit-space ones against the
-    exact bounds at their realized phases.
+    power within budget, one circuit state per cell, the power the cells'
+    resistances draw within budget and equal to the recorded power, and
+    every reflection amplitude inside its phase-dependent band. Model-space
+    designs are checked against the cosine bounds, circuit-space ones
+    against the exact bounds at their realized phases.
     """
     problems = []
     tx = float(np.trace(v.conj().T @ v).real)
     if tx > scenario.p_t_w + POWER_TOL:
         problems.append(f"transmit power {tx:.6g} W exceeds budget {scenario.p_t_w:.6g} W")
 
-    power = float(design.ris_power_w)
+    mask = design.active_mask
+    power = recorded = float(design.ris_power_w)
+    if design.r.shape != mask.shape or design.c.shape != mask.shape:
+        problems.append(f"{design.r.size} resistances and {design.c.size} capacitances "
+                        f"for {mask.size} cells")
+    else:
+        try:
+            power = float(circuit.power_consumption(design.r[mask], scenario.circuit).sum())
+        except ValueError as exc:   # a resistance below the diode band
+            problems.append(f"surface power: {exc}")
+        if abs(power - recorded) > POWER_TOL:
+            problems.append(f"recorded surface power {recorded:.6g} W differs from the "
+                            f"{power:.6g} W the cells draw")
     if power > scenario.p_ris_w + POWER_TOL:
         problems.append(
             f"surface power {power:.6g} W exceeds budget {scenario.p_ris_w:.6g} W"

@@ -89,13 +89,6 @@ def cascade_norm_objective(ch, fits, alpha_bar):
     return PhaseObjective(t=t, q=q, z2=z2, z1=z1, z=z)
 
 
-def do_phase_opt(ch, fits, phasor0):
-    """Phases maximizing the effective-channel Frobenius norm at full amplitude."""
-    obj = cascade_norm_objective(ch, fits, np.ones(fits.n))
-    phasor, trace = rmo_phase_opt(obj, phasor0)
-    return np.angle(phasor) % (2.0 * np.pi), trace
-
-
 def greedy_amplitudes(lower, upper, slope, p_min, budget, raisable):
     """Maximize the amplitude sum under a linearized power budget.
 
@@ -121,10 +114,10 @@ def greedy_amplitudes(lower, upper, slope, p_min, budget, raisable):
     return alpha
 
 
-def do_amplitude_max(phi, fits, params, budget):
+def do_amplitude_max(surrogate, fits, budget):
     """Amplitude-sum maximum under the linearized power budget, on the
-    cosine-model box at phases phi."""
-    p_min, slope, lower, upper = _power_fit_arrays(fits, np.asarray(phi, dtype=float), params)
+    surrogate's box (surrogate is _power_fit_arrays at the design phases)."""
+    p_min, slope, lower, upper = surrogate
     raisable = fits.active_mask & (upper - lower > 1e-12) & (slope > 0.0)
     return greedy_amplitudes(lower, upper, slope, p_min, budget, raisable)
 
@@ -138,18 +131,25 @@ class DOResult:
     rate: float
 
 
-def run_do(scenario, ch, fits, rng):
-    """One pass of the decoupled design; the rate is evaluated with the full
-    spectral-efficiency expression, surface noise included."""
-    params = scenario.circuit
-    phasor0 = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, fits.n))
-    phi, _ = do_phase_opt(ch, fits, phasor0)
-    alpha = do_amplitude_max(phi, fits, params, scenario.p_ris_w)
-
-    def resolve(budget):
-        return do_amplitude_max(phi, fits, params, budget)
-
-    design = power_repair_loop(alpha, phi, params, fits, scenario.p_ris_w, resolve)
-    v, w, gains, powers = svd_precoder_combiner(ch, design.gamma, scenario)
+def decoupled_design(scenario, ch, fits, rng, obj, amplitudes):
+    """One pass of the decoupled design: phases minimizing obj from random
+    phasors, amplitudes(surrogate, budget) under the power repair, then SVD
+    precoding; the rate is evaluated with the full spectral-efficiency
+    expression, surface noise included."""
+    phasor, _ = rmo_phase_opt(obj, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, fits.n)))
+    phi = np.angle(phasor) % (2.0 * np.pi)
+    surrogate = _power_fit_arrays(fits, phi, scenario.circuit)
+    design = power_repair_loop(scenario, fits, phi, surrogate,
+                               lambda budget: amplitudes(surrogate, budget))
+    v, w, _, powers = svd_precoder_combiner(ch, design.gamma, scenario)
     rate = spectral_efficiency(ch, v, w, design.gamma, scenario)
     return DOResult(v=v, w=w, design=design, stream_powers=powers, rate=rate)
+
+
+def run_do(scenario, ch, fits, rng):
+    """Decoupled design on the effective-channel norm at full amplitude,
+    with the amplitude-sum maximum under the budget."""
+    return decoupled_design(
+        scenario, ch, fits, rng, cascade_norm_objective(ch, fits, np.ones(fits.n)),
+        lambda surrogate, budget: do_amplitude_max(surrogate, fits, budget),
+    )

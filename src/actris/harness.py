@@ -102,19 +102,19 @@ class ResultRow:
     error: str = ""
 
 
-_CONFIG_KEYS = {
+_CONFIG_KEYS = frozenset({
     "m_t", "m_r", "d", "n_elements", "n_act",
     "p_t_dbm", "p_t_w", "p_ris_w", "noise_dbm", "sigma2_w",
     "f_r_db", "f_r", "f_s_db", "f_s",
     "d_ris_tx_m", "d_rx_ris_m", "freq_ghz", "wavelength_m", "rho_db",
     "seed", "trials", "threads", "j_alt", "eps", "record_timing",
     "sweep", "schemes", "circuit",
-}
+})
 
-_CIRCUIT_KEYS = {
+_CIRCUIT_KEYS = frozenset({
     "l1_nh", "l2_nh", "z0_ohm", "r0_ohm", "v0_v",
     "c_lo_pf", "c_hi_pf", "r_passive_ohm",
-}
+})
 
 
 def _circuit_from_config(d):
@@ -167,6 +167,15 @@ def spec_from_dict(raw):
         raise ConfigError(str(exc)) from exc
 
 
+def _integer(raw, key):
+    """raw[key] as an int; a bool or a number with a fraction is rejected,
+    not truncated."""
+    value = raw[key]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_spec(raw):
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a mapping")
@@ -174,18 +183,11 @@ def _parse_spec(raw):
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)} "
                           f"(physical keys carry explicit unit suffixes)")
-    kwargs = {}
-    if "m_t" in raw:
-        kwargs["m_t"] = int(raw["m_t"])
-    if "m_r" in raw:
-        kwargs["m_r"] = int(raw["m_r"])
-    if "d" in raw:
-        kwargs["d"] = int(raw["d"])
+    kwargs = {key: _integer(raw, key) for key in ("m_t", "m_r", "d", "n_act", "seed")
+              if key in raw}
     if "n_elements" in raw:
-        kwargs["n"] = int(raw["n_elements"])
-        kwargs["n_act"] = int(raw.get("n_act", raw["n_elements"]))
-    elif "n_act" in raw:
-        kwargs["n_act"] = int(raw["n_act"])
+        kwargs["n"] = _integer(raw, "n_elements")
+        kwargs.setdefault("n_act", kwargs["n"])
     if "p_t_dbm" in raw and "p_t_w" in raw:
         raise ConfigError("give the transmit power once: p_t_dbm or p_t_w")
     if "p_t_dbm" in raw:
@@ -219,8 +221,6 @@ def _parse_spec(raw):
         kwargs["wavelength_m"] = SPEED_OF_LIGHT / (float(raw["freq_ghz"]) * 1e9)
     if "wavelength_m" in raw:
         kwargs["wavelength_m"] = float(raw["wavelength_m"])
-    if "seed" in raw:
-        kwargs["seed"] = int(raw["seed"])
     if "circuit" in raw:
         kwargs["circuit"] = _circuit_from_config(raw["circuit"] or {})
     scenario = ScenarioConfig(**kwargs)
@@ -241,11 +241,12 @@ def _parse_spec(raw):
     spec_kwargs["variants"] = tuple(SchemeVariant(s, s) for s in schemes)
     for key in ("trials", "threads", "j_alt"):
         if key in raw:
-            spec_kwargs[key] = int(raw[key])
+            spec_kwargs[key] = _integer(raw, key)
     if "eps" in raw:
         spec_kwargs["eps"] = float(raw["eps"])
-    if "record_timing" in raw:
-        spec_kwargs["record_timing"] = bool(raw["record_timing"])
+    spec_kwargs["record_timing"] = raw.get("record_timing", False)
+    if not isinstance(spec_kwargs["record_timing"], bool):
+        raise ConfigError(f"record_timing must be true or false, got {raw['record_timing']!r}")
     return ExperimentSpec(**spec_kwargs)
 
 

@@ -412,7 +412,7 @@ def test_criterion_13_solver_unit_oracles(params_va, active_fit, passive_fit, fi
 
     # amplitude QP vs dense grid at N=2
     fits2 = ElementFits.from_classes(active_fit, passive_fit, np.ones(2, dtype=bool))
-    from actris.ao import _power_fit_arrays
+    from actris.ao import _power_fit_arrays, _qp_phase_data
 
     ok_qp = True
     for trial in range(3):
@@ -423,7 +423,8 @@ def test_criterion_13_solver_unit_oracles(params_va, active_fit, passive_fit, fi
         z2, z1, z = fits2.coefficients(np.ones(2))
         obj = PhaseObjective(t=t, q=q, z2=z2, z1=z1, z=z)
         budget = 0.05
-        res = amplitude_qp(obj, phi, fits2, scenario_desk, budget=budget)
+        res = amplitude_qp(_qp_phase_data(obj, phi), _power_fit_arrays(fits2, phi, params_va),
+                           budget)
         phasor = np.exp(1j * phi)
         m = np.real(np.conj(phasor)[:, None] * t * phasor[None, :])
         c_lin = -2.0 * np.real(np.conj(phasor) * q)
@@ -448,7 +449,7 @@ def test_criterion_13_solver_unit_oracles(params_va, active_fit, passive_fit, fi
         phi = rng.uniform(0, TWO_PI, 4)
         p_min, slope, lower, upper = _power_fit_arrays(fits4, phi, params_va)
         budget = p_min.sum() + 0.5 * float(slope @ (upper - lower))
-        alpha = do_amplitude_max(phi, fits4, params_va, budget=budget)
+        alpha = do_amplitude_max((p_min, slope, lower, upper), fits4, budget)
         grids = np.meshgrid(*[np.linspace(lower[i], upper[i], 21) for i in range(4)],
                             indexing="ij")
         pts = np.stack([g.ravel() for g in grids])

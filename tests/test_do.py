@@ -7,7 +7,6 @@ from actris.channel import ScenarioConfig, effective_channel, sample_channels, s
 from actris.do import (
     cascade_norm_objective,
     do_amplitude_max,
-    do_phase_opt,
     run_do,
     svd_precoder_combiner,
     waterfill,
@@ -147,7 +146,10 @@ class TestDoPhaseOpt:
         rng = np.random.default_rng(9)
         sc = desk_scenario()
         ch = sample_channels(sc, rng)
-        phi_opt, _ = do_phase_opt(ch, fits_all_active, np.exp(1j * rng.uniform(0, TWO_PI, 16)))
+        # DO's phase step: the cascade norm at full amplitude
+        obj = cascade_norm_objective(ch, fits_all_active, np.ones(16))
+        phasor, _ = rmo_phase_opt(obj, np.exp(1j * rng.uniform(0, TWO_PI, 16)))
+        phi_opt = np.angle(phasor) % TWO_PI
         lower, upper = fits_all_active.bounds(phi_opt)
         norm_opt = np.linalg.norm(
             effective_channel(ch, upper * np.exp(1j * phi_opt))
@@ -166,7 +168,8 @@ class TestDoAmplitudeMax:
         rng = np.random.default_rng(10)
         phi = rng.uniform(0, TWO_PI, 16)
         _, upper = fits_all_active.bounds(phi)
-        alpha = do_amplitude_max(phi, fits_all_active, params_va, budget=1e6)
+        surrogate = _power_fit_arrays(fits_all_active, phi, params_va)
+        alpha = do_amplitude_max(surrogate, fits_all_active, budget=1e6)
         assert np.allclose(alpha, upper, atol=1e-9)
 
     def test_greedy_matches_enumeration(self, params_va, active_fit, passive_fit):
@@ -174,9 +177,10 @@ class TestDoAmplitudeMax:
         fits = ElementFits.from_classes(active_fit, passive_fit, np.ones(4, dtype=bool))
         for trial in range(5):
             phi = rng.uniform(0, TWO_PI, 4)
-            p_min, slope, lower, upper = _power_fit_arrays(fits, phi, params_va)
+            surrogate = _power_fit_arrays(fits, phi, params_va)
+            p_min, slope, lower, upper = surrogate
             budget = p_min.sum() + rng.uniform(0.2, 0.8) * (slope @ (upper - lower))
-            alpha = do_amplitude_max(phi, fits, params_va, budget=budget)
+            alpha = do_amplitude_max(surrogate, fits, budget=budget)
             assert p_min.sum() + slope @ (alpha - lower) <= budget + 1e-9
             grids = np.meshgrid(*[np.linspace(lower[i], upper[i], 25) for i in range(4)],
                                 indexing="ij")
@@ -189,10 +193,11 @@ class TestDoAmplitudeMax:
     def test_marginal_budget_raises_cheapest_slope_first(self, params_va, fits_all_active):
         rng = np.random.default_rng(12)
         phi = rng.uniform(0, TWO_PI, 16)
-        p_min, slope, lower, upper = _power_fit_arrays(fits_all_active, phi, params_va)
+        surrogate = _power_fit_arrays(fits_all_active, phi, params_va)
+        p_min, slope, lower, upper = surrogate
         cheapest = np.argmin(np.where(slope > 0, slope, np.inf))
         budget = p_min.sum() + slope[cheapest] * (upper[cheapest] - lower[cheapest])
-        alpha = do_amplitude_max(phi, fits_all_active, params_va, budget=budget)
+        alpha = do_amplitude_max(surrogate, fits_all_active, budget=budget)
         assert alpha[cheapest] == pytest.approx(upper[cheapest], abs=1e-9)
         others = np.arange(16) != cheapest
         assert np.allclose(alpha[others], lower[others], atol=1e-9)
@@ -201,7 +206,8 @@ class TestDoAmplitudeMax:
         rng = np.random.default_rng(13)
         phi = rng.uniform(0, TWO_PI, 16)
         with pytest.raises(InfeasibleBudgetError):
-            do_amplitude_max(phi, fits_all_active, params_va, budget=1e-4)
+            do_amplitude_max(_power_fit_arrays(fits_all_active, phi, params_va), fits_all_active,
+                             budget=1e-4)
 
 
 class TestRunDo:

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import yaml
 
-from actris import reflection
+from actris import circuit, reflection
 from actris.channel import ScenarioConfig, dbm_to_watt
+from actris.constraints import validate_design
 from actris.errors import ConfigError
 from actris.harness import (
     CSV_HEADER,
@@ -352,6 +353,20 @@ class TestDesignPersistence:
         assert np.allclose(v, res.v)
         assert design.ris_power_w == pytest.approx(res.design.ris_power_w)
 
+    def test_budget_is_checked_on_the_drawn_power(self, params_va, fits_all_active, scenario_desk):
+        phi = np.full(16, 5.9)
+        _, upper = fits_all_active.bounds(phi)
+        design = reflection.realize_design(params_va, fits_all_active, phi, upper)
+        v = np.zeros((scenario_desk.m_t, 1))
+        over = design.ris_power_w - scenario_desk.p_ris_w
+        assert over > 0.0
+        problems = validate_design(scenario_desk, fits_all_active, v, design)
+        assert any("exceeds budget" in p for p in problems)
+        design.ris_power_w -= over   # a recorded power inside the budget
+        problems = validate_design(scenario_desk, fits_all_active, v, design)
+        assert any("exceeds budget" in p for p in problems)
+        assert any("differs from" in p for p in problems)
+
 
 class TestCli:
     def test_fit_model_emits_coefficient_keys(self, tmp_path, capsys):
@@ -394,8 +409,13 @@ class TestCli:
         ("run", "trials: 2: 3\n"),
         ("validate", '{"phi": [0.0], "active_mask": [1]}'),
         ("validate", "phi: [0.0]\n"),
+        ("run", "trials: 2.5\n"),
+        ("run", "n_elements: true\n"),
+        ("run", "record_timing: \"no\"\n"),
+        ("run", "record_timing: 1\n"),
     ], ids=["text-count", "list-count", "null-schemes", "scalar-sweep", "yaml-syntax",
-            "design-without-alpha-bar", "design-not-json"])
+            "design-without-alpha-bar", "design-not-json", "fractional-count",
+            "boolean-count", "text-flag", "number-flag"])
     def test_malformed_input_is_a_configuration_error(self, tmp_path, capsys, command, text):
         from actris.cli import main
 
@@ -427,6 +447,34 @@ class TestCli:
         payload["ris_power_w"] = 99.0
         path.write_text(json.dumps(payload))
         assert main(["validate", "--design", str(path), "--config", str(cfg)]) == 3
+
+    def test_validate_reads_the_cells(self, tmp_path, capsys, params_va, fits_all_active):
+        # 16 active cells at phase 5.9 and mid amplitude draw about 0.4 W
+        from actris.cli import main
+
+        phi = np.full(16, 5.9)
+        lower, upper = fits_all_active.bounds(phi)
+        design = reflection.realize_design(params_va, fits_all_active, phi, 0.5 * (lower + upper))
+        assert design.ris_power_w == pytest.approx(0.398, abs=1e-3)
+        path = tmp_path / "design.json"
+        save_design(path, design, np.zeros((8, 1)))
+        payload = json.loads(path.read_text())
+
+        def validate(**changes):
+            path.write_text(json.dumps({**payload, **changes}))
+            code = main(["validate", "--design", str(path)])
+            return code, capsys.readouterr().err
+
+        assert validate() == (0, "")
+        # a low recorded power and 3 of the 16 cells
+        code, err = validate(ris_power_w=0.01, cells_r=payload["cells_r"][:3],
+                             cells_c=payload["cells_c"][:3])
+        assert code == 3 and "3 resistances and 3 capacitances for 16 cells" in err
+        code, err = validate(ris_power_w=0.01)
+        assert code == 3 and "differs from the 0.397797 W" in err
+        band_lo = circuit.diode_band(params_va)[0]
+        code, err = validate(cells_r=[2.0 * band_lo] + payload["cells_r"][1:])
+        assert code == 3 and "below the diode band edge" in err
 
     def test_preset_fig2_writes_curves(self, tmp_path, capsys):
         from actris.cli import main

@@ -1,4 +1,5 @@
-"""Every public module-level function and class of the package has a caller.
+"""Every public module-level function and class of the package has a caller,
+and no module of the package keeps mutable state at module level.
 
 The scan parses src/actris and perfbench with ast. A reference is a Name
 node (other than the name of an imported module) or an Attribute node on an
@@ -70,3 +71,24 @@ def test_every_public_definition_has_a_caller():
 
 def test_allowlist_names_existing_definitions():
     assert set(ALLOWED) <= set(_public_definitions())
+
+
+MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def test_no_module_level_mutable_containers():
+    # a module-level list, dict or set is per-process state that a call can
+    # leave behind for the next one; __all__ is the export list
+    bound = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            names = [ast.unparse(t) for t in targets]
+            if isinstance(node.value, MUTABLE_DISPLAYS) and names != ["__all__"]:
+                bound += [f"{path.stem}.{name}" for name in names]
+    assert not bound, f"module-level mutable containers: {bound}"
