@@ -57,8 +57,8 @@ class ScenarioConfig:
             raise ValueError("active element count outside [0, n]")
         for name in ("p_t_w", "p_ris_w", "sigma2_w", "f_r", "f_s",
                      "d_ris_tx_m", "d_rx_ris_m", "wavelength_m"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"ScenarioConfig.{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"ScenarioConfig.{name} must be finite and positive")
 
     @property
     def rho_db(self):

@@ -47,11 +47,11 @@ class CircuitParams:
 
     def __post_init__(self):
         for name in ("l1", "l2", "z0", "omega", "r0", "v0", "r_passive"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"CircuitParams.{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"CircuitParams.{name} must be finite and positive")
         c_lo, c_hi = self.c_range
-        if not 0.0 < c_lo < c_hi:
-            raise ValueError("CircuitParams.c_range must satisfy 0 < C_lo < C_hi")
+        if not 0.0 < c_lo < c_hi < np.inf:
+            raise ValueError("CircuitParams.c_range must satisfy 0 < C_lo < C_hi < inf")
         if not feasibility_condition(self):
             raise ValueError(
                 "circuit constants admit a phase with zero usable resistance range"

@@ -12,10 +12,10 @@ import numpy as np
 import yaml
 
 from .channel import ScenarioConfig
+from .circuit import fig2_params
 from .constraints import validate_design
 from .errors import ConfigError, SimulationError
 from .harness import (
-    ExperimentSpec,
     export_csv,
     fig_presets,
     load_config,
@@ -104,9 +104,9 @@ def _export_curves(params, grid, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("phi_rad,exact_lower,exact_upper,approx_lower,approx_upper\n")
         phis, lower, upper = exact_bound_curves(params, "active", grid)
-        ap_lo, ap_up = approx_amplitude_bounds(active, phis)
-        for i in range(phis.size):
-            fh.write(f"{phis[i]!r},{lower[i]!r},{upper[i]!r},{ap_lo[i]!r},{ap_up[i]!r}\n")
+        columns = (phis, lower, upper, *approx_amplitude_bounds(active, phis))
+        for row in zip(*(column.tolist() for column in columns)):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _cmd_run(args):
@@ -115,13 +115,12 @@ def _cmd_run(args):
 
 
 def _cmd_preset(args):
-    spec = fig_presets(args.name, scale=args.scale, seed=args.seed)
-    spec = _apply_overrides(spec, args)
-    if spec.kind == "curves":
-        path = args.out or f"{args.name}_curves.csv"
-        _export_curves(spec.scenario.circuit, 3600, path)
+    if args.name == "fig2":
+        path = args.out or "fig2_curves.csv"
+        _export_curves(fig2_params(), 3600, path)
         print(f"wrote bound curves to {path}")
         return EXIT_OK
+    spec = _apply_overrides(fig_presets(args.name, scale=args.scale, seed=args.seed), args)
     return _execute(spec, args.out)
 
 

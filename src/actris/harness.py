@@ -7,14 +7,15 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from functools import partial
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
 
 from . import benchmarks, circuit
 from .ao import init_from_design, random_init, run_ao
-from .channel import ScenarioConfig, db_to_linear, dbm_to_watt, sample_channels
+from .channel import SPEED_OF_LIGHT, ScenarioConfig, db_to_linear, dbm_to_watt, sample_channels
 from .circuit import CircuitParams
 from .constraints import validate_design
 from .do import run_do
@@ -65,11 +66,12 @@ class ExperimentSpec:
     eps: float = 1e-3
     ga_j_p: int = 2
     record_timing: bool = False
-    kind: str = "rate"
 
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if not 0.0 <= self.eps < np.inf:
+            raise ConfigError(f"eps must be finite and at least 0, got {self.eps!r}")
         if not self.sweep_values:
             raise ConfigError("sweep must be nonempty")
         if self.sweep_kind not in SWEEP_KINDS:
@@ -80,66 +82,122 @@ class ExperimentSpec:
             for value in self.sweep_values:
                 try:
                     _scenario_for(self, variant, value)
-                except ValueError as exc:
+                except (ArithmeticError, ValueError) as exc:   # a huge rho_db overflows
                     raise ConfigError(f"{self.sweep_kind} = {value:g}: {exc}") from exc
-
-    @property
-    def schemes(self):
-        return tuple(v.scheme for v in self.variants)
 
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One scheme run; a failed run keeps the zero defaults and names its error."""
+
     trial: int
     scheme: str
     sweep_value: float
-    rate_bps_hz: float
-    ris_power_w: float
-    tx_power_w: float
-    iterations_used: int
-    wall_ms: float
-    seed: int
+    rate_bps_hz: float = 0.0
+    ris_power_w: float = 0.0
+    tx_power_w: float = 0.0
+    iterations_used: int = 0
+    wall_ms: float = 0.0
+    seed: int = 0
     error: str = ""
 
 
-_CONFIG_KEYS = frozenset({
-    "m_t", "m_r", "d", "n_elements", "n_act",
-    "p_t_dbm", "p_t_w", "p_ris_w", "noise_dbm", "sigma2_w",
-    "f_r_db", "f_r", "f_s_db", "f_s",
-    "d_ris_tx_m", "d_rx_ris_m", "freq_ghz", "wavelength_m", "rho_db",
-    "seed", "trials", "threads", "j_alt", "eps", "record_timing",
-    "sweep", "schemes", "circuit",
-})
-
-_CIRCUIT_KEYS = frozenset({
-    "l1_nh", "l2_nh", "z0_ohm", "r0_ohm", "v0_v",
-    "c_lo_pf", "c_hi_pf", "r_passive_ohm",
-})
+def _whole(value):
+    """value as an int; a bool or a number with a fraction is rejected, not
+    truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"must be a whole number, got {value!r}")
+    return int(value)
 
 
-def _circuit_from_config(d):
-    unknown = set(d) - _CIRCUIT_KEYS
+def _flag(value):
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _sweep(sweep):
+    if not isinstance(sweep, dict) or "kind" not in sweep or "values" not in sweep:
+        raise ConfigError("sweep must be a mapping with 'kind' and 'values'")
+    return str(sweep["kind"]), tuple(float(v) for v in sweep["values"])
+
+
+def _circuit(raw):
+    fields = _read(raw or {}, (CircuitParams,), "circuit")[CircuitParams]
+    c_lo, c_hi = CircuitParams.c_range
+    fields["c_range"] = (fields.pop("c_lo", c_lo), fields.pop("c_hi", c_hi))
+    return CircuitParams(**fields)
+
+
+# (owner, key, field, reader) of every configuration key. A top-level key
+# sets a field of ScenarioConfig or ExperimentSpec, a key of the `circuit`
+# mapping one of CircuitParams, to reader(value). Keys on one field are
+# alternatives: a configuration gives at most one of them. Four fields are
+# not the owner's: rho_db back-solves p_t_w (ScenarioConfig.with_rho_db),
+# sweep gives sweep_kind and sweep_values, and c_lo and c_hi are c_range.
+_CONFIG_TABLE = (
+    (ScenarioConfig, "m_t", "m_t", _whole),
+    (ScenarioConfig, "m_r", "m_r", _whole),
+    (ScenarioConfig, "d", "d", _whole),
+    (ScenarioConfig, "n_elements", "n", _whole),
+    (ScenarioConfig, "n_act", "n_act", _whole),
+    (ScenarioConfig, "seed", "seed", _whole),
+    (ScenarioConfig, "p_t_dbm", "p_t_w", lambda v: dbm_to_watt(float(v))),
+    (ScenarioConfig, "p_t_w", "p_t_w", float),
+    (ScenarioConfig, "p_ris_w", "p_ris_w", float),
+    (ScenarioConfig, "noise_dbm", "sigma2_w", lambda v: dbm_to_watt(float(v))),
+    (ScenarioConfig, "sigma2_w", "sigma2_w", float),
+    (ScenarioConfig, "f_r_db", "f_r", lambda v: db_to_linear(float(v))),
+    (ScenarioConfig, "f_r", "f_r", float),
+    (ScenarioConfig, "f_s_db", "f_s", lambda v: db_to_linear(float(v))),
+    (ScenarioConfig, "f_s", "f_s", float),
+    (ScenarioConfig, "d_ris_tx_m", "d_ris_tx_m", float),
+    (ScenarioConfig, "d_rx_ris_m", "d_rx_ris_m", float),
+    (ScenarioConfig, "freq_ghz", "wavelength_m", lambda v: SPEED_OF_LIGHT / (float(v) * 1e9)),
+    (ScenarioConfig, "wavelength_m", "wavelength_m", float),
+    (ScenarioConfig, "rho_db", "rho_db", float),
+    (ScenarioConfig, "circuit", "circuit", _circuit),
+    (ExperimentSpec, "trials", "trials", _whole),
+    (ExperimentSpec, "threads", "threads", _whole),
+    (ExperimentSpec, "j_alt", "j_alt", _whole),
+    (ExperimentSpec, "eps", "eps", float),
+    (ExperimentSpec, "record_timing", "record_timing", _flag),
+    (ExperimentSpec, "schemes", "variants", lambda v: tuple(SchemeVariant(s, s) for s in v)),
+    (ExperimentSpec, "sweep", "sweep", _sweep),
+    (CircuitParams, "l1_nh", "l1", lambda v: float(v) * 1e-9),
+    (CircuitParams, "l2_nh", "l2", lambda v: float(v) * 1e-9),
+    (CircuitParams, "z0_ohm", "z0", float),
+    (CircuitParams, "r0_ohm", "r0", float),
+    (CircuitParams, "v0_v", "v0", float),
+    (CircuitParams, "c_lo_pf", "c_lo", lambda v: float(v) * 1e-12),
+    (CircuitParams, "c_hi_pf", "c_hi", lambda v: float(v) * 1e-12),
+    (CircuitParams, "r_passive_ohm", "r_passive", float),
+)
+
+
+def _read(raw, owners, where):
+    """{owner: {field: value}} of the keys of mapping raw that _CONFIG_TABLE
+    gives to the classes owners. An unknown key, a value its reader rejects,
+    or two keys on one field raise ConfigError."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    rows = tuple(row for row in _CONFIG_TABLE if row[0] in owners)
+    unknown = set(raw) - {key for _, key, _, _ in rows}
     if unknown:
-        raise ConfigError(f"unknown circuit keys: {sorted(unknown)} "
-                          f"(keys carry explicit unit suffixes)")
-    kwargs = {}
-    if "l1_nh" in d:
-        kwargs["l1"] = float(d["l1_nh"]) * 1e-9
-    if "l2_nh" in d:
-        kwargs["l2"] = float(d["l2_nh"]) * 1e-9
-    if "z0_ohm" in d:
-        kwargs["z0"] = float(d["z0_ohm"])
-    if "r0_ohm" in d:
-        kwargs["r0"] = float(d["r0_ohm"])
-    if "v0_v" in d:
-        kwargs["v0"] = float(d["v0_v"])
-    if "c_lo_pf" in d or "c_hi_pf" in d:
-        lo = float(d.get("c_lo_pf", 0.05)) * 1e-12
-        hi = float(d.get("c_hi_pf", 250.0)) * 1e-12
-        kwargs["c_range"] = (lo, hi)
-    if "r_passive_ohm" in d:
-        kwargs["r_passive"] = float(d["r_passive_ohm"])
-    return CircuitParams(**kwargs)
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)} "
+                          f"(physical keys carry explicit unit suffixes)")
+    fields, given = {owner: {} for owner in owners}, {}
+    for owner, key, name, read in rows:
+        if key not in raw:
+            continue
+        if name in given:
+            raise ConfigError(f"give {name} once: {given[name]} or {key}")
+        given[name] = key
+        try:
+            fields[owner][name] = read(raw[key])
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return fields
 
 
 def load_config(path):
@@ -160,94 +218,22 @@ def load_config(path):
 def spec_from_dict(raw):
     """Experiment spec of a configuration mapping. A value that does not
     convert (text for a number, a list for a scalar, a null or scalar where
-    a list belongs) or that the scenario rejects raises ConfigError."""
+    a list belongs, a number whose unit conversion overflows or divides by
+    zero) or that the scenario rejects raises ConfigError."""
     try:
-        return _parse_spec(raw)
-    except (TypeError, ValueError) as exc:
+        fields = _read(raw, (ScenarioConfig, ExperimentSpec), "configuration")
+        scenario_fields, spec_fields = fields[ScenarioConfig], fields[ExperimentSpec]
+        if "n" in scenario_fields:
+            scenario_fields.setdefault("n_act", scenario_fields["n"])
+        rho_db = scenario_fields.pop("rho_db", None)
+        scenario = ScenarioConfig(**scenario_fields)
+        if rho_db is not None:
+            scenario = scenario.with_rho_db(rho_db)
+        kind, values = spec_fields.pop("sweep", ("rho_db", (scenario.rho_db,)))
+        return ExperimentSpec(scenario=scenario, sweep_kind=kind, sweep_values=values,
+                              **spec_fields)
+    except (ArithmeticError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _integer(raw, key):
-    """raw[key] as an int; a bool or a number with a fraction is rejected,
-    not truncated."""
-    value = raw[key]
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _parse_spec(raw):
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be a mapping")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)} "
-                          f"(physical keys carry explicit unit suffixes)")
-    kwargs = {key: _integer(raw, key) for key in ("m_t", "m_r", "d", "n_act", "seed")
-              if key in raw}
-    if "n_elements" in raw:
-        kwargs["n"] = _integer(raw, "n_elements")
-        kwargs.setdefault("n_act", kwargs["n"])
-    if "p_t_dbm" in raw and "p_t_w" in raw:
-        raise ConfigError("give the transmit power once: p_t_dbm or p_t_w")
-    if "p_t_dbm" in raw:
-        kwargs["p_t_w"] = dbm_to_watt(float(raw["p_t_dbm"]))
-    if "p_t_w" in raw:
-        kwargs["p_t_w"] = float(raw["p_t_w"])
-    if "p_ris_w" in raw:
-        kwargs["p_ris_w"] = float(raw["p_ris_w"])
-    if "noise_dbm" in raw and "sigma2_w" in raw:
-        raise ConfigError("give the noise power once: noise_dbm or sigma2_w")
-    if "noise_dbm" in raw:
-        kwargs["sigma2_w"] = dbm_to_watt(float(raw["noise_dbm"]))
-    if "sigma2_w" in raw:
-        kwargs["sigma2_w"] = float(raw["sigma2_w"])
-    for base in ("f_r", "f_s"):
-        if base in raw and f"{base}_db" in raw:
-            raise ConfigError(f"give {base} once: {base} or {base}_db")
-        if f"{base}_db" in raw:
-            kwargs[base] = db_to_linear(float(raw[f"{base}_db"]))
-        if base in raw:
-            kwargs[base] = float(raw[base])
-    if "d_ris_tx_m" in raw:
-        kwargs["d_ris_tx_m"] = float(raw["d_ris_tx_m"])
-    if "d_rx_ris_m" in raw:
-        kwargs["d_rx_ris_m"] = float(raw["d_rx_ris_m"])
-    if "freq_ghz" in raw and "wavelength_m" in raw:
-        raise ConfigError("give the carrier once: freq_ghz or wavelength_m")
-    if "freq_ghz" in raw:
-        from .channel import SPEED_OF_LIGHT
-
-        kwargs["wavelength_m"] = SPEED_OF_LIGHT / (float(raw["freq_ghz"]) * 1e9)
-    if "wavelength_m" in raw:
-        kwargs["wavelength_m"] = float(raw["wavelength_m"])
-    if "circuit" in raw:
-        kwargs["circuit"] = _circuit_from_config(raw["circuit"] or {})
-    scenario = ScenarioConfig(**kwargs)
-    if "rho_db" in raw:
-        scenario = scenario.with_rho_db(float(raw["rho_db"]))
-
-    spec_kwargs = {"scenario": scenario}
-    if "sweep" in raw:
-        sweep = raw["sweep"] or {}
-        if not isinstance(sweep, dict) or "kind" not in sweep or "values" not in sweep:
-            raise ConfigError("sweep must be a mapping with 'kind' and 'values'")
-        spec_kwargs["sweep_kind"] = str(sweep["kind"])
-        spec_kwargs["sweep_values"] = tuple(float(v) for v in sweep["values"])
-    else:
-        spec_kwargs["sweep_kind"] = "rho_db"
-        spec_kwargs["sweep_values"] = (scenario.rho_db,)
-    schemes = raw.get("schemes", ["AO", "DO"])
-    spec_kwargs["variants"] = tuple(SchemeVariant(s, s) for s in schemes)
-    for key in ("trials", "threads", "j_alt"):
-        if key in raw:
-            spec_kwargs[key] = _integer(raw, key)
-    if "eps" in raw:
-        spec_kwargs["eps"] = float(raw["eps"])
-    spec_kwargs["record_timing"] = raw.get("record_timing", False)
-    if not isinstance(spec_kwargs["record_timing"], bool):
-        raise ConfigError(f"record_timing must be true or false, got {raw['record_timing']!r}")
-    return ExperimentSpec(**spec_kwargs)
 
 
 def n_full_power(p_ris_w, params):
@@ -275,15 +261,6 @@ def fig_presets(name, scale="desk", seed=0):
     )
     trials = 25 if desk else 200
 
-    if name == "fig2":
-        return ExperimentSpec(
-            scenario=replace(base, circuit=circuit.fig2_params()),
-            sweep_kind="rho_db",
-            sweep_values=(base.rho_db,),
-            variants=(SchemeVariant("DO", "DO"),),
-            trials=1,
-            kind="curves",
-        )
     if name == "fig3":
         values = (1, 2, 4, 8, 12, 16, 20) if desk else (1, 2, 4, 8, 16, 30, 45, 60)
         scenario = base if desk else replace(base, p_ris_w=1.5)
@@ -296,7 +273,6 @@ def fig_presets(name, scale="desk", seed=0):
                 SchemeVariant("AO-random-init", "AO-random-init"),
             ),
             trials=trials,
-            kind="convergence",
         )
     if name == "fig4":
         values = (-40.0, -30.0, -20.0) if desk else (-50.0, -40.0, -30.0, -20.0, -10.0, 0.0)
@@ -359,7 +335,7 @@ def _scenario_for(spec, variant, sweep_value):
     elif kind == "p_ris_w":
         scenario = replace(scenario, p_ris_w=float(sweep_value))
     elif kind == "n_elements":
-        n = int(sweep_value)
+        n = _whole(sweep_value)
         scenario = replace(scenario, n=n, n_act=n)
     # j_alt sweeps leave the scenario untouched
 
@@ -376,7 +352,7 @@ def _scenario_for(spec, variant, sweep_value):
             n_act = min(int(frac * nfp), scenario.n, cap)
     j_alt = spec.j_alt
     if spec.sweep_kind == "j_alt":
-        j_alt = int(sweep_value)
+        j_alt = _whole(sweep_value)
     if variant.j_alt is not None:
         j_alt = variant.j_alt
     return replace(scenario, n_act=n_act), j_alt
@@ -427,7 +403,9 @@ def run_scheme(scheme, scenario, ch, fits, rng, j_alt=20, eps=1e-3, ga_j_p=2):
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 
-def _run_task(spec, sweep_index, trial_index):
+def _run_task(spec, task):
+    """ResultRows of one (sweep index, trial index) task, one per variant."""
+    sweep_index, trial_index = task
     rows = []
     seed = spec.scenario.seed
     sweep_value = spec.sweep_values[sweep_index]
@@ -436,6 +414,7 @@ def _run_task(spec, sweep_index, trial_index):
         ch, mask = trial_channels(scenario, seed, sweep_index, trial_index)
         fits = ElementFits(*class_fits(scenario.circuit), mask)
         rng = _scheme_rng(seed, sweep_index, trial_index, variant_index)
+        row = ResultRow(trial_index, variant.label, float(sweep_value), seed=seed)
         start = time.perf_counter()
         try:
             rate, v, design, iterations = run_scheme(
@@ -445,32 +424,15 @@ def _run_task(spec, sweep_index, trial_index):
             problems = validate_design(scenario, fits, v, design)
             if problems:
                 raise SimulationError("; ".join(problems))
-            wall = (time.perf_counter() - start) * 1e3 if spec.record_timing else 0.0
-            rows.append(ResultRow(
-                trial=trial_index,
-                scheme=variant.label,
-                sweep_value=float(sweep_value),
-                rate_bps_hz=rate,
-                ris_power_w=float(design.ris_power_w),
-                tx_power_w=float(np.trace(v.conj().T @ v).real),
-                iterations_used=int(iterations),
-                wall_ms=wall,
-                seed=seed,
-            ))
+            row = replace(
+                row, rate_bps_hz=rate, ris_power_w=float(design.ris_power_w),
+                tx_power_w=float(np.trace(v.conj().T @ v).real), iterations_used=int(iterations),
+                wall_ms=(time.perf_counter() - start) * 1e3 if spec.record_timing else 0.0,
+            )
         except (SimulationError, ValueError, np.linalg.LinAlgError) as exc:
-            rows.append(ResultRow(
-                trial=trial_index,
-                scheme=variant.label,
-                sweep_value=float(sweep_value),
-                rate_bps_hz=0.0,
-                ris_power_w=0.0,
-                tx_power_w=0.0,
-                iterations_used=0,
-                wall_ms=0.0,
-                seed=seed,
-                error=type(exc).__name__,
-            ))
-    return (sweep_index, trial_index), rows
+            row = replace(row, error=type(exc).__name__)
+        rows.append(row)
+    return rows
 
 
 def _openblas_threads_fn(action):
@@ -514,28 +476,14 @@ def run_experiment(spec):
     are fitted before the pool forks, so the workers inherit the fits.
     """
     class_fits(spec.scenario.circuit)
-    tasks = [
-        (si, ti)
-        for si in range(len(spec.sweep_values))
-        for ti in range(spec.trials)
-    ]
-    results = {}
+    tasks = [(si, ti) for si in range(len(spec.sweep_values)) for ti in range(spec.trials)]
+    run = partial(_run_task, spec)
     if spec.threads > 1:
         with _worker_pool(spec.threads) as pool:
-            futures = [
-                pool.submit(_run_task, spec, si, ti) for si, ti in tasks
-            ]
-            for fut in futures:
-                key, rows = fut.result()
-                results[key] = rows
+            per_task = list(pool.map(run, tasks))
     else:
-        for si, ti in tasks:
-            key, rows = _run_task(spec, si, ti)
-            results[key] = rows
-    ordered = []
-    for si, ti in tasks:
-        ordered.extend(results[(si, ti)])
-    return ordered
+        per_task = map(run, tasks)
+    return [row for rows in per_task for row in rows]
 
 
 def _format_cell(value):

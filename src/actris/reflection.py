@@ -48,16 +48,6 @@ class FitParams:
             "theta_rad": self.theta,
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            delta_min=float(d["delta_min"]),
-            delta_max=float(d["delta_max"]),
-            beta_min=float(d["beta_min"]),
-            beta_max=float(d["beta_max"]),
-            theta=float(d["theta_rad"]),
-        )
-
 
 def exact_bound_curves(params, kind, grid_size=3600):
     """Exact amplitude bounds swept over a uniform phase grid.
@@ -209,6 +199,8 @@ class RISDesign:
 
     def __init__(self, phi, alpha_bar, active_mask, gamma, r=None, c=None, *,
                  ris_power_w, repair_passes=1, band="approx", cells=None):
+        if band not in ("approx", "exact"):
+            raise ValueError(f"band must be 'approx' or 'exact', got {band!r}")
         if cells is not None:
             r, c = [cell.r for cell in cells], [cell.c for cell in cells]
         self.phi = phi

@@ -2,6 +2,8 @@ import ctypes
 import dataclasses
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from actris.harness import (
     spec_from_dict,
     summarize,
     trial_channels,
+    _CONFIG_TABLE,
     _openblas_threads_fn,
     _scenario_for,
     _worker_pool,
@@ -51,6 +54,18 @@ def _blas_threads():
     get = _openblas_threads_fn("get")
     get.restype = ctypes.c_int
     return get()
+
+
+# a well-formed one-cell design file but for its amplitude-bound family
+_ONE_CELL_DESIGN = {
+    "phi": [0.0], "alpha_bar": [1.0], "active_mask": [1], "gamma_re": [1.0], "gamma_im": [0.0],
+    "cells_r": [1.5], "cells_c": [1e-12], "ris_power_w": 0.0, "band": "exact_bounds",
+    "v_re": [[0.0]], "v_im": [[0.0]],
+}
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
 
 
 def small_spec(**overrides):
@@ -125,6 +140,25 @@ class TestConfig:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError):
             spec_from_dict({"schemes": ["AO", "SA"]})
+
+    @pytest.mark.parametrize("kind", ["n_elements", "j_alt"])
+    def test_fractional_sweep_value_rejected(self, kind):
+        # 16.5 elements or 2.7 iterations would run as 16 and 2 under a CSV
+        # that records 16.5 and 2.7
+        with pytest.raises(ConfigError, match="whole number"):
+            spec_from_dict({"sweep": {"kind": kind, "values": [16, 16.5]}})
+        with pytest.raises(ConfigError, match="whole number"):
+            small_spec(sweep_kind=kind, sweep_values=(2.7,))
+        assert small_spec(sweep_kind=kind, sweep_values=(16.0,)).sweep_values == (16.0,)
+
+    def test_readme_names_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        example = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+        named = set(re.findall(r"`(\w+)`", section)) | set(example) | set(example["circuit"])
+        assert {key for _, key, _, _ in _CONFIG_TABLE} <= named
+        spec = spec_from_dict(example)
+        assert spec.scenario.m_r == 8 and spec.scenario.n == 64
 
 
 class TestDeterminism:
@@ -303,11 +337,6 @@ class TestPresets:
         _, j_alt = _scenario_for(spec, spec.variants[0], 4.0)
         assert j_alt == 4
 
-    def test_fig2_is_curve_export(self):
-        spec = fig_presets("fig2", scale="desk")
-        assert spec.kind == "curves"
-        assert spec.scenario.circuit.r0 == 0.5
-
     def test_paper_scale_dimensions(self):
         spec = fig_presets("fig4", scale="paper")
         assert spec.scenario.m_t == 8
@@ -379,6 +408,8 @@ class TestCli:
         assert set(data["active"]) == {
             "delta_min", "delta_max", "beta_min", "beta_max", "theta_rad"
         }
+        assert data["active"] == reflection.fit_amplitude_model(
+            circuit.CircuitParams(), "active").to_dict()
 
     def test_run_and_exit_codes(self, tmp_path, capsys):
         from actris.cli import main
@@ -413,9 +444,26 @@ class TestCli:
         ("run", "n_elements: true\n"),
         ("run", "record_timing: \"no\"\n"),
         ("run", "record_timing: 1\n"),
+        ("run", "p_ris_w: .nan\n"),
+        ("run", "rho_db: .nan\n"),
+        ("run", "eps: .nan\n"),
+        ("run", "eps: -1.0e-3\n"),
+        ("run", "p_t_w: .inf\n"),
+        ("run", "circuit: {r0_ohm: .nan}\n"),
+        ("run", "circuit: {c_hi_pf: .inf}\n"),
+        ("run", "sweep: {kind: d_rx_ris_m, values: [4.0, .nan]}\n"),
+        ("run", "sweep: {kind: n_elements, values: [16.5]}\n"),
+        ("run", "freq_ghz: 0\n"),
+        ("run", "p_t_dbm: 1.0e+308\n"),
+        ("run", "rho_db: 1.0e+308\n"),
+        ("run", "sweep: {kind: rho_db, values: [1.0e+308]}\n"),
+        ("validate", json.dumps(_ONE_CELL_DESIGN)),
     ], ids=["text-count", "list-count", "null-schemes", "scalar-sweep", "yaml-syntax",
             "design-without-alpha-bar", "design-not-json", "fractional-count",
-            "boolean-count", "text-flag", "number-flag"])
+            "boolean-count", "text-flag", "number-flag", "nan-budget", "nan-snr",
+            "nan-eps", "negative-eps", "infinite-power", "nan-circuit", "infinite-capacitance",
+            "nan-sweep", "fractional-sweep", "zero-frequency", "overflowing-power",
+            "overflowing-snr", "overflowing-sweep", "design-unknown-band"])
     def test_malformed_input_is_a_configuration_error(self, tmp_path, capsys, command, text):
         from actris.cli import main
 
@@ -483,3 +531,11 @@ class TestCli:
         assert main(["preset", "--name", "fig2", "--out", str(out)]) == 0
         header = out.read_text().splitlines()[0]
         assert header == "phi_rad,exact_lower,exact_upper,approx_lower,approx_upper"
+        # the soft-diode parameter set of the amplitude-bound study
+        params = circuit.fig2_params()
+        assert params.r0 == 0.5
+        phis, lower, upper = reflection.exact_bound_curves(params, "active", 3600)
+        written = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert _same_bits(written[:, :3], np.column_stack([phis, lower, upper]))
+        with pytest.raises(ConfigError):
+            fig_presets("fig2")

@@ -1,9 +1,12 @@
-"""Every public module-level function and class of the package has a caller,
-and no module of the package keeps mutable state at module level.
+"""Every public module-level function and class of the package, and every
+public method and property of its public classes, has a caller, and no
+module of the package keeps mutable state at module level.
 
-The scan parses src/actris and perfbench with ast. A reference is a Name
-node (other than the name of an imported module) or an Attribute node on an
-imported module, as in `circuit.reflection`. Text inside strings does not
+The scan parses src/actris and perfbench with ast. A reference to a
+module-level definition is a Name node (other than the name of an imported
+module) or an Attribute node on an imported module, as in
+`circuit.reflection`. A reference to a method or property is any Attribute
+node with its name, as in `fits.bounds`. Text inside strings does not
 count, nor does a reference inside the definition itself.
 """
 
@@ -67,6 +70,40 @@ def test_every_public_definition_has_a_caller():
         and (module, name) not in ALLOWED
     ]
     assert not unused, f"public definitions without a caller in src/ or perfbench/: {unused}"
+
+
+def _attribute_references(path):
+    """Attribute names a file reads, without a method's references to its
+    own name inside its body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    own = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef):
+                    own |= {id(node) for node in ast.walk(fn)
+                            if isinstance(node, ast.Attribute) and node.attr == fn.name}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and id(node) not in own}
+
+
+def _public_methods():
+    for module, cls in _public_definitions():
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == cls:
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                        yield module, cls, fn.name
+
+
+def test_every_public_method_has_a_caller():
+    refs = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        refs |= _attribute_references(path)
+    unused = [f"{module}.{cls}.{name}" for module, cls, name in _public_methods()
+              if name not in refs]
+    assert not unused, f"public methods without a caller in src/ or perfbench/: {unused}"
 
 
 def test_allowlist_names_existing_definitions():

@@ -73,11 +73,6 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_amplitude_model(params_va, "active", grid_size=100)
 
-    def test_serialization_roundtrip(self, active_fit):
-        d = active_fit.to_dict()
-        assert set(d) == {"delta_min", "delta_max", "beta_min", "beta_max", "theta_rad"}
-        assert FitParams.from_dict(d) == active_fit
-
 
 class TestApproxBounds:
     def test_peak_phase(self, active_fit):
