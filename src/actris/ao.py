@@ -208,25 +208,34 @@ def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
     return phasor, s * np.asarray(trace)
 
 
-def _power_fit_arrays(fits, phi, params):
-    """Per-element linear power surrogate (p_min, slope, lower, upper) at
-    phases phi; zeros for passive elements."""
-    lower, upper = fits.bounds(phi)
-    n = phi.size
+def _linear_power(params, active, lower, upper, r_min):
+    """Per-element linear power surrogate (p_min, slope, lower, upper) on the
+    amplitude box [lower, upper]: an active cell draws the band_hi power at
+    its lower amplitude and the power of r_min at its upper one (r_min holds
+    the active cells' resistances, or one for all of them); zeros for
+    passive elements."""
+    n = lower.size
     p_min = np.zeros(n)
     slope = np.zeros(n)
-    active = fits.active_mask
     if active.any():
-        band_lo, band_hi = circuit.diode_band(params)
-        f = circuit.resistance_range(params, phi[active])
-        r_min = np.maximum(-f, band_lo)
-        powers = circuit.power_consumption(np.append(r_min, band_hi), params)
+        powers = circuit.power_consumption(np.append(r_min, circuit.diode_band(params)[1]),
+                                           params)
         p_hi, p_lo = powers[:-1], powers[-1]
         span = upper[active] - lower[active]
         p_min[active] = p_lo
         # a collapsed band pins the amplitude, so only the floor power counts
         slope[active] = np.where(span > 1e-12, (p_hi - p_lo) / np.maximum(span, 1e-12), 0.0)
     return p_min, slope, lower, upper
+
+
+def _power_fit_arrays(fits, phi, params):
+    """_linear_power on the cosine-model box at phases phi, whose upper
+    amplitudes sit at the most negative usable resistance max(-F(phi), band_lo)."""
+    lower, upper = fits.bounds(phi)
+    active = fits.active_mask
+    r_min = np.maximum(-circuit.resistance_range(params, phi[active]),
+                       circuit.diode_band(params)[0])
+    return _linear_power(params, active, lower, upper, r_min)
 
 
 def project_box_halfspace(v, lower, upper, w, b):
@@ -390,14 +399,11 @@ def amplitude_qp(qp_data, surrogate, budget, max_iters=5000, tol=1e-6):
     iterations. Every 10 iterations the residual is checked against tol;
     when it fails, the point the pivoting reaches from the iterate's face is
     returned if it does not raise the objective and passes that check, and
-    the iteration goes on otherwise.
+    the iteration goes on otherwise. A budget below the lower box corner's
+    power raises InfeasibleBudgetError from the first projection.
     """
     m, c_lin, lip = qp_data
     p_min, slope, lower, upper = surrogate
-    if p_min.sum() > budget + 1e-12:
-        raise InfeasibleBudgetError(
-            f"minimum amplitudes already need {p_min.sum():.4f} W > budget {budget:.4f} W"
-        )
     b = budget - float(p_min.sum() - slope @ lower)
 
     span = float(np.max(upper - lower))
@@ -579,7 +585,6 @@ def init_from_design(scenario, v, design):
 @dataclass
 class AOResult:
     v: np.ndarray
-    w: np.ndarray
     design: reflection.RISDesign
     rate: float
     rate_history: np.ndarray
@@ -592,8 +597,7 @@ def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
 
     init is a feasible (v0, phi0, alpha_bar0) triple. Stops on relative rate
     change below eps or after j_alt iterations, and returns the best iterate
-    seen (the initial design included), with the combiner materialized at
-    that design.
+    seen (the initial design included).
     """
     v0, phi0, alpha_bar0 = init
     params = scenario.circuit
@@ -646,10 +650,8 @@ def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
         prev_rate = rate
 
     rate, v, design, _ = best
-    w, _ = lmmse_receiver(ch, v, design.gamma, scenario)
     return AOResult(
         v=v,
-        w=w,
         design=design,
         rate=rate,
         rate_history=np.asarray(history),

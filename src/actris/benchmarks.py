@@ -7,8 +7,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import circuit, reflection
-from .channel import lmmse_receiver, rate_lmmse
-from .do import cascade_norm_objective, decoupled_design, greedy_amplitudes
+from .ao import _linear_power
+from .channel import rate_lmmse
+from .do import cascade_norm_objective, decoupled_design, do_amplitude_max
+from .errors import InfeasibleBudgetError
 from .numerics import bisect
 
 
@@ -46,32 +48,22 @@ def run_paido(scenario, ch, fits, rng):
     """Decoupled design that ignores the phase-amplitude coupling.
 
     Phases are optimized with amplitudes frozen at their phase-independent
-    maxima (the reflection becomes linear in the phasors), amplitudes are
-    then raised under constant bounds, and the result is clamped back into
-    the phase-dependent bounds of the power surrogate before the power
-    repair.
+    maxima (the reflection becomes linear in the phasors). Amplitudes are
+    then raised by do_amplitude_max on the constant box [delta_min,
+    beta_max], linearized between the band_hi and band_lo powers, and
+    clamped back into the phase-dependent bounds of the power surrogate
+    before the power repair.
     """
-    params = scenario.circuit
-    const_upper = fits.beta_max
-    const_lower = fits.delta_min
-
     zeros = np.zeros(fits.n, dtype=complex)
     obj = replace(cascade_norm_objective(ch, fits, np.ones(fits.n)),
-                  z2=zeros, z1=const_upper.astype(complex), z=zeros)
-    band_lo, band_hi = circuit.diode_band(params)
-    p_lo, p_hi = circuit.power_consumption(np.array([band_hi, band_lo]), params)
-    active = fits.active_mask
-    span = np.maximum(const_upper - const_lower, 1e-12)
-    slope = np.where(active, (p_hi - p_lo) / span, 0.0)
-    floor = np.where(active, p_lo, 0.0)
-
-    def const_greedy(surrogate, budget):
-        _, _, lower, upper = surrogate
-        alpha = greedy_amplitudes(const_lower, const_upper, slope, floor, budget,
-                                  active & (slope > 0.0))
-        return np.clip(alpha, lower, upper)
-
-    return decoupled_design(scenario, ch, fits, rng, obj, const_greedy)
+                  z2=zeros, z1=fits.beta_max.astype(complex), z=zeros)
+    const = _linear_power(scenario.circuit, fits.active_mask, fits.delta_min, fits.beta_max,
+                          circuit.diode_band(scenario.circuit)[0])
+    return decoupled_design(
+        scenario, ch, fits, rng, obj,
+        lambda surrogate, budget: np.clip(do_amplitude_max(const, budget),
+                                          surrogate[2], surrogate[3]),
+    )
 
 
 class _CircuitSearchSpace:
@@ -81,7 +73,8 @@ class _CircuitSearchSpace:
     all cells, then the precoder entries as interleaved real/imaginary
     parts. Constraint handling is by repair: the precoder is rescaled into
     the transmit budget and the most power-hungry resistances are relaxed
-    toward the low-power band edge until the surface budget holds.
+    toward the low-power band edge until the surface budget holds; a
+    budget below the minimum-bias power raises InfeasibleBudgetError.
 
     decode, encode, repair and fitness work on a population: a (K, dim)
     stack of decision vectors, one row per individual.
@@ -133,13 +126,18 @@ class _CircuitSearchSpace:
 
     def _relax_to_budget(self, r, powers):
         """Relax the most power-hungry resistances of one design, in place,
-        until its surface power fits the budget."""
+        until its surface power fits the budget. Raises InfeasibleBudgetError
+        when every active cell already draws the floor power."""
         total = powers.sum()
         budget = self.scenario.p_ris_w
         while total > budget + 1e-12:
             i = int(np.argmax(powers))
-            need = total - budget
-            target = powers[i] - need
+            if powers[i] <= self.p_floor:
+                raise InfeasibleBudgetError(
+                    f"surface budget {budget:.6g} W is below the minimum-bias power "
+                    f"{total:.6g} W of the {self.n_act} active cells"
+                )
+            target = powers[i] - (total - budget)
             if target <= self.p_floor + 1e-15:
                 r[i] = self.band_hi
             else:
@@ -162,24 +160,11 @@ class _CircuitSearchSpace:
         loud = tx > self.scenario.p_t_w
         if loud.any():
             v[loud] = v[loud] * np.sqrt(self.scenario.p_t_w / tx[loud])[:, None, None]
-
-        # any realized (R, C) already satisfies |R| <= F(arg gamma); clamp
-        # defensively in case of numerical corner cases
-        gamma = circuit.reflection(self.params, r, c)
-        f = circuit.resistance_range(self.params, np.angle(gamma) % (2 * np.pi))
-        clamped = np.abs(r) > f
-        r = np.where(clamped, -np.minimum(np.abs(r), f), r)
-        changed = clamped.any(axis=1)
-
         powers = np.zeros(r.shape)
         powers[:, self.active] = circuit.power_consumption(r[:, self.active], self.params)
-        over = np.flatnonzero(powers.sum(axis=1) > self.scenario.p_ris_w + 1e-12)
-        for k in over:
+        for k in np.flatnonzero(powers.sum(axis=1) > self.scenario.p_ris_w + 1e-12):
             self._relax_to_budget(r[k], powers[k])
-        changed[over] = True
-        # gamma is elementwise in (r, c): only rows whose r moved need it again
-        if changed.any():
-            gamma[changed] = circuit.reflection(self.params, r[changed], c[changed])
+        gamma = circuit.reflection(self.params, r, c)
         return self.encode(r, c, v), r, c, v, gamma
 
     def fitness(self, x):
@@ -196,7 +181,6 @@ def _individual(phenotypes, i):
 @dataclass
 class BenchmarkResult:
     v: np.ndarray
-    w: np.ndarray
     design: reflection.RISDesign
     rate: float
     iterations: int
@@ -217,8 +201,7 @@ def _finalize(space, best_phenotype, best_rate, iterations):
         ris_power_w=float(total),
         band="exact",
     )
-    w, _ = lmmse_receiver(space.ch, v, gamma, space.scenario)
-    return BenchmarkResult(v=v, w=w, design=design, rate=best_rate, iterations=iterations)
+    return BenchmarkResult(v=v, design=design, rate=best_rate, iterations=iterations)
 
 
 def run_ga(scenario, ch, fits, budget, rng):

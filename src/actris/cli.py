@@ -56,12 +56,13 @@ def _build_parser():
     p_preset = sub.add_parser("preset", help="run a canned experiment preset")
     p_preset.add_argument("--name", required=True,
                           choices=["fig2", "fig3", "fig4", "fig5", "fig6", "fig7"])
-    p_preset.add_argument("--scale", choices=["desk", "paper"], default="desk")
+    # None marks an option not given: fig2 rejects every one of them
+    p_preset.add_argument("--scale", choices=["desk", "paper"], help="default: desk")
     p_preset.add_argument("--out", help="CSV output path")
-    p_preset.add_argument("--seed", type=int, default=0)
+    p_preset.add_argument("--seed", type=int, help="default: 0")
     p_preset.add_argument("--trials", type=int)
     p_preset.add_argument("--threads", type=int)
-    p_preset.add_argument("--timing", action="store_true")
+    p_preset.add_argument("--timing", action="store_true", default=None)
 
     p_val = sub.add_parser("validate", help="check a saved design against the constraints")
     p_val.add_argument("--design", required=True, help="design JSON written by save_design")
@@ -116,11 +117,14 @@ def _cmd_run(args):
 
 def _cmd_preset(args):
     if args.name == "fig2":
+        for option in ("scale", "seed", "trials", "threads", "timing"):
+            if getattr(args, option) is not None:
+                raise ConfigError(f"preset fig2 exports the bound curves and takes no --{option}")
         path = args.out or "fig2_curves.csv"
         _export_curves(fig2_params(), 3600, path)
         print(f"wrote bound curves to {path}")
         return EXIT_OK
-    spec = _apply_overrides(fig_presets(args.name, scale=args.scale, seed=args.seed), args)
+    spec = _apply_overrides(fig_presets(args.name, scale=args.scale or "desk"), args)
     return _execute(spec, args.out)
 
 

@@ -89,37 +89,32 @@ def cascade_norm_objective(ch, fits, alpha_bar):
     return PhaseObjective(t=t, q=q, z2=z2, z1=z1, z=z)
 
 
-def greedy_amplitudes(lower, upper, slope, p_min, budget, raisable):
+def do_amplitude_max(surrogate, budget):
     """Maximize the amplitude sum under a linearized power budget.
 
-    Cells start at lower and draw p_min; the raisable ones go up to upper
-    in ascending power-per-amplitude slope until the budget is spent, which
-    is the exact optimum of this box-constrained linear program.
+    surrogate is a (p_min, slope, lower, upper) linear power model
+    (_linear_power). Cells start at lower and draw p_min; those with a
+    positive slope go up to upper in ascending slope until the budget is
+    spent, which is the exact optimum of this box-constrained linear program.
     """
-    if p_min.sum() > budget + 1e-12:
-        raise InfeasibleBudgetError(
-            f"minimum amplitudes already need {p_min.sum():.4f} W > budget {budget:.4f} W"
-        )
-    alpha = lower.copy()
-    remaining = budget - p_min.sum()
-    raisable = np.flatnonzero(raisable)
-    for n in raisable[np.argsort(slope[raisable], kind="stable")]:
-        cost = slope[n] * (upper[n] - lower[n])
-        if cost <= remaining:
-            alpha[n] = upper[n]
-            remaining -= cost
-        else:
-            alpha[n] = lower[n] + remaining / slope[n]
-            break
-    return alpha
-
-
-def do_amplitude_max(surrogate, fits, budget):
-    """Amplitude-sum maximum under the linearized power budget, on the
-    surrogate's box (surrogate is _power_fit_arrays at the design phases)."""
     p_min, slope, lower, upper = surrogate
-    raisable = fits.active_mask & (upper - lower > 1e-12) & (slope > 0.0)
-    return greedy_amplitudes(lower, upper, slope, p_min, budget, raisable)
+    floor = p_min.sum()
+    if floor > budget + 1e-12:
+        raise InfeasibleBudgetError(
+            f"minimum amplitudes already need {floor:.4f} W > budget {budget:.4f} W"
+        )
+    order = np.flatnonzero(slope > 0.0)
+    order = order[np.argsort(slope[order], kind="stable")]
+    cost = slope[order] * (upper[order] - lower[order])
+    # budget left before each cell, subtracted in raising order
+    left = np.subtract.accumulate(np.append(budget - floor, cost))[:-1]
+    full = cost <= left
+    k = order.size if full.all() else int(full.argmin())   # cells raised in full
+    alpha = lower.copy()
+    alpha[order[:k]] = upper[order[:k]]
+    if k < order.size:
+        alpha[order[k]] = lower[order[k]] + left[k] / slope[order[k]]
+    return alpha
 
 
 @dataclass
@@ -151,5 +146,5 @@ def run_do(scenario, ch, fits, rng):
     with the amplitude-sum maximum under the budget."""
     return decoupled_design(
         scenario, ch, fits, rng, cascade_norm_objective(ch, fits, np.ones(fits.n)),
-        lambda surrogate, budget: do_amplitude_max(surrogate, fits, budget),
+        do_amplitude_max,
     )

@@ -449,7 +449,7 @@ def test_criterion_13_solver_unit_oracles(params_va, active_fit, passive_fit, fi
         phi = rng.uniform(0, TWO_PI, 4)
         p_min, slope, lower, upper = _power_fit_arrays(fits4, phi, params_va)
         budget = p_min.sum() + 0.5 * float(slope @ (upper - lower))
-        alpha = do_amplitude_max((p_min, slope, lower, upper), fits4, budget)
+        alpha = do_amplitude_max((p_min, slope, lower, upper), budget)
         grids = np.meshgrid(*[np.linspace(lower[i], upper[i], 21) for i in range(4)],
                             indexing="ij")
         pts = np.stack([g.ravel() for g in grids])

@@ -35,8 +35,10 @@ from actris.harness import (
     ExperimentSpec,
     SchemeVariant,
     _scenario_for,
+    _scheme_rng,
     fig_presets,
     run_experiment,
+    run_scheme,
     trial_channels,
 )
 from test_numerics import fd_gradient
@@ -736,16 +738,17 @@ class TestDesignStepData:
         from actris import benchmarks, do
 
         counts = collections.Counter()
-        self._counted(monkeypatch, counts, (ao, "_power_fit_arrays"),
-                      (do, "_power_fit_arrays"), (do, "do_amplitude_max"))
+        self._counted(monkeypatch, counts, (ao, "_power_fit_arrays"), (do, "_power_fit_arrays"),
+                      (do, "do_amplitude_max"), (benchmarks, "do_amplitude_max"))
         resolved = 0
         for sc, ch, fits, seed in self._desk_trials(range(3)):
             for run in (do.run_do, benchmarks.run_paido):
                 counts.clear()
                 res = run(sc, ch, fits, np.random.default_rng(seed))
                 assert counts["_power_fit_arrays"] == 1, (run.__name__, seed)
+                # both designs raise their amplitudes with the one greedy
+                assert counts["do_amplitude_max"] >= res.design.repair_passes, (run.__name__, seed)
                 resolved += res.design.repair_passes > 1
-            assert counts["do_amplitude_max"] == 0   # PAIDO keeps its constant-box greedy
         assert resolved > 0
 
 
@@ -1275,6 +1278,39 @@ class TestAmplitudeFaceSolve:
             assert res.kkt_residual <= tol, seed
             ref = _reference_qp(obj, phi, fits_all_active, scenario_desk, budget)
             assert res.objective <= ref.objective + 1e-12 * abs(ref.objective), seed
+
+    def test_capped_pivoting_ends_at_the_guard_face_finish(self, monkeypatch):
+        # criterion 10's desk AO run at -40 dB, trial 39: some of its QPs
+        # reach an over-budget vertex, free its upper cells, and then pivot
+        # one cell at a time until the 10 n + 40 cap; the guard's
+        # projected-gradient loop must then end at tol, and at least one call
+        # ends at the face point its periodic pivoting reaches
+        sc = dataclasses.replace(desk_scenario(), seed=10).with_rho_db(-40.0)
+        ch, mask = trial_channels(sc, sc.seed, 0, 39)
+        fits = ElementFits(*class_fits(sc.circuit), mask)
+        _, tol = _qp_defaults()
+        pivot_face, qp = ao._pivot_face, ao.amplitude_qp
+        faces, finished = [], []
+
+        def recording_pivots(*args):
+            y, pivots = pivot_face(*args)
+            faces.append((y, pivots))
+            return y, pivots
+
+        def recording_qp(*args):
+            faces.clear()
+            res = qp(*args)
+            if faces[0][0] is None:   # the guard ran
+                assert faces[0][1] == 10 * sc.n + 40
+                assert res.kkt_residual <= tol
+                y = faces[-1][0]
+                finished.append(len(faces) > 1 and y is not None and _same_bits(res.alpha, y))
+            return res
+
+        monkeypatch.setattr(ao, "_pivot_face", recording_pivots)
+        monkeypatch.setattr(ao, "amplitude_qp", recording_qp)
+        run_scheme("AO", sc, ch, fits, _scheme_rng(sc.seed, 0, 39, 0))
+        assert any(finished), finished
 
     def test_singular_curvature_ends_on_the_guard(self, fits_all_active, scenario_desk, pivot_log):
         # zero curvature makes every face solve with two free cells singular,

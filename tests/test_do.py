@@ -11,7 +11,8 @@ from actris.do import (
     svd_precoder_combiner,
     waterfill,
 )
-from actris.ao import _power_fit_arrays, rmo_phase_opt, run_ao, init_from_design
+from actris.ao import _linear_power, _power_fit_arrays, rmo_phase_opt, run_ao, init_from_design
+from actris.circuit import diode_band
 from actris.constraints import validate_design
 from actris.errors import InfeasibleBudgetError
 from actris.reflection import ElementFits
@@ -163,13 +164,53 @@ class TestDoPhaseOpt:
         assert wins == 100
 
 
+def _loop_greedy(surrogate, budget, raisable):
+    """Reference: the cell-by-cell greedy over an explicit raisable mask."""
+    p_min, slope, lower, upper = surrogate
+    if p_min.sum() > budget + 1e-12:
+        raise InfeasibleBudgetError("below the floor")
+    alpha = lower.copy()
+    remaining = budget - p_min.sum()
+    raisable = np.flatnonzero(raisable)
+    for n in raisable[np.argsort(slope[raisable], kind="stable")]:
+        cost = slope[n] * (upper[n] - lower[n])
+        if cost <= remaining:
+            alpha[n] = upper[n]
+            remaining -= cost
+        else:
+            alpha[n] = lower[n] + remaining / slope[n]
+            break
+    return alpha
+
+
 class TestDoAmplitudeMax:
+    def test_matches_the_cell_loop_bit_for_bit(self, params_va, active_fit, passive_fit):
+        # the cosine box (mixed mask, cells pinned where the band collapses)
+        # and PAIDO's constant box, whose equal slopes need the stable order;
+        # the loop raises what the callers marked raisable
+        rng = np.random.default_rng(15)
+        band_lo = diode_band(params_va)[0]
+        for trial in range(40):
+            fits = ElementFits.from_classes(active_fit, passive_fit, rng.uniform(size=16) < 0.7)
+            phi = rng.uniform(0, TWO_PI, 16)
+            phi[:2] = 2.7856
+            cosine = _power_fit_arrays(fits, phi, params_va)
+            const = _linear_power(params_va, fits.active_mask, fits.delta_min, fits.beta_max,
+                                  band_lo)
+            for surrogate in (cosine, const):
+                p_min, slope, lower, upper = surrogate
+                raisable = fits.active_mask & (upper - lower > 1e-12) & (slope > 0.0)
+                full = float(slope @ (upper - lower))
+                for budget in p_min.sum() + np.array([0.0, *rng.uniform(0, full, 6), 2 * full]):
+                    want = _loop_greedy(surrogate, budget, raisable)
+                    assert np.array_equal(do_amplitude_max(surrogate, budget), want)
+
     def test_ample_budget_hits_upper_bounds(self, params_va, fits_all_active):
         rng = np.random.default_rng(10)
         phi = rng.uniform(0, TWO_PI, 16)
         _, upper = fits_all_active.bounds(phi)
         surrogate = _power_fit_arrays(fits_all_active, phi, params_va)
-        alpha = do_amplitude_max(surrogate, fits_all_active, budget=1e6)
+        alpha = do_amplitude_max(surrogate, budget=1e6)
         assert np.allclose(alpha, upper, atol=1e-9)
 
     def test_greedy_matches_enumeration(self, params_va, active_fit, passive_fit):
@@ -180,7 +221,7 @@ class TestDoAmplitudeMax:
             surrogate = _power_fit_arrays(fits, phi, params_va)
             p_min, slope, lower, upper = surrogate
             budget = p_min.sum() + rng.uniform(0.2, 0.8) * (slope @ (upper - lower))
-            alpha = do_amplitude_max(surrogate, fits, budget=budget)
+            alpha = do_amplitude_max(surrogate, budget=budget)
             assert p_min.sum() + slope @ (alpha - lower) <= budget + 1e-9
             grids = np.meshgrid(*[np.linspace(lower[i], upper[i], 25) for i in range(4)],
                                 indexing="ij")
@@ -197,7 +238,7 @@ class TestDoAmplitudeMax:
         p_min, slope, lower, upper = surrogate
         cheapest = np.argmin(np.where(slope > 0, slope, np.inf))
         budget = p_min.sum() + slope[cheapest] * (upper[cheapest] - lower[cheapest])
-        alpha = do_amplitude_max(surrogate, fits_all_active, budget=budget)
+        alpha = do_amplitude_max(surrogate, budget=budget)
         assert alpha[cheapest] == pytest.approx(upper[cheapest], abs=1e-9)
         others = np.arange(16) != cheapest
         assert np.allclose(alpha[others], lower[others], atol=1e-9)
@@ -206,8 +247,7 @@ class TestDoAmplitudeMax:
         rng = np.random.default_rng(13)
         phi = rng.uniform(0, TWO_PI, 16)
         with pytest.raises(InfeasibleBudgetError):
-            do_amplitude_max(_power_fit_arrays(fits_all_active, phi, params_va), fits_all_active,
-                             budget=1e-4)
+            do_amplitude_max(_power_fit_arrays(fits_all_active, phi, params_va), budget=1e-4)
 
 
 class TestRunDo:

@@ -539,3 +539,13 @@ class TestCli:
         assert _same_bits(written[:, :3], np.column_stack([phis, lower, upper]))
         with pytest.raises(ConfigError):
             fig_presets("fig2")
+
+    @pytest.mark.parametrize("given", [["--scale", "desk"], ["--seed", "0"], ["--trials", "3"],
+                                       ["--threads", "2"], ["--timing"]])
+    def test_preset_fig2_rejects_run_options(self, given, tmp_path, capsys):
+        from actris.cli import main
+
+        out = tmp_path / "curves.csv"
+        assert main(["preset", "--name", "fig2", "--out", str(out), *given]) == 2
+        assert f"takes no {given[0]}" in capsys.readouterr().err
+        assert not out.exists()
