@@ -331,7 +331,10 @@ def _pivot_face(x, m, c_lin, lower, upper, w, b):
     infeasible set moves while its size keeps falling; after PIVOT_TRIES
     pivots without a new minimum only its least index moves (Murty's rule),
     which cannot cycle. At a vertex over the budget, a pivot frees the upper
-    cells that carry budget weight. Cells with no amplitude span stay fixed.
+    cells that carry budget weight; at a vertex on the budget row, mu is the
+    smallest multiplier that holds the lower cells with budget weight at
+    their bound, so those cells stay there (their g is >= 0 up to rounding).
+    Cells with no amplitude span stay fixed.
     Returns (y, pivots); y is None when the pivoting cannot certify a point:
     a singular face, an over-budget vertex with no cell to free, more than
     10 n + 40 pivots, or a final point over the budget.
@@ -344,7 +347,7 @@ def _pivot_face(x, m, c_lin, lower, upper, w, b):
     for pivots in range(cap + 1):
         free = movable & ~at_lo & ~at_hi
         y = np.where(at_lo, lower, np.where(at_hi, upper, x))
-        mu = 0.0
+        mu, held = 0.0, np.zeros_like(at_lo)
         if free.any():
             try:
                 y, mu = _face_solve(free, y, m, c_lin, w, b)
@@ -356,10 +359,14 @@ def _pivot_face(x, m, c_lin, lower, upper, w, b):
                 return None, pivots
             at_hi &= ~release
             continue
+        elif w @ y >= b - _budget_slack(b):   # a vertex on the budget row
+            held = at_lo & (w > 0.0)
+            if held.any():
+                mu = max(0.0, float(np.max(-(2.0 * (m @ y) + c_lin)[held] / w[held])))
         g = 2.0 * (m @ y) + c_lin + mu * w
         below = free & (y < lower)
         above = free & (y > upper)
-        flip = below | above | (at_lo & (g < 0.0)) | (at_hi & (g > 0.0))
+        flip = below | above | (at_lo & ~held & (g < 0.0)) | (at_hi & (g > 0.0))
         count = int(flip.sum())
         if count == 0:   # a bordered point may still break the budget by rounding
             return (y if w @ y <= b + _budget_slack(b) else None), pivots
@@ -597,7 +604,8 @@ def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
 
     init is a feasible (v0, phi0, alpha_bar0) triple. Stops on relative rate
     change below eps or after j_alt iterations, and returns the best iterate
-    seen (the initial design included).
+    seen (the initial design included). Its rates are model rates, at the
+    cosine-model reflection design.gamma.
     """
     v0, phi0, alpha_bar0 = init
     params = scenario.circuit

@@ -1,4 +1,4 @@
-"""Channel generation, cascade algebra and spectral-efficiency evaluation."""
+"""Channel generation, cascade algebra and the LMMSE rate."""
 
 from dataclasses import dataclass, field, replace
 
@@ -147,22 +147,6 @@ def noise_covariance(ch, gamma, scenario):
     return scenario.sigma2_w * scenario.f_s * (h2g @ h2g.conj().swapaxes(-1, -2)) + (
         scenario.sigma2_w * scenario.f_r
     ) * np.eye(scenario.m_r)
-
-
-def spectral_efficiency(ch, v, w, gamma, scenario):
-    """Instantaneous spectral efficiency for given precoder/combiner (bps/Hz).
-
-    Per-stream SINR includes inter-stream interference, the surface-induced
-    noise picked up through the RX-side channel, and thermal noise. Streams
-    with a zero combiner column contribute nothing.
-    """
-    g = effective_channel(ch, gamma) @ v                    # (m_r, d)
-    gains = np.abs(w.conj().T @ g) ** 2                     # |w_i^H g_j|^2
-    sig = np.diag(gains)
-    interf = np.sum(gains * (1.0 - np.eye(gains.shape[0])), axis=1)
-    noise = np.einsum("ij,ij->j", w.conj(), noise_covariance(ch, gamma, scenario) @ w).real
-    used = np.einsum("ij,ij->j", w.conj(), w).real > 0.0
-    return float(np.sum(np.log2(1.0 + sig[used] / (interf[used] + noise[used]))))
 
 
 def _solve_designs(b, g):

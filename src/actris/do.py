@@ -9,7 +9,7 @@ import numpy as np
 
 from . import reflection
 from .ao import PhaseObjective, _power_fit_arrays, power_repair_loop, rmo_phase_opt
-from .channel import effective_channel, spectral_efficiency
+from .channel import effective_channel
 from .errors import InfeasibleBudgetError
 
 
@@ -120,25 +120,21 @@ def do_amplitude_max(surrogate, budget):
 @dataclass
 class DOResult:
     v: np.ndarray
-    w: np.ndarray
     design: reflection.RISDesign
     stream_powers: np.ndarray
-    rate: float
 
 
 def decoupled_design(scenario, ch, fits, rng, obj, amplitudes):
     """One pass of the decoupled design: phases minimizing obj from random
     phasors, amplitudes(surrogate, budget) under the power repair, then SVD
-    precoding; the rate is evaluated with the full spectral-efficiency
-    expression, surface noise included."""
+    precoding."""
     phasor, _ = rmo_phase_opt(obj, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, fits.n)))
     phi = np.angle(phasor) % (2.0 * np.pi)
     surrogate = _power_fit_arrays(fits, phi, scenario.circuit)
     design = power_repair_loop(scenario, fits, phi, surrogate,
                                lambda budget: amplitudes(surrogate, budget))
-    v, w, _, powers = svd_precoder_combiner(ch, design.gamma, scenario)
-    rate = spectral_efficiency(ch, v, w, design.gamma, scenario)
-    return DOResult(v=v, w=w, design=design, stream_powers=powers, rate=rate)
+    v, _, _, powers = svd_precoder_combiner(ch, design.gamma, scenario)
+    return DOResult(v=v, design=design, stream_powers=powers)
 
 
 def run_do(scenario, ch, fits, rng):

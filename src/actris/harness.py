@@ -15,7 +15,8 @@ import yaml
 
 from . import benchmarks, circuit
 from .ao import init_from_design, random_init, run_ao
-from .channel import SPEED_OF_LIGHT, ScenarioConfig, db_to_linear, dbm_to_watt, sample_channels
+from .channel import (SPEED_OF_LIGHT, ScenarioConfig, db_to_linear, dbm_to_watt, rate_lmmse,
+                      sample_channels)
 from .circuit import CircuitParams
 from .constraints import validate_design
 from .do import run_do
@@ -68,8 +69,9 @@ class ExperimentSpec:
     record_timing: bool = False
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be at least 1")
+        for name in ("trials", "threads", "j_alt"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if not 0.0 <= self.eps < np.inf:
             raise ConfigError(f"eps must be finite and at least 0, got {self.eps!r}")
         if not self.sweep_values:
@@ -81,9 +83,12 @@ class ExperimentSpec:
         for variant in self.variants:
             for value in self.sweep_values:
                 try:
-                    _scenario_for(self, variant, value)
+                    _, j_alt = _scenario_for(self, variant, value)
                 except (ArithmeticError, ValueError) as exc:   # a huge rho_db overflows
                     raise ConfigError(f"{self.sweep_kind} = {value:g}: {exc}") from exc
+                if j_alt < 1:
+                    raise ConfigError(f"{variant.label} at {self.sweep_kind} = {value:g}: "
+                                      f"j_alt must be at least 1, got {j_alt}")
 
 
 @dataclass(frozen=True)
@@ -379,28 +384,31 @@ def _scheme_rng(seed, sweep_index, trial_index, variant_index):
 
 
 def run_scheme(scheme, scenario, ch, fits, rng, j_alt=20, eps=1e-3, ga_j_p=2):
-    """Dispatch one scheme run; returns (rate, v, design, iterations)."""
-    if scheme == "DO":
-        res = run_do(scenario, ch, fits, rng)
-        return res.rate, res.v, res.design, 1
-    if scheme == "PAIDO":
-        res = benchmarks.run_paido(scenario, ch, fits, rng)
-        return res.rate, res.v, res.design, 1
-    if scheme == "AO":
-        do_res = run_do(scenario, ch, fits, rng)
-        init = init_from_design(scenario, do_res.v, do_res.design)
+    """Dispatch one scheme run; returns (rate, v, design, iterations).
+
+    Every scheme is scored one way: the LMMSE rate at the reflection the
+    cells' circuits deliver.
+    """
+    if scheme in ("DO", "PAIDO"):
+        res = (run_do if scheme == "DO" else benchmarks.run_paido)(scenario, ch, fits, rng)
+        iterations = 1
+    elif scheme in ("AO", "AO-random-init"):
+        if scheme == "AO":
+            do_res = run_do(scenario, ch, fits, rng)
+            init = init_from_design(scenario, do_res.v, do_res.design)
+        else:
+            init = random_init(scenario, fits, rng)
         res = run_ao(scenario, ch, fits, init, eps=eps, j_alt=j_alt)
-        return res.rate, res.v, res.design, res.iterations
-    if scheme == "AO-random-init":
-        init = random_init(scenario, fits, rng)
-        res = run_ao(scenario, ch, fits, init, eps=eps, j_alt=j_alt)
-        return res.rate, res.v, res.design, res.iterations
-    if scheme in ("GA", "PSO"):
+        iterations = res.iterations
+    elif scheme in ("GA", "PSO"):
         budget = benchmarks.budget_from_ao(scenario, j_alt=j_alt, j_p=ga_j_p)
         runner = benchmarks.run_ga if scheme == "GA" else benchmarks.run_pso
         res = runner(scenario, ch, fits, budget, rng)
-        return res.rate, res.v, res.design, res.iterations
-    raise ConfigError(f"unknown scheme {scheme!r}")
+        iterations = res.iterations
+    else:
+        raise ConfigError(f"unknown scheme {scheme!r}")
+    gamma = circuit.reflection(scenario.circuit, res.design.r, res.design.c)
+    return rate_lmmse(ch, res.v, gamma, scenario), res.v, res.design, iterations
 
 
 def _run_task(spec, task):
@@ -470,10 +478,11 @@ def _worker_pool(workers):
 def run_experiment(spec):
     """Run every (sweep value, trial) task and return rows in canonical order.
 
-    Channels are sampled once per trial and shared by all schemes. Tasks run
-    on a process pool when more than one worker is requested; the row order
-    and content are independent of the worker count. The element classes
-    are fitted before the pool forks, so the workers inherit the fits.
+    Each scheme of a trial draws its channels from the same seed, so all
+    schemes see the same channels. Tasks run on a process pool when more
+    than one worker is requested; the row order and content are independent
+    of the worker count. The element classes are fitted before the pool
+    forks, so the workers inherit the fits.
     """
     class_fits(spec.scenario.circuit)
     tasks = [(si, ti) for si in range(len(spec.sweep_values)) for ti in range(spec.trials)]

@@ -27,7 +27,6 @@ from actris.channel import (
     lmmse_receiver,
     noise_covariance,
     rate_lmmse,
-    spectral_efficiency,
 )
 from actris.do import cascade_norm_objective
 from actris.errors import ConvergenceError, InfeasibleBudgetError
@@ -50,7 +49,7 @@ from actris.reflection import (
     realize_minimum_power,
 )
 from conftest import desk_scenario
-from test_channel import random_channels, selector_matrix
+from test_channel import random_channels, reference_spectral_efficiency, selector_matrix
 from test_reflection import model_gamma
 
 TWO_PI = 2.0 * np.pi
@@ -90,7 +89,7 @@ class TestLmmseCombiner:
         for seed in range(5):
             sc, ch, v, gamma = make_instance(np.random.default_rng(seed), fits_all_active, n=6)
             w = lmmse_receiver(ch, v, gamma, sc)[0]
-            assert spectral_efficiency(ch, v, w, gamma, sc) == pytest.approx(
+            assert reference_spectral_efficiency(ch, v, w, gamma, sc) == pytest.approx(
                 rate_lmmse(ch, v, gamma, sc), abs=1e-9
             )
 
@@ -514,7 +513,7 @@ class TestAmplitudeQP:
         res = _qp(obj, phi, fits_all_active, scenario_desk, budget=float(p_min.sum()))
         assert np.allclose(res.alpha, lower, atol=1e-6)
 
-    def test_floor_budget_solves_at_criterion_12_size(self, active_fit, passive_fit):
+    def test_floor_budget_solves_at_criterion_12_size(self, active_fit, passive_fit, pivot_log):
         # criterion 12's all-active rule at N = 144 (111 cells active, as many
         # as the budget's minimum bias allows); two active cells sit where the
         # amplitude span nearly collapses, so their fitted slopes reach ~2e4
@@ -532,8 +531,12 @@ class TestAmplitudeQP:
             phi = np.random.default_rng(seed).uniform(0, TWO_PI, sc.n)
             phi[active[:2]] = (2.78556, 2.7856)
             p_min, _, lower, _ = _power_fit_arrays(fits, phi, sc.circuit)
+            pivot_log.clear()
             res = _qp(obj, phi, fits, sc, budget=float(p_min.sum()))
             assert np.allclose(res.alpha[mask], lower[mask], atol=1e-6)
+            # the lower corner is the only feasible point, a vertex on the
+            # budget row, and the pivoting certifies it
+            assert pivot_log[0][0], seed
 
     def test_infeasible_budget_raises(self, fits_all_active, scenario_desk):
         rng = np.random.default_rng(25)

@@ -14,9 +14,9 @@ from actris.benchmarks import (
 )
 from actris.channel import MimoChannels, ScenarioConfig, rate_lmmse, sample_channels
 from actris.constraints import validate_design
-from actris.do import run_do
 from actris.errors import InfeasibleBudgetError
-from actris.harness import ExperimentSpec, SchemeVariant, export_csv, run_experiment, trial_channels
+from actris.harness import (ExperimentSpec, SchemeVariant, export_csv, run_experiment, run_scheme,
+                            trial_channels)
 from actris.numerics import bisect
 from actris.reflection import ElementFits
 from conftest import desk_scenario
@@ -53,10 +53,9 @@ class TestPaido:
         for t in range(12):
             rng_ch = np.random.default_rng(1000 + t)
             ch = sample_channels(scenario_desk, rng_ch)
-            rates_do.append(run_do(scenario_desk, ch, fits_all_active,
-                                   np.random.default_rng(t)).rate)
-            rates_paido.append(run_paido(scenario_desk, ch, fits_all_active,
-                                         np.random.default_rng(t)).rate)
+            for scheme, rates in (("DO", rates_do), ("PAIDO", rates_paido)):
+                rates.append(run_scheme(scheme, scenario_desk, ch, fits_all_active,
+                                        np.random.default_rng(t))[0])
         assert np.mean(rates_paido) <= np.mean(rates_do)
 
     def test_clamping_reduces_reflection_on_constructed_toy(self, active_fit, passive_fit):

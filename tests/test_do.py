@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from actris.channel import ScenarioConfig, effective_channel, sample_channels, spectral_efficiency
+from actris.channel import ScenarioConfig, effective_channel, sample_channels
 from actris.do import (
     cascade_norm_objective,
     do_amplitude_max,
@@ -11,13 +11,14 @@ from actris.do import (
     svd_precoder_combiner,
     waterfill,
 )
-from actris.ao import _linear_power, _power_fit_arrays, rmo_phase_opt, run_ao, init_from_design
+from actris.ao import _linear_power, _power_fit_arrays, rmo_phase_opt
 from actris.circuit import diode_band
 from actris.constraints import validate_design
 from actris.errors import InfeasibleBudgetError
+from actris.harness import run_scheme
 from actris.reflection import ElementFits
 from conftest import desk_scenario
-from test_channel import random_channels
+from test_channel import random_channels, reference_spectral_efficiency
 
 TWO_PI = 2.0 * np.pi
 
@@ -96,7 +97,7 @@ class TestSvdPrecoderCombiner:
         sc, ch, _ = self._instance(4)
         v, w, gains, powers = svd_precoder_combiner(ch, np.zeros(8), sc)
         assert np.all(gains == 0.0)
-        assert spectral_efficiency(ch, v, w, np.zeros(8), sc) == 0.0
+        assert reference_spectral_efficiency(ch, v, w, np.zeros(8), sc) == 0.0
 
     def test_parallel_channel_rate_identity(self):
         # with the eigenmode precoder/combiner the full expression reduces to
@@ -105,7 +106,7 @@ class TestSvdPrecoderCombiner:
         v, w, gains, powers = svd_precoder_combiner(ch, gamma, sc)
         keep = powers > 0.0
         expect = np.sum(np.log2(1.0 + gains[keep] * powers[keep]))
-        got = spectral_efficiency(ch, v, w, gamma, sc)
+        got = reference_spectral_efficiency(ch, v, w, gamma, sc)
         assert got == pytest.approx(expect, abs=1e-8)
 
     def test_transmit_power_budget(self):
@@ -254,11 +255,13 @@ class TestRunDo:
     def test_output_is_valid_and_feasible_init(self, fits_all_active, scenario_desk):
         rng = np.random.default_rng(14)
         ch = sample_channels(scenario_desk, rng)
-        res = run_do(scenario_desk, ch, fits_all_active, rng)
+        res = run_do(scenario_desk, ch, fits_all_active, np.random.default_rng(15))
         assert validate_design(scenario_desk, fits_all_active, res.v, res.design) == []
-        init = init_from_design(scenario_desk, res.v, res.design)
-        ao_res = run_ao(scenario_desk, ch, fits_all_active, init, j_alt=2)
-        assert ao_res.rate >= res.rate - 1e-9
+        # AO starts from this DO design; both are scored at the delivered reflection
+        do_rate, ao_rate = (run_scheme(scheme, scenario_desk, ch, fits_all_active,
+                                       np.random.default_rng(15), j_alt=2)[0]
+                            for scheme in ("DO", "AO"))
+        assert ao_rate >= do_rate - 1e-9
 
     def test_stream_powers_meet_budget(self, fits_all_active, scenario_desk):
         rng = np.random.default_rng(15)

@@ -10,11 +10,12 @@ import pytest
 import yaml
 
 from actris import circuit, reflection
-from actris.channel import ScenarioConfig, dbm_to_watt
+from actris.channel import ScenarioConfig, dbm_to_watt, rate_lmmse
 from actris.constraints import validate_design
 from actris.errors import ConfigError
 from actris.harness import (
     CSV_HEADER,
+    SCHEME_NAMES,
     ExperimentSpec,
     ResultRow,
     SchemeVariant,
@@ -24,6 +25,7 @@ from actris.harness import (
     load_design,
     n_full_power,
     run_experiment,
+    run_scheme,
     save_design,
     spec_from_dict,
     summarize,
@@ -116,6 +118,21 @@ class TestConfig:
     def test_zero_dimension_rejected(self, raw):
         with pytest.raises(ConfigError, match="at least 1"):
             spec_from_dict(raw)
+
+    @pytest.mark.parametrize("raw", [
+        {"threads": 0}, {"threads": -4}, {"j_alt": 0, "schemes": ["GA"]}, {"j_alt": -2},
+        {"sweep": {"kind": "j_alt", "values": [4, 0]}, "schemes": ["AO", "PSO"]},
+    ])
+    def test_count_below_one_rejected(self, raw):
+        # j_alt 0 divided by zero in the GA/PSO budget, j_alt -2 ran AO for
+        # no iteration and threads below 1 ran on one worker
+        with pytest.raises(ConfigError, match="at least 1"):
+            spec_from_dict(raw)
+
+    def test_variant_j_alt_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="j_alt must be at least 1"):
+            small_spec(variants=(SchemeVariant("AO", "AO", j_alt=0),))
+        assert small_spec(variants=(SchemeVariant("AO", "AO", j_alt=1),)).variants[0].j_alt == 1
 
     def test_no_active_cells_allowed(self):
         assert spec_from_dict({"n_elements": 4, "n_act": 0}).scenario.n_act == 0
@@ -228,6 +245,20 @@ class TestDeterminism:
             seen[key] = seen.get(key, 0) + 1
         assert all(v == 1 for v in seen.values())
         assert len(seen) == len(spec.sweep_values) * spec.trials * len(spec.variants)
+
+
+class TestScoring:
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_rate_is_the_lmmse_rate_at_the_delivered_reflection(self, scheme):
+        # one ruler for every scheme: the circuits' reflection, not the
+        # cosine model the design was made on
+        sc = desk_scenario()
+        ch, mask = trial_channels(sc, 0, 0, 0)
+        fits = reflection.ElementFits(*reflection.class_fits(sc.circuit), mask)
+        rate, v, design, _ = run_scheme(scheme, sc, ch, fits, np.random.default_rng(3))
+        gamma = circuit.reflection(sc.circuit, design.r, design.c)
+        assert type(rate) is float
+        assert rate == rate_lmmse(ch, v, gamma, sc)
 
 
 class TestCsv:
@@ -431,6 +462,8 @@ class TestCli:
             empty.write_text(yaml.safe_dump({key: 0, "schemes": ["DO"], "trials": 1}))
             assert main(["run", "--config", str(empty)]) == 2
         assert main(["run", "--config", str(tmp_path / "missing.yaml")]) == 2
+        for threads in ("0", "-1"):
+            assert main(["run", "--config", str(cfg), "--threads", threads]) == 2
 
     @pytest.mark.parametrize("command, text", [
         ("run", "trials: abc\n"),
@@ -458,12 +491,16 @@ class TestCli:
         ("run", "rho_db: 1.0e+308\n"),
         ("run", "sweep: {kind: rho_db, values: [1.0e+308]}\n"),
         ("validate", json.dumps(_ONE_CELL_DESIGN)),
+        ("run", "j_alt: 0\nschemes: [GA]\n"),
+        ("run", "threads: -4\n"),
+        ("run", "sweep: {kind: j_alt, values: [0]}\n"),
     ], ids=["text-count", "list-count", "null-schemes", "scalar-sweep", "yaml-syntax",
             "design-without-alpha-bar", "design-not-json", "fractional-count",
             "boolean-count", "text-flag", "number-flag", "nan-budget", "nan-snr",
             "nan-eps", "negative-eps", "infinite-power", "nan-circuit", "infinite-capacitance",
             "nan-sweep", "fractional-sweep", "zero-frequency", "overflowing-power",
-            "overflowing-snr", "overflowing-sweep", "design-unknown-band"])
+            "overflowing-snr", "overflowing-sweep", "design-unknown-band",
+            "zero-iterations", "negative-workers", "zero-iteration-sweep"])
     def test_malformed_input_is_a_configuration_error(self, tmp_path, capsys, command, text):
         from actris.cli import main
 
