@@ -288,7 +288,6 @@ class QpResult:
     objective: float
     kkt_residual: float
     iterations: int
-    trace: np.ndarray
 
 
 def _budget_slack(b):
@@ -300,20 +299,17 @@ def _face_solve(free, x, m, c_lin, w, b):
 
     Cells outside free keep their values in x. The free cells solve the
     stationarity equations, bordered by the budget row when the box-only
-    point breaks the budget or does not exist; the multiplier is zero for
-    the box-only point. Raises LinAlgError when the bordered system is
-    singular, as it is when w is zero on the free cells.
+    point breaks the budget; the multiplier is zero for the box-only point.
+    Raises LinAlgError when a system is singular, as the bordered one is
+    when w is zero on the free cells.
     """
     fixed = ~free
     m_ff = 2.0 * m[np.ix_(free, free)]
     rhs = -(c_lin[free] + 2.0 * (m[np.ix_(free, fixed)] @ x[fixed]))
     y = x.copy()
-    try:
-        y[free] = np.linalg.solve(m_ff, rhs)
-        if w @ y <= b + _budget_slack(b):
-            return y, 0.0
-    except np.linalg.LinAlgError:
-        pass   # flat along the face: only the budget row can pin it
+    y[free] = np.linalg.solve(m_ff, rhs)
+    if w @ y <= b + _budget_slack(b):
+        return y, 0.0
     w_f = w[free]
     bordered = np.block([[m_ff, w_f[:, None]], [w_f, 0.0]])
     sol = np.linalg.solve(bordered, np.append(rhs, b - w[fixed] @ x[fixed]))
@@ -329,155 +325,130 @@ def _pivot_face(x, m, c_lin, lower, upper, w, b):
     the free cells outside the box and the cells on a bound whose g points
     into the box, and a pivot moves them to the other set. The whole
     infeasible set moves while its size keeps falling; after PIVOT_TRIES
-    pivots without a new minimum only its least index moves (Murty's rule),
-    which cannot cycle. At a vertex over the budget, a pivot frees the upper
-    cells that carry budget weight; at a vertex on the budget row, mu is the
-    smallest multiplier that holds the lower cells with budget weight at
-    their bound, so those cells stay there (their g is >= 0 up to rounding).
-    Cells with no amplitude span stay fixed.
-    Returns (y, pivots); y is None when the pivoting cannot certify a point:
-    a singular face, an over-budget vertex with no cell to free, more than
-    10 n + 40 pivots, or a final point over the budget.
+    pivots without a new minimum only its least index moves (Murty's rule).
+    At a vertex on the budget row, mu is the smallest multiplier that holds
+    the lower cells with budget weight at their bound, so those cells stay
+    there (their g is >= 0 up to rounding). Cells with no amplitude span
+    stay fixed.
+
+    The state (lower set, upper set, fewest count, tries left) fixes the
+    next pivot, so a repeated state is a cycle; cycles can occur because
+    _face_solve decides per face whether the budget row is active. On a
+    cycle, at a vertex over the budget, or on a bordered face whose free
+    cells carry no budget weight (a singular face), the budget multiplier
+    is fixed inside the bracket that earlier fixes left open: the face's
+    own mu if inside it, else 0, else the midpoint, or doubling from
+    max|c_lin| / max w while the bracket is open above. This function
+    with linear term c_lin + mu w and b = inf solves that box problem (no
+    budget decision there, so Murty's rule is finite for a
+    positive-definite m), the bracket end moves by whether its point
+    breaks the budget, and the pivoting starts afresh from its face.
+    Returns (y, pivots) at a point that meets the KKT conditions on its
+    face. Raises ConvergenceError when the box pivoting stalls or no
+    multiplier is left in the bracket (width <= 1e-15 of its upper end).
     """
     movable = upper > lower
-    at_lo = movable & (x <= lower)
-    at_hi = movable & (x >= upper)
-    fewest, tries = x.size + 1, PIVOT_TRIES
-    cap = 10 * x.size + 40
-    for pivots in range(cap + 1):
-        free = movable & ~at_lo & ~at_hi
-        y = np.where(at_lo, lower, np.where(at_hi, upper, x))
-        mu, held = 0.0, np.zeros_like(at_lo)
-        if free.any():
-            try:
-                y, mu = _face_solve(free, y, m, c_lin, w, b)
-            except np.linalg.LinAlgError:
-                return None, pivots
-        elif w @ y > b + _budget_slack(b):
-            release = at_hi & (w > 0.0)
-            if not release.any():
-                return None, pivots
-            at_hi &= ~release
-            continue
-        elif w @ y >= b - _budget_slack(b):   # a vertex on the budget row
-            held = at_lo & (w > 0.0)
-            if held.any():
-                mu = max(0.0, float(np.max(-(2.0 * (m @ y) + c_lin)[held] / w[held])))
-        g = 2.0 * (m @ y) + c_lin + mu * w
-        below = free & (y < lower)
-        above = free & (y > upper)
-        flip = below | above | (at_lo & ~held & (g < 0.0)) | (at_hi & (g > 0.0))
-        count = int(flip.sum())
-        if count == 0:   # a bordered point may still break the budget by rounding
-            return (y if w @ y <= b + _budget_slack(b) else None), pivots
-        if count < fewest:
-            fewest, tries = count, PIVOT_TRIES
-        elif tries > 0:
-            tries -= 1
+    mu_lo, mu_hi = -np.inf, np.inf   # box points break the budget at mu_lo, meet it at mu_hi
+    pivots = 0
+    while True:
+        at_lo = movable & (x <= lower)
+        at_hi = movable & (x >= upper)
+        fewest, tries, seen = x.size + 1, PIVOT_TRIES, set()
+        while True:
+            free = movable & ~at_lo & ~at_hi
+            y = np.where(at_lo, lower, np.where(at_hi, upper, x))
+            mu, held = 0.0, np.zeros_like(at_lo)
+            if free.any():
+                try:
+                    y, mu = _face_solve(free, y, m, c_lin, w, b)
+                except np.linalg.LinAlgError:
+                    why = "a singular face"
+                    break
+            elif w @ y > b + _budget_slack(b):
+                why = "a vertex over the budget"
+                break
+            elif w @ y >= b - _budget_slack(b):   # a vertex on the budget row
+                held = at_lo & (w > 0.0)
+                if held.any():
+                    mu = max(0.0, float(np.max(-(2.0 * (m @ y) + c_lin)[held] / w[held])))
+            g = 2.0 * (m @ y) + c_lin + mu * w
+            below = free & (y < lower)
+            above = free & (y > upper)
+            flip = below | above | (at_lo & ~held & (g < 0.0)) | (at_hi & (g > 0.0))
+            count = int(flip.sum())
+            if count == 0:   # a bordered point meets the budget row up to rounding
+                return y, pivots
+            state = (at_lo.tobytes(), at_hi.tobytes(), fewest, tries)
+            if state in seen:
+                why = "a repeated pivot state"
+                break
+            seen.add(state)
+            if count < fewest:
+                fewest, tries = count, PIVOT_TRIES
+            elif tries > 0:
+                tries -= 1
+            else:
+                flip[flip.argmax() + 1:] = False
+            at_lo = (at_lo & ~flip) | (below & flip)
+            at_hi = (at_hi & ~flip) | (above & flip)
+            pivots += 1
+        if b == np.inf:
+            raise ConvergenceError(f"amplitude QP box pivoting at a fixed multiplier met {why}")
+        if not (mu_lo < mu < mu_hi and mu >= 0.0):
+            mu = (0.0 if mu_lo < 0.0 else 0.5 * (mu_lo + mu_hi) if mu_hi < np.inf
+                  else max(2.0 * mu_lo, float(np.abs(c_lin).max() / w.max())))
+        collapsed = mu_hi < np.inf and mu_hi - max(mu_lo, 0.0) <= 1e-15 * mu_hi
+        if collapsed or not mu_lo < mu < mu_hi:
+            raise ConvergenceError(f"amplitude QP has no budget multiplier left in "
+                                   f"({mu_lo:.6g}, {mu_hi:.6g}) after {why}")
+        x, box_pivots = _pivot_face(np.minimum(np.maximum(y, lower), upper), m,
+                                    c_lin + mu * w, lower, upper, w, np.inf)
+        pivots += box_pivots
+        if w @ x > b + _budget_slack(b):
+            mu_lo = mu
         else:
-            flip[flip.argmax() + 1:] = False
-        at_lo = (at_lo & ~flip) | (below & flip)
-        at_hi = (at_hi & ~flip) | (above & flip)
-    return None, cap
+            mu_hi = mu
 
 
 def _qp_phase_data(obj, phi):
-    """Curvature, linear term and 2 lambda_max of the amplitude QP at phases phi."""
+    """Curvature, linear term and 2 lambda_max of the amplitude QP at phases
+    phi. Raises ConvergenceError when the curvature is not positive definite
+    (lambda_min <= n eps lambda_max), on which the pivoting need not end."""
     phasor = np.exp(1j * phi)
     m = np.real(np.conj(phasor)[:, None] * obj.t * phasor[None, :])
     c_lin = -2.0 * np.real(np.conj(phasor) * obj.q)
-    return m, c_lin, 2.0 * float(np.linalg.eigvalsh(m)[-1])
+    eig = np.linalg.eigvalsh(m)
+    if eig[0] <= m.shape[0] * np.finfo(float).eps * eig[-1]:
+        raise ConvergenceError(f"amplitude QP curvature is not positive definite: eigenvalues "
+                               f"{eig[0]:.6g} to {eig[-1]:.6g}")
+    return m, c_lin, 2.0 * float(eig[-1])
 
 
-def amplitude_qp(qp_data, surrogate, budget, max_iters=5000, tol=1e-6):
+def amplitude_qp(qp_data, surrogate, budget):
     """Amplitude subproblem at fixed phases: convex QP over box and budget.
 
     Minimizes the reflected-signal quadratic (qp_data, from _qp_phase_data)
     subject to the per-element amplitude box and the linearized power
     budget (surrogate, from _power_fit_arrays at the same phases). From the
-    exact box-halfspace projection of the box midpoint, block principal pivoting
-    (_pivot_face) finds the optimal face and solves the quadratic on it
-    exactly; that point is returned when its projected-gradient fixed-point
-    residual, in amplitude units at step 1/L, is within tol. iterations then
-    counts pivots, and trace holds the objective at the start and at the
-    answer. Otherwise the pivots are followed by projected gradient with a
-    monotone Nesterov acceleration (the accelerated candidate is used only
-    when it does not increase the objective), for at most max_iters
-    iterations. Every 10 iterations the residual is checked against tol;
-    when it fails, the point the pivoting reaches from the iterate's face is
-    returned if it does not raise the objective and passes that check, and
-    the iteration goes on otherwise. A budget below the lower box corner's
-    power raises InfeasibleBudgetError from the first projection.
+    exact box-halfspace projection of the box midpoint, block principal
+    pivoting (_pivot_face) finds the optimal face and solves the quadratic
+    on it exactly. iterations counts its pivots, and kkt_residual is the
+    answer's projected-gradient fixed-point residual in amplitude units at
+    step 1/L. A budget below the lower box corner's power raises
+    InfeasibleBudgetError from the projection; a point the pivoting cannot
+    certify raises ConvergenceError.
     """
     m, c_lin, lip = qp_data
     p_min, slope, lower, upper = surrogate
     b = budget - float(p_min.sum() - slope @ lower)
-
     span = float(np.max(upper - lower))
     scale = max(lip * span, np.abs(c_lin).max(), 1e-300)
     step = 1.0 / max(lip, scale / max(span, 1e-12))
-
-    def fval(x):
-        return float(x @ (m @ x) + c_lin @ x)
-
-    def grad(x):
-        return 2.0 * (m @ x) + c_lin
-
-    def pg_step(x):
-        return project_box_halfspace(x - step * grad(x), lower, upper, slope, b)
-
-    def residual(x):
-        return float(np.max(np.abs(x - pg_step(x))))
-
     x = project_box_halfspace(0.5 * (lower + upper), lower, upper, slope, b)
-    fx = fval(x)
-    trace = [fx]
     y, pivots = _pivot_face(x, m, c_lin, lower, upper, slope, b)
-    if y is not None:
-        kkt = residual(y)
-        if kkt <= tol:
-            fy = fval(y)
-            return QpResult(alpha=y, objective=fy, kkt_residual=kkt,
-                            iterations=pivots, trace=np.array([fx, fy]))
-
-    x_prev = x.copy()
-    t_momentum = 1.0
-    kkt = np.inf
-    it = 0
-    for it in range(1, max_iters + 1):
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
-        look = x + ((t_momentum - 1.0) / t_next) * (x - x_prev)
-        cand = project_box_halfspace(look - step * grad(look), lower, upper, slope, b)
-        f_cand = fval(cand)
-        if f_cand > fx:
-            cand = pg_step(x)
-            f_cand = fval(cand)
-            t_next = 1.0
-            if f_cand > fx:   # float rounding at a fixed point: stay put
-                cand, f_cand = x, fx
-        x_prev, x, fx = x, cand, f_cand
-        trace.append(fx)
-        t_momentum = t_next
-        if it % 10 == 0 or it == max_iters:
-            kkt = residual(x)
-            if kkt <= tol:
-                break
-            y, _ = _pivot_face(x, m, c_lin, lower, upper, slope, b)
-            if y is None:
-                continue
-            # f(y) - f(x) without the cancellation of two fval calls, which
-            # near the optimum could round an exact face point above x
-            change = float((y - x) @ (m @ (y + x) + c_lin))
-            kkt_y = residual(y) if change <= 0.0 else np.inf
-            if kkt_y <= tol:
-                # the face point ends this iteration in place of the PG iterate
-                x, fx, kkt = y, fx + change, kkt_y
-                trace[-1] = fx
-                break
-    if not np.isfinite(kkt):
-        kkt = residual(x)
-    return QpResult(alpha=x, objective=fx, kkt_residual=kkt,
-                    iterations=pivots + it, trace=np.asarray(trace))
+    pg = project_box_halfspace(y - step * (2.0 * (m @ y) + c_lin), lower, upper, slope, b)
+    return QpResult(alpha=y, objective=float(y @ (m @ y) + c_lin @ y),
+                    kkt_residual=float(np.max(np.abs(y - pg))), iterations=pivots)
 
 
 def power_repair_loop(scenario, fits, phi, surrogate, resolve):

@@ -14,7 +14,7 @@ class BracketError(SimulationError):
 
 
 class ConvergenceError(SimulationError):
-    """An iterative solver exhausted its iteration budget."""
+    """A solver could not reach or certify its answer."""
 
 
 class InfeasibleBudgetError(SimulationError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import circuit
 from .circuit import CellState, TWO_PI
-from .errors import CircuitError
+from .errors import CircuitError, ConfigError
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def fit_amplitude_model(params, kind="active", grid_size=3600):
     one grid step apart.
     """
     if grid_size < 360:
-        raise ValueError("fitting grid must have at least 360 points")
+        raise ConfigError(f"fitting grid must have at least 360 points, not {grid_size}")
     phis, lower, upper = exact_bound_curves(params, kind, grid_size)
     if not np.isfinite(upper).any():
         raise CircuitError("no realizable phase found while fitting")

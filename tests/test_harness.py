@@ -442,6 +442,12 @@ class TestCli:
         assert data["active"] == reflection.fit_amplitude_model(
             circuit.CircuitParams(), "active").to_dict()
 
+    def test_fit_model_grid_below_the_floor_is_a_configuration_error(self, capsys):
+        from actris.cli import main
+
+        assert main(["fit-model", "--grid", "100"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
     def test_run_and_exit_codes(self, tmp_path, capsys):
         from actris.cli import main
 

@@ -10,7 +10,7 @@ from actris.channel import ScenarioConfig
 from actris.circuit import CellState
 from actris.constraints import validate_design
 from actris.ao import PhaseObjective
-from actris.errors import CircuitError, PhaseNotRealizableError
+from actris.errors import CircuitError, ConfigError, PhaseNotRealizableError
 from actris.harness import _scheme_rng, run_scheme, trial_channels
 from actris.reflection import (
     CLIPPED,
@@ -70,7 +70,7 @@ class TestFit:
         assert err_lo <= 0.10
 
     def test_grid_floor(self, params_va):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             fit_amplitude_model(params_va, "active", grid_size=100)
 
 
