@@ -15,6 +15,7 @@ import numpy as np
 
 from . import circuit, reflection
 from .channel import effective_channel, lmmse_receiver, rate_lmmse
+from .constraints import POWER_TOL
 from .errors import BracketError, ConvergenceError, InfeasibleBudgetError
 from .numerics import bisect, hermitian_eig
 
@@ -475,7 +476,7 @@ def power_repair_loop(scenario, fits, phi, surrogate, resolve):
     alpha = np.asarray(resolve(p_ris), dtype=float)
     for k in range(1, REPAIR_PASSES + 1):
         design = reflection.realize_design(params, fits, phi, alpha)
-        if design.ris_power_w <= p_ris + 1e-9:
+        if design.ris_power_w <= p_ris + POWER_TOL:
             design.repair_passes = k
             return design
         if design.ris_power_w >= best_power or k == REPAIR_PASSES:
@@ -490,7 +491,7 @@ def power_repair_loop(scenario, fits, phi, surrogate, resolve):
         working = next_working
 
     best = reflection.realize_minimum_power(params, fits, phi)
-    if best.ris_power_w > p_ris + 1e-9:
+    if best.ris_power_w > p_ris + POWER_TOL:
         raise ConvergenceError(
             f"surface budget {p_ris:.6g} W is below the minimum-bias power "
             f"{best.ris_power_w:.6g} W"
@@ -504,7 +505,7 @@ def power_repair_loop(scenario, fits, phi, surrogate, resolve):
             except InfeasibleBudgetError:
                 hi = mid
                 continue
-            if design.ris_power_w <= p_ris + 1e-9:
+            if design.ris_power_w <= p_ris + POWER_TOL:
                 best, lo = design, mid
             else:
                 hi = mid
@@ -587,12 +588,12 @@ def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
     alpha_bar = np.asarray(alpha_bar0, dtype=float)
 
     alpha = reflection.amplitude_from_normalized(fits, phi, alpha_bar)
-    design = reflection.realize_design(params, fits, phi, alpha, alpha_bar)
-    if design.ris_power_w > scenario.p_ris_w + 1e-9:
+    design = reflection.realize_design(params, fits, phi, alpha)
+    if design.ris_power_w > scenario.p_ris_w + POWER_TOL:
         # a floor-tight budget cannot host the model floor; start from the
         # minimum-bias configuration instead
         design = reflection.realize_minimum_power(params, fits, phi)
-        if design.ris_power_w > scenario.p_ris_w + 1e-9:
+        if design.ris_power_w > scenario.p_ris_w + POWER_TOL:
             raise ValueError("initial surface configuration violates the power budget")
     gamma = design.gamma
     rate = rate_lmmse(ch, v, gamma, scenario)

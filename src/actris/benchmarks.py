@@ -199,7 +199,6 @@ def _finalize(space, best_phenotype, best_rate, iterations):
         r=r,
         c=c,
         ris_power_w=float(total),
-        band="exact",
     )
     return BenchmarkResult(v=v, design=design, rate=best_rate, iterations=iterations)
 

@@ -560,7 +560,6 @@ def save_design(path, design, v):
         "cells_r": design.r.tolist(),
         "cells_c": design.c.tolist(),
         "ris_power_w": design.ris_power_w,
-        "band": design.band,
         "v_re": np.asarray(v).real.tolist(),
         "v_im": np.asarray(v).imag.tolist(),
     }
@@ -582,7 +581,6 @@ def load_design(path):
                 r=payload["cells_r"],
                 c=payload["cells_c"],
                 ris_power_w=float(payload["ris_power_w"]),
-                band=payload.get("band", "approx"),
             )
             v = np.asarray(payload["v_re"]) + 1j * np.asarray(payload["v_im"])
         except (KeyError, TypeError, ValueError) as exc:

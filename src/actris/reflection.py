@@ -177,14 +177,12 @@ class ElementFits:
 
 @dataclass(init=False)
 class RISDesign:
-    """Finalized surface configuration: controls, model reflection, circuits.
+    """Finalized surface configuration: controls, target reflection, circuits.
 
-    r and c are the realized resistance and capacitance of every cell;
-    cells reads them as a tuple of CellState, and a tuple of CellState may
-    be passed as cells= in their place. band records which amplitude-bound
-    family the reflection vector was designed against: the cosine model
-    ("approx") or the exact circuit bounds ("exact", used by the
-    circuit-space benchmark searches).
+    gamma is the reflection the design targets; r and c are the realized
+    resistance and capacitance of every cell, and what the cells deliver is
+    read from them alone. cells reads them as a tuple of CellState, and a
+    tuple of CellState may be passed as cells= in their place.
     """
 
     phi: np.ndarray
@@ -195,12 +193,9 @@ class RISDesign:
     c: np.ndarray
     ris_power_w: float
     repair_passes: int = 1
-    band: str = "approx"
 
     def __init__(self, phi, alpha_bar, active_mask, gamma, r=None, c=None, *,
-                 ris_power_w, repair_passes=1, band="approx", cells=None):
-        if band not in ("approx", "exact"):
-            raise ValueError(f"band must be 'approx' or 'exact', got {band!r}")
+                 ris_power_w, repair_passes=1, cells=None):
         if cells is not None:
             r, c = [cell.r for cell in cells], [cell.c for cell in cells]
         self.phi = phi
@@ -211,7 +206,6 @@ class RISDesign:
         self.c = np.asarray(c, dtype=float)
         self.ris_power_w = ris_power_w
         self.repair_passes = repair_passes
-        self.band = band
 
     @property
     def cells(self):
@@ -266,7 +260,7 @@ def _realize_cells(params, active_mask, phi, gamma):
     cell delivers its own curve. Targets that no capacitance realizes, or
     whose clipped cell misses the phase, take the passive-side fallback.
     Passive cells keep their fixed resistance and realize the nearest
-    achievable phase.
+    achievable phase. Every capacitance is then clipped into c_range.
     """
     n = phi.size
     r = np.full(n, params.r_passive)
@@ -290,27 +284,25 @@ def _realize_cells(params, active_mask, phi, gamma):
     if not ok.all():
         ra[~ok], ca[~ok], ba[~ok] = _fallback_cells(params, gamma[act[~ok]])
     r[act], c[act], branch[act] = ra, ca, ba
-    return r, c, branch
+    return r, np.clip(c, *params.c_range), branch
 
 
-def realize_design(params, fits, phi, alpha, alpha_bar=None):
+def realize_design(params, fits, phi, alpha):
     """Map per-element (phase, amplitude) targets onto circuit states.
 
     Active cells are solved from their target reflection coefficient with
     the resistance saturating at the diode band; passive cells keep their
     fixed resistance and realize the nearest achievable phase. The recorded
-    gamma is the model value; the circuit amplitude follows the exact
-    curves. Returns the design together with the true total power drawn.
+    gamma is the target; the circuits deliver what the exact curves allow.
+    Returns the design together with the true total power drawn.
     """
     phi = np.asarray(phi, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     gamma = alpha * np.exp(1j * phi)
     r, c, _ = _realize_cells(params, fits.active_mask, phi, gamma)
-    if alpha_bar is None:
-        alpha_bar = normalized_amplitude(fits, phi, alpha)
     return RISDesign(
         phi=phi,
-        alpha_bar=np.asarray(alpha_bar, dtype=float),
+        alpha_bar=normalized_amplitude(fits, phi, alpha),
         active_mask=fits.active_mask.copy(),
         gamma=gamma,
         r=r,
@@ -325,11 +317,12 @@ def realize_minimum_power(params, fits, phi):
     Cells sit at the least negative band resistance (their exact lower
     amplitude curve); the recorded reflection vector keeps the cosine-model
     floor, which can overstate the delivered amplitude by the fit error.
-    Used as the terminal fallback when the budget leaves no amplitude slack.
+    Capacitances are clipped into c_range. Used as the terminal fallback
+    when the budget leaves no amplitude slack.
     """
     phi = np.asarray(phi, dtype=float)
     r = np.where(fits.active_mask, circuit.diode_band(params)[1], params.r_passive)
-    c, _ = circuit.nearest_realizable_cell(params, r, phi)
+    c = np.clip(circuit.nearest_realizable_cell(params, r, phi)[0], *params.c_range)
     lower, _ = fits.bounds(phi)
     return RISDesign(
         phi=phi,

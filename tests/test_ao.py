@@ -766,7 +766,7 @@ class TestRunAO:
         lower, upper = fits_all_active.bounds(init[1])
         d0 = realize_design(
             scenario_desk.circuit, fits_all_active, init[1],
-            lower + init[2] * (upper - lower), init[2],
+            lower + init[2] * (upper - lower),
         )
         init_rate = rate_lmmse(ch, init[0], d0.gamma, scenario_desk)
         res = run_ao(scenario_desk, ch, fits_all_active, init, j_alt=5)

@@ -12,7 +12,7 @@ from actris.do import (
     waterfill,
 )
 from actris.ao import _linear_power, _power_fit_arrays, rmo_phase_opt
-from actris.circuit import diode_band
+from actris.circuit import diode_band, power_consumption
 from actris.constraints import validate_design
 from actris.errors import InfeasibleBudgetError
 from actris.harness import run_scheme
@@ -262,6 +262,19 @@ class TestRunDo:
                                        np.random.default_rng(15), j_alt=2)[0]
                             for scheme in ("DO", "AO"))
         assert ao_rate >= do_rate - 1e-9
+
+    def test_cell_above_the_diode_band_is_flagged(self, fits_all_active, scenario_desk):
+        # the cell keeps its target gamma but delivers less than the exact
+        # lower bound at the phase it delivers
+        params = scenario_desk.circuit
+        ch = sample_channels(scenario_desk, np.random.default_rng(14))
+        res = run_do(scenario_desk, ch, fits_all_active, np.random.default_rng(15))
+        design = res.design
+        i = int(np.flatnonzero(design.r < 0.0)[0])
+        design.r[i] = 0.5 * diode_band(params)[1]
+        design.ris_power_w = float(power_consumption(design.r[design.active_mask], params).sum())
+        problems = validate_design(scenario_desk, fits_all_active, res.v, design)
+        assert len(problems) == 1 and problems[0].startswith(f"element {i}: amplitude")
 
     def test_stream_powers_meet_budget(self, fits_all_active, scenario_desk):
         rng = np.random.default_rng(15)

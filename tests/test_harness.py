@@ -58,14 +58,6 @@ def _blas_threads():
     return get()
 
 
-# a well-formed one-cell design file but for its amplitude-bound family
-_ONE_CELL_DESIGN = {
-    "phi": [0.0], "alpha_bar": [1.0], "active_mask": [1], "gamma_re": [1.0], "gamma_im": [0.0],
-    "cells_r": [1.5], "cells_c": [1e-12], "ris_power_w": 0.0, "band": "exact_bounds",
-    "v_re": [[0.0]], "v_im": [[0.0]],
-}
-
-
 def _same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
 
@@ -496,7 +488,6 @@ class TestCli:
         ("run", "p_t_dbm: 1.0e+308\n"),
         ("run", "rho_db: 1.0e+308\n"),
         ("run", "sweep: {kind: rho_db, values: [1.0e+308]}\n"),
-        ("validate", json.dumps(_ONE_CELL_DESIGN)),
         ("run", "j_alt: 0\nschemes: [GA]\n"),
         ("run", "threads: -4\n"),
         ("run", "sweep: {kind: j_alt, values: [0]}\n"),
@@ -505,8 +496,7 @@ class TestCli:
             "boolean-count", "text-flag", "number-flag", "nan-budget", "nan-snr",
             "nan-eps", "negative-eps", "infinite-power", "nan-circuit", "infinite-capacitance",
             "nan-sweep", "fractional-sweep", "zero-frequency", "overflowing-power",
-            "overflowing-snr", "overflowing-sweep", "design-unknown-band",
-            "zero-iterations", "negative-workers", "zero-iteration-sweep"])
+            "overflowing-snr", "overflowing-sweep", "zero-iterations", "negative-workers", "zero-iteration-sweep"])
     def test_malformed_input_is_a_configuration_error(self, tmp_path, capsys, command, text):
         from actris.cli import main
 
@@ -563,6 +553,12 @@ class TestCli:
         assert code == 3 and "3 resistances and 3 capacitances for 16 cells" in err
         code, err = validate(ris_power_w=0.01)
         assert code == 3 and "differs from the 0.397797 W" in err
+        # per-cell arrays shorter than the cells, or cells fewer than the arrays
+        code, err = validate(phi=payload["phi"][:3])
+        assert code == 3 and "VIOLATION: 3 phases for 16 cells" in err
+        code, err = validate(active_mask=payload["active_mask"][:3])
+        assert code == 3 and ("16 phases, 16 normalized amplitudes, 16 reflection targets, "
+                              "16 resistances and 16 capacitances for 3 cells") in err
         band_lo = circuit.diode_band(params_va)[0]
         code, err = validate(cells_r=[2.0 * band_lo] + payload["cells_r"][1:])
         assert code == 3 and "below the diode band edge" in err

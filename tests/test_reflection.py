@@ -290,6 +290,11 @@ def _ref_active(p, gamma, phi, band_lo, band_hi):
         return _ref_fallback(p, gamma)
 
 
+def _in_range(p, cell):
+    """The cell with its capacitance clipped into c_range."""
+    return CellState(r=cell.r, c=float(np.clip(cell.c, *p.c_range)))
+
+
 def _ref_power(p, cells, mask):
     active_r = np.array([cell.r for cell, a in zip(cells, mask) if a])
     return float(circuit.power_consumption(active_r, p).sum()) if active_r.size else 0.0
@@ -308,7 +313,7 @@ def _reference_realize_design(params, fits, phi, alpha):
         else:
             cell, nudged = _ref_nearest(params, params.r_passive, phi[i])
             branch = NUDGED if nudged else DIRECT
-        cells.append(cell)
+        cells.append(_in_range(params, cell))
         branches.append(branch)
     return cells, branches, _ref_power(params, cells, fits.active_mask)
 
@@ -317,7 +322,7 @@ def _reference_realize_minimum_power(params, fits, phi):
     """(cells, power) of the per-cell realize_minimum_power loop."""
     band_hi = circuit.stable_resistance(circuit.M_HI, params)
     cells = [
-        _ref_nearest(params, band_hi if a else params.r_passive, phi_i)[0]
+        _in_range(params, _ref_nearest(params, band_hi if a else params.r_passive, phi_i)[0])
         for phi_i, a in zip(np.asarray(phi, dtype=float), fits.active_mask)
     ]
     return cells, _ref_power(params, cells, fits.active_mask)
@@ -356,9 +361,9 @@ class TestRealizeOracle:
         sc = desk_scenario() if size == "desk" else ScenarioConfig().with_rho_db(-30.0)
         calls, floors = [], []
 
-        def recording(params, fits, phi, alpha, alpha_bar=None):
+        def recording(params, fits, phi, alpha):
             calls.append((params, fits, np.copy(phi), np.copy(alpha)))
-            return realize_design(params, fits, phi, alpha, alpha_bar)
+            return realize_design(params, fits, phi, alpha)
 
         def recording_floor(params, fits, phi):
             floors.append((params, fits, np.copy(phi)))
@@ -443,23 +448,59 @@ class TestRealizeOracle:
 
 class TestExactValidation:
     def test_flags_amplitudes_outside_the_exact_bounds(self, scenario_desk, fits_all_active):
-        # cells: inside, above the upper bound, on the unrealizable arc (no
-        # bounds, not checked), below the lower bound, passive (not checked),
-        # above the upper bound where only the lower root misses
-        phi = np.array([1.0, 5.9271, 2.94, 4.0, 4.0, 3.09] + [1.0] * 10)
-        lo, hi = circuit.exact_amplitude_bounds(scenario_desk.circuit, phi)
+        # cells: inside, above the upper bound, a passive-side cell on the
+        # unrealizable arc (no bounds, not checked), below the lower bound,
+        # passive (not checked), above the upper bound where only the lower
+        # root misses
+        params = scenario_desk.circuit
+        band_lo, band_hi = circuit.diode_band(params)
+        r = np.array([-5.0, 1.2 * band_lo, 30.0, 0.5 * band_hi, 0.5 * band_hi,
+                      1.2 * band_lo] + [-5.0] * 10)
+        c = np.array([2e-12, 2e-12, 1.5e-11, 2e-12, 2e-12, 5e-11] + [2e-12] * 10)
+        g = circuit.reflection(params, r, c)
+        phi = np.angle(g) % TWO_PI
+        lo, hi = circuit.exact_amplitude_bounds(params, phi)
+        assert np.isnan(lo[2]) and np.isnan(hi[2])
         assert np.isnan(lo[5]) and np.isfinite(hi[5])
-        amp = 0.5 * (lo + hi)
-        amp[[1, 2, 3, 4, 5]] = [hi[1] + 1e-3, 50.0, lo[3] - 1e-3, 50.0, hi[5] + 1e-3]
         mask = np.ones(16, dtype=bool)
         mask[4] = False
         design = reflection.RISDesign(
-            phi=phi, alpha_bar=np.zeros(16), active_mask=mask, gamma=amp * np.exp(1j * phi),
-            r=np.zeros(16), c=np.ones(16), ris_power_w=0.0, band="exact",
+            phi=phi, alpha_bar=np.zeros(16), active_mask=mask, gamma=g, r=r, c=c,
+            ris_power_w=0.0,
         )
         v = np.zeros((scenario_desk.m_t, scenario_desk.d), dtype=complex)
         problems = validate_design(scenario_desk, fits_all_active, v, design)
-        assert [p.split(":")[0] for p in problems] == ["element 1", "element 3", "element 5"]
+        flagged = [p.split(":")[0] for p in problems if p.startswith("element")]
+        assert flagged == ["element 1", "element 3", "element 5"]
+        assert all("amplitude" in p for p in problems if p.startswith("element"))
+
+    def test_flags_capacitances_outside_c_range(self, params_va, scenario_desk,
+                                                fits_all_active):
+        phi = np.full(16, 1.0)
+        lower, upper = fits_all_active.bounds(phi)
+        design = realize_design(params_va, fits_all_active, phi, lower + 0.1 * (upper - lower))
+        v = np.zeros((scenario_desk.m_t, 1))
+        assert validate_design(scenario_desk, fits_all_active, v, design) == []
+        c_lo, c_hi = params_va.c_range
+        design.c[[2, 7]] = [0.5 * c_lo, 2.0 * c_hi]
+        problems = validate_design(scenario_desk, fits_all_active, v, design)
+        assert [p.split(" F")[0] for p in problems] == [
+            f"element 2: capacitance {0.5 * c_lo:.6g}", f"element 7: capacitance {2.0 * c_hi:.6g}",
+        ]
+
+    def test_realized_capacitances_stay_in_range(self, params_va, active_fit, passive_fit):
+        # the inversion asks for a capacitance below c_lo; the clip keeps its
+        # in-band resistance and so its power
+        target = circuit.reflection(params_va, -2.58, 0.0137e-12)
+        r, c, ok = circuit.circuit_from_gamma(params_va, target)
+        assert ok and c < params_va.c_range[0]
+        fits = ElementFits.from_classes(active_fit, passive_fit, np.array([True]))
+        design = realize_design(params_va, fits, np.array([np.angle(target) % TWO_PI]),
+                                np.array([abs(target)]))
+        assert design.c[0] == params_va.c_range[0]
+        assert design.r[0] == pytest.approx(r, rel=1e-9)
+        assert design.ris_power_w == pytest.approx(circuit.power_consumption(r, params_va),
+                                                   rel=1e-9)
 
 
 def _inversion_pole(p):
