@@ -239,50 +239,6 @@ def _power_fit_arrays(fits, phi, params):
     return _linear_power(params, active, lower, upper, r_min)
 
 
-def project_box_halfspace(v, lower, upper, w, b):
-    """Exact Euclidean projection onto {lower <= x <= upper, w @ x <= b}.
-
-    w must be nonnegative. The active-budget case reduces to a piecewise
-    linear equation in the constraint multiplier, bracketed by a binary
-    search for the first breakpoint where the budget residual h(mu) drops
-    to zero or below. The computed h is nonincreasing in mu (w >= 0 and
-    every rounding step is monotone), so the search finds the breakpoint a
-    scan in ascending order would.
-    """
-    # np.clip's wrapper costs more than the two ufuncs it runs
-    x = np.minimum(np.maximum(v, lower), upper)
-    if w @ x <= b + 1e-15 * max(abs(b), 1.0):
-        return x
-    pos = w > 0.0
-    if w[pos] @ lower[pos] + w[~pos] @ x[~pos] > b + 1e-12 * max(abs(b), 1.0):
-        raise InfeasibleBudgetError("halfspace projection infeasible at the lower box corner")
-
-    def hval(mu):
-        return w @ np.minimum(np.maximum(v - mu * w, lower), upper) - b
-
-    w_pos, v_pos = w[pos], v[pos]
-    bp = np.concatenate([(v_pos - upper[pos]) / w_pos, (v_pos - lower[pos]) / w_pos])
-    bp = np.sort(bp[bp > 0.0])
-    lo, hi = 0, bp.size
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if hval(bp[mid]) <= 0.0:
-            hi = mid
-        else:
-            lo = mid + 1
-    lo_mu = bp[lo - 1] if lo else 0.0
-    hi_mu = bp[lo] if lo < bp.size else lo_mu
-    h_lo, h_hi = hval(lo_mu), hval(hi_mu)
-    if h_hi > 0.0:
-        mu_star = hi_mu
-    else:
-        # h is linear between consecutive breakpoints
-        denom = h_lo - h_hi
-        frac = h_lo / denom if denom > 0.0 else 0.0
-        mu_star = lo_mu + frac * (hi_mu - lo_mu)
-    return np.minimum(np.maximum(v - mu_star * w, lower), upper)
-
-
 @dataclass
 class QpResult:
     alpha: np.ndarray
@@ -292,7 +248,7 @@ class QpResult:
 
 
 def _budget_slack(b):
-    return 1e-15 * max(abs(b), 1.0)   # project_box_halfspace's slack
+    return 1e-15 * max(abs(b), 1.0)   # budget-row slack of the face decisions
 
 
 def _face_solve(free, x, m, c_lin, w, b):
@@ -344,9 +300,10 @@ def _pivot_face(x, m, c_lin, lower, upper, w, b):
     budget decision there, so Murty's rule is finite for a
     positive-definite m), the bracket end moves by whether its point
     breaks the budget, and the pivoting starts afresh from its face.
-    Returns (y, pivots) at a point that meets the KKT conditions on its
-    face. Raises ConvergenceError when the box pivoting stalls or no
-    multiplier is left in the bracket (width <= 1e-15 of its upper end).
+    Returns (y, mu, pivots) at a point that meets the KKT conditions on its
+    face, mu being that face's budget multiplier. Raises ConvergenceError
+    when the box pivoting stalls or no multiplier is left in the bracket
+    (width <= 1e-15 of its upper end).
     """
     movable = upper > lower
     mu_lo, mu_hi = -np.inf, np.inf   # box points break the budget at mu_lo, meet it at mu_hi
@@ -378,7 +335,7 @@ def _pivot_face(x, m, c_lin, lower, upper, w, b):
             flip = below | above | (at_lo & ~held & (g < 0.0)) | (at_hi & (g > 0.0))
             count = int(flip.sum())
             if count == 0:   # a bordered point meets the budget row up to rounding
-                return y, pivots
+                return y, mu, pivots
             state = (at_lo.tobytes(), at_hi.tobytes(), fewest, tries)
             if state in seen:
                 why = "a repeated pivot state"
@@ -402,8 +359,8 @@ def _pivot_face(x, m, c_lin, lower, upper, w, b):
         if collapsed or not mu_lo < mu < mu_hi:
             raise ConvergenceError(f"amplitude QP has no budget multiplier left in "
                                    f"({mu_lo:.6g}, {mu_hi:.6g}) after {why}")
-        x, box_pivots = _pivot_face(np.minimum(np.maximum(y, lower), upper), m,
-                                    c_lin + mu * w, lower, upper, w, np.inf)
+        x, _, box_pivots = _pivot_face(np.minimum(np.maximum(y, lower), upper), m,
+                                       c_lin + mu * w, lower, upper, w, np.inf)
         pivots += box_pivots
         if w @ x > b + _budget_slack(b):
             mu_lo = mu
@@ -431,13 +388,15 @@ def amplitude_qp(qp_data, surrogate, budget):
     Minimizes the reflected-signal quadratic (qp_data, from _qp_phase_data)
     subject to the per-element amplitude box and the linearized power
     budget (surrogate, from _power_fit_arrays at the same phases). From the
-    exact box-halfspace projection of the box midpoint, block principal
-    pivoting (_pivot_face) finds the optimal face and solves the quadratic
-    on it exactly. iterations counts its pivots, and kkt_residual is the
-    answer's projected-gradient fixed-point residual in amplitude units at
-    step 1/L. A budget below the lower box corner's power raises
-    InfeasibleBudgetError from the projection; a point the pivoting cannot
-    certify raises ConvergenceError.
+    lower box corner, block principal pivoting (_pivot_face) finds the
+    optimal face and solves the quadratic on it exactly. iterations counts
+    its pivots. kkt_residual is the largest KKT violation at the face's
+    budget multiplier mu, in amplitude units at step 1/L: the box
+    fixed-point residual of the gradient 2 m y + c_lin + mu w, the budget gap
+    (|w y - b| if mu > 0, else its excess) over max w, and step max(-mu, 0)
+    max w. A budget below the lower box corner's power raises
+    InfeasibleBudgetError; a point the pivoting cannot certify raises
+    ConvergenceError.
     """
     m, c_lin, lip = qp_data
     p_min, slope, lower, upper = surrogate
@@ -445,11 +404,17 @@ def amplitude_qp(qp_data, surrogate, budget):
     span = float(np.max(upper - lower))
     scale = max(lip * span, np.abs(c_lin).max(), 1e-300)
     step = 1.0 / max(lip, scale / max(span, 1e-12))
-    x = project_box_halfspace(0.5 * (lower + upper), lower, upper, slope, b)
-    y, pivots = _pivot_face(x, m, c_lin, lower, upper, slope, b)
-    pg = project_box_halfspace(y - step * (2.0 * (m @ y) + c_lin), lower, upper, slope, b)
+    if slope @ lower > b + 1e-12 * max(abs(b), 1.0):
+        raise InfeasibleBudgetError("amplitude budget infeasible at the lower box corner")
+    y, mu, pivots = _pivot_face(lower, m, c_lin, lower, upper, slope, b)
+    grad = 2.0 * (m @ y) + c_lin + mu * slope
+    box = np.max(np.abs(y - np.minimum(np.maximum(y - step * grad, lower), upper)))
+    gap = slope @ y - b
+    w_max = max(float(slope.max()), 1e-300)
+    residual = max(box, (abs(gap) if mu > 0.0 else max(gap, 0.0)) / w_max,
+                   step * max(-mu, 0.0) * w_max)
     return QpResult(alpha=y, objective=float(y @ (m @ y) + c_lin @ y),
-                    kkt_residual=float(np.max(np.abs(y - pg))), iterations=pivots)
+                    kkt_residual=float(residual), iterations=pivots)
 
 
 def power_repair_loop(scenario, fits, phi, surrogate, resolve):

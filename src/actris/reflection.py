@@ -71,11 +71,19 @@ def fit_amplitude_model(params, kind="active", grid_size=3600):
     Sweeps the exact bounds over a uniform grid, takes the grid extrema as
     the fit coefficients, and sets theta to minus the phase of the upper
     curve's maximum. A warning is emitted if the two curves peak more than
-    one grid step apart.
+    one grid step apart. An active class whose diode band is empty at some
+    grid phase has no model to fit and raises ConfigError.
     """
     if grid_size < 360:
         raise ConfigError(f"fitting grid must have at least 360 points, not {grid_size}")
     phis, lower, upper = exact_bound_curves(params, kind, grid_size)
+    if kind == "active":
+        empty = np.isnan(circuit.usable_resistance_band(params, phis)[0])
+        if empty.any():
+            band_lo, band_hi = circuit.diode_band(params)
+            raise ConfigError(f"the diode band [{band_lo:.4g}, {band_hi:.4g}] ohm is empty at "
+                              f"{empty.mean():.1%} of phases: no resistance in it meets "
+                              f"|R| <= F(phi) there (r0 = {params.r0:g} ohm)")
     if not np.isfinite(upper).any():
         raise CircuitError("no realizable phase found while fitting")
     i_up = int(np.nanargmax(upper))

@@ -14,7 +14,6 @@ from actris.ao import (
     phase_gradient,
     power_repair_loop,
     precoder_update,
-    project_box_halfspace,
     random_init,
     rmo_phase_opt,
     run_ao,
@@ -452,6 +451,9 @@ class TestLinearPowerFit:
 
 
 class TestProjection:
+    """The reference projection that the reference QP loop steps with, and
+    the amplitude QP's own check of the lower box corner."""
+
     def test_exactness_against_sampling(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
@@ -461,7 +463,7 @@ class TestProjection:
             w = rng.uniform(0, 1, n) * (rng.uniform(size=n) < 0.8)
             b = w @ lower + rng.uniform(0.05, 1.0)
             v = rng.uniform(-2, 3, n)
-            x = project_box_halfspace(v, lower, upper, w, b)
+            x = _reference_project(v, lower, upper, w, b)
             assert np.all(x >= lower - 1e-12) and np.all(x <= upper + 1e-12)
             assert w @ x <= b + 1e-9
             # no sampled feasible point is closer to v
@@ -472,11 +474,14 @@ class TestProjection:
                     assert np.linalg.norm(y - v) >= d_star - 1e-9
 
     def test_corner_over_budget_raises_at_any_scale(self):
+        # the amplitude QP's own corner check, on a steep slope whose budget
+        # sits 1e-6 relative below the lower corner's power
         lower, w = np.array([0.5, 1.0, 2.0]), np.array([1.8e4, 3.0, 0.5])
         upper = lower + 1.0
         corner = float(w @ lower)
-        with pytest.raises(InfeasibleBudgetError):
-            project_box_halfspace(upper, lower, upper, w, corner - 1e-6 * abs(corner))
+        qp_data = (np.eye(3), -np.ones(3), 2.0)
+        with pytest.raises(InfeasibleBudgetError, match="lower box corner"):
+            amplitude_qp(qp_data, (w * lower, w, lower, upper), corner - 1e-6 * abs(corner))
 
 
 class TestAmplitudeQP:
@@ -512,7 +517,8 @@ class TestAmplitudeQP:
         p_min, _, lower, _ = _power_fit_arrays(fits_all_active, phi, scenario_desk.circuit)
         obj = self._objective(rng, fits_all_active, 16)
         res = _qp(obj, phi, fits_all_active, scenario_desk, budget=float(p_min.sum()))
-        assert np.allclose(res.alpha, lower, atol=1e-6)
+        # the pivoting starts at the corner and certifies it as it stands
+        assert _same_bits(res.alpha, lower) and res.iterations == 0
 
     def test_floor_budget_solves_at_criterion_12_size(self, active_fit, passive_fit, pivot_log):
         # criterion 12's all-active rule at N = 144 (111 cells active, as many
@@ -870,8 +876,8 @@ def _reference_rmo(obj, phasor0, max_iters=300, tol=1e-6):
 
 
 def _reference_project(v, lower, upper, w, b):
-    """Reference box-halfspace projection: the ascending scan over the
-    distinct breakpoints that the binary search replaces."""
+    """Reference box-halfspace projection: an ascending scan over the
+    distinct breakpoints of the budget multiplier."""
     x = np.clip(v, lower, upper)
     if w @ x <= b + 1e-15 * max(abs(b), 1.0):
         return x
@@ -951,9 +957,9 @@ def _reference_qp(obj, phi, fits, scenario, budget, max_iters=5000, tol=1e-6, fa
         return float(x @ (m @ x) + c_lin @ x)
 
     def pg_step(x):
-        return project_box_halfspace(x - step * (2.0 * (m @ x) + c_lin), lower, upper, slope, b)
+        return _reference_project(x - step * (2.0 * (m @ x) + c_lin), lower, upper, slope, b)
 
-    x = project_box_halfspace(0.5 * (lower + upper), lower, upper, slope, b)
+    x = _reference_project(0.5 * (lower + upper), lower, upper, slope, b)
     fx = fval(x)
     x_prev = x.copy()
     t_momentum = 1.0
@@ -1027,8 +1033,8 @@ def _trial_objectives(sc, active_fit, passive_fit, seed):
 
 
 class TestSolverOracle:
-    """The stacked step ladder and the breakpoint binary search must give
-    the bits of the step-by-step references above."""
+    """The stacked step ladder must give the bits of the step-by-step
+    reference above."""
 
     def test_objective_stack_rows_match_single_designs(self, active_fit, passive_fit):
         for size, sc in SIZES.items():
@@ -1080,36 +1086,6 @@ class TestSolverOracle:
                 ph_ref, trace_ref = _reference_rmo(obj, ph0, **kwargs)
                 assert _same_bits(ph, ph_ref) and _same_bits(trace, trace_ref), kwargs
 
-    @pytest.mark.parametrize("size", sorted(SIZES))
-    def test_amplitude_qp_projections_match_breakpoint_scan(
-        self, size, active_fit, passive_fit, monkeypatch
-    ):
-        sc = SIZES[size]
-        calls = []
-
-        def recording(v, lower, upper, w, b):
-            calls.append((v, lower, upper, w, b))
-            return project_box_halfspace(v, lower, upper, w, b)
-
-        monkeypatch.setattr(ao, "project_box_halfspace", recording)
-        for seed in (3, 17):
-            objectives, fits = _trial_objectives(sc, active_fit, passive_fit, seed)
-            obj = objectives["AO"]
-            phasor, _ = rmo_phase_opt(obj, np.exp(1j * np.zeros(sc.n)))
-            phi = np.angle(phasor) % TWO_PI
-            for budget in (sc.p_ris_w, 0.5 * sc.p_ris_w):
-                try:
-                    _qp(obj, phi, fits, sc, budget=budget)
-                except InfeasibleBudgetError:
-                    pass
-        searched = 0
-        for v, lower, upper, w, b in calls:
-            x = project_box_halfspace(v, lower, upper, w, b)
-            assert _same_bits(x, _reference_project(v, lower, upper, w, b))
-            searched += w @ np.clip(v, lower, upper) > b + 1e-15 * max(abs(b), 1.0)
-        # the oracle must reach the breakpoint search, not only the box clip
-        assert searched > 0
-
 
 class TestPhaseStallStop:
     def test_paper_size_stops_early_near_the_gradient_stop_value(
@@ -1132,67 +1108,6 @@ class TestPhaseStallStop:
             assert trace.size - 1 < max_iters, (seed, name)
             _, full = rmo_phase_opt(obj, ph0)
             assert abs(trace[-1] - full[-1]) <= 1e-4 * abs(full[-1]), (seed, name)
-
-
-def _values(lo=-3.0, hi=3.0, tiny=0.0):
-    # quarter-step grid values make breakpoints coincide; floats fill the gaps
-    grid = st.integers(int(4 * lo), int(4 * hi)).map(lambda k: k / 4.0)
-    return st.one_of(grid, st.floats(max(lo, tiny), hi, allow_nan=False, allow_infinity=False))
-
-
-@st.composite
-def projection_problems(draw):
-    n = draw(st.integers(1, 10))
-
-    def vec(elems):
-        return np.array(draw(st.lists(elems, min_size=n, max_size=n)), dtype=float)
-
-    lower = vec(_values())
-    upper = lower + vec(st.one_of(st.just(0.0), _values(0.0, 3.0)))
-    w = vec(st.one_of(st.just(0.0), _values(0.0, 2.0, tiny=1e-9)))
-    v = vec(_values(-5.0, 5.0))
-    corner = float(w @ lower)
-    b = draw(st.one_of(
-        st.just(corner),                                 # budget on the lower corner
-        st.just(float(w @ np.clip(v, lower, upper))),    # budget on the clipped point
-        st.just(corner - 1e-3),                          # infeasible corner
-        st.floats(corner - 1.0, float(w @ upper) + 1.0, allow_nan=False),
-    ))
-    return v, lower, upper, w, b
-
-
-def _project_or_raise(fn, v, lower, upper, w, b):
-    try:
-        return fn(v, lower, upper, w, b)
-    except InfeasibleBudgetError:
-        return "infeasible"
-
-
-class TestProjectionOracle:
-    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
-    @given(projection_problems())
-    @example((np.array([1.0, 2.0]), np.zeros(2), np.ones(2), np.zeros(2), -1.0))  # zero weights
-    @example((np.array([1.0, 1.0, 1.0]), np.zeros(3), np.full(3, 0.5),
-              np.ones(3), 1.0))                                      # duplicate breakpoints
-    @example((np.array([-1.0, -2.0]), np.zeros(2), np.ones(2),
-              np.array([1.0, 2.0]), -5e-13))                         # no positive breakpoint
-    @example((np.array([2.0, 3.0]), np.zeros(2), np.ones(2), np.ones(2), 0.0))  # budget on corner
-    @example((np.array([2.0, 3.0]), np.ones(2), np.full(2, 2.0), np.ones(2), 1.0))  # infeasible
-    def test_matches_breakpoint_scan(self, problem):
-        v, lower, upper, w, b = problem
-        got = _project_or_raise(project_box_halfspace, v, lower, upper, w, b)
-        ref = _project_or_raise(_reference_project, v, lower, upper, w, b)
-        if isinstance(ref, str):
-            assert got == ref
-        else:
-            assert _same_bits(got, ref)
-
-    def test_no_positive_breakpoint_takes_the_search_path(self):
-        # the corner sits between the early-return and the infeasibility
-        # tolerances, so the search runs on an empty breakpoint set
-        v, lower, upper, w = np.array([-1.0, -2.0]), np.zeros(2), np.ones(2), np.array([1.0, 2.0])
-        x = project_box_halfspace(v, lower, upper, w, -5e-13)
-        assert _same_bits(x, lower)
 
 
 @pytest.fixture
@@ -1256,7 +1171,7 @@ class TestAmplitudeFaceSolve:
         p_min, slope, lower, upper = ao._power_fit_arrays(fits, phi, sc.circuit)
         b = budgets[1] - float(p_min.sum() - slope @ lower)
         assert slope @ upper > b
-        y, pivots = ao._pivot_face(upper, m, c_lin, lower, upper, slope, b)
+        y, _, pivots = ao._pivot_face(upper, m, c_lin, lower, upper, slope, b)
         assert pivot_log[:2] == [b, np.inf] and pivots > 1
         expected = _qp(obj, phi, fits, sc, budget=budgets[1]).alpha
         assert np.max(np.abs(y - expected)) <= 1e-12

@@ -506,6 +506,18 @@ class TestCli:
         assert main([command, flag, str(path)]) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
 
+    @pytest.mark.parametrize("command", ["run", "fit-model"])
+    def test_empty_diode_band_is_a_configuration_error(self, tmp_path, capsys, command):
+        # at r0 = 10 ohm the most negative resistance the phase admits,
+        # -F(phi), lies above the band's upper end at 23 % of the phases
+        from actris.cli import main
+
+        path = tmp_path / "cfg.yaml"
+        path.write_text("circuit: {r0_ohm: 10.0}\nschemes: [DO]\ntrials: 1\n")
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "band" in err and "empty" in err
+
     def test_validate_subcommand(self, tmp_path, capsys, fits_all_active, scenario_desk):
         from actris.channel import sample_channels
         from actris.cli import main
