@@ -40,7 +40,11 @@ def budget_from_ao(scenario, j_alt=20, j_p=2):
         k = max(2, round(target / (p * unit)))
         p = max(1, round(target / (k * unit)))
     if abs(k * p * unit - target) / target > 0.1:
-        raise ValueError("cannot match the complexity budget within 10 percent")
+        raise ValueError(
+            f"cannot match the complexity budget within 10 percent: N = {n}, "
+            f"j_alt = {j_alt} give the target {target:.6g}, the closest K*P*unit "
+            f"is {k * p * unit:.6g}"
+        )
     return MetaheuristicBudget(k=k, p=p, evaluations=k * p, target=target)
 
 
@@ -92,6 +96,7 @@ class _CircuitSearchSpace:
         self.n = n
         self.band_lo, self.band_hi = circuit.diode_band(params)
         self.p_floor = circuit.power_consumption(self.band_hi, params)
+        self.ceiling = circuit.power_ceiling(params)
         v_len = 2 * scenario.m_t * scenario.d
         vmax = np.sqrt(scenario.p_t_w)
         self.lower = np.concatenate([
@@ -126,10 +131,12 @@ class _CircuitSearchSpace:
 
     def _relax_to_budget(self, r, powers):
         """Relax the most power-hungry resistances of one design, in place,
-        until its surface power fits the budget. Raises InfeasibleBudgetError
-        when every active cell already draws the floor power."""
+        until its surface power fits the budget; returns whether any moved.
+        Raises InfeasibleBudgetError when every active cell already draws the
+        floor power."""
         total = powers.sum()
         budget = self.scenario.p_ris_w
+        over = total > budget + 1e-12
         while total > budget + 1e-12:
             i = int(np.argmax(powers))
             if powers[i] <= self.p_floor:
@@ -150,6 +157,7 @@ class _CircuitSearchSpace:
             new_p = circuit.power_consumption(r[i], self.params)
             total += new_p - powers[i]
             powers[i] = new_p
+        return over
 
     def repair(self, x):
         """Project a population onto the constraint set; returns the repaired
@@ -160,12 +168,20 @@ class _CircuitSearchSpace:
         loud = tx > self.scenario.p_t_w
         if loud.any():
             v[loud] = v[loud] * np.sqrt(self.scenario.p_t_w / tx[loud])[:, None, None]
-        powers = np.zeros(r.shape)
-        powers[:, self.active] = circuit.power_consumption(r[:, self.active], self.params)
-        for k in np.flatnonzero(powers.sum(axis=1) > self.scenario.p_ris_w + 1e-12):
-            self._relax_to_budget(r[k], powers[k])
+        # a row the ceiling clears draws at most its ceiling total, so only
+        # rows near the budget need the exact power
+        ceiling = self.ceiling(r[:, self.active]).sum(axis=1)
+        near = np.flatnonzero(ceiling > self.scenario.p_ris_w + 1e-12)
+        changed = loud.any()
+        if near.size:
+            powers = np.zeros((near.size, self.n))
+            powers[:, self.active] = circuit.power_consumption(r[np.ix_(near, self.active)],
+                                                               self.params)
+            for k, row in zip(near, powers):
+                changed |= self._relax_to_budget(r[k], row)
         gamma = circuit.reflection(self.params, r, c)
-        return self.encode(r, c, v), r, c, v, gamma
+        # encode(decode(x)) is exact: an untouched stack is returned as clipped
+        return (self.encode(r, c, v) if changed else x), r, c, v, gamma
 
     def fitness(self, x):
         """Repair and score a population: (repaired stack, rates, (r, c, v, gamma))."""

@@ -143,6 +143,36 @@ def power_consumption(r, p):
     return float(out) if out.ndim == 0 else out
 
 
+CEILING_POINTS = 257
+
+
+@lru_cache(maxsize=64)
+def power_ceiling(p):
+    """Upper bound on the computed power_consumption over the diode band.
+
+    Returns a function of resistances r in [band_lo, band_hi], elementwise.
+    The power is tabulated at CEILING_POINTS evenly spaced resistances over
+    the band; a cell at r gets the tabulated power one grid point further
+    toward band_lo than the grid point at or below r, times (1 + 1e-9). The
+    bound rests only on the power being strictly decreasing in r: the extra
+    grid step absorbs rounding in the grid index, the margin the ulp-level
+    non-monotonicity of Lambert W near band_lo. A screen that decides which
+    cells need the exact power, never a reported power.
+
+    Cached per hardware, so the table is built at the first call.
+    """
+    band_lo, band_hi = diode_band(p)
+    step = (band_hi - band_lo) / (CEILING_POINTS - 1)
+    grid = np.linspace(band_lo, band_hi, CEILING_POINTS)
+    table = power_consumption(grid, p) * (1.0 + 1e-9)
+
+    def ceiling(r):
+        i = np.floor((np.asarray(r, dtype=float) - band_lo) / step).astype(np.intp) - 1
+        return table[np.clip(i, 0, CEILING_POINTS - 1)]
+
+    return ceiling
+
+
 def _tan_coefficients(p):
     """Constants of the phase equation, grouped by their tan(phi) factors."""
     l1, l2, z0, w = p.l1, p.l2, p.z0, p.omega

@@ -83,12 +83,17 @@ class ExperimentSpec:
         for variant in self.variants:
             for value in self.sweep_values:
                 try:
-                    _, j_alt = _scenario_for(self, variant, value)
+                    scenario, j_alt = _scenario_for(self, variant, value)
                 except (ArithmeticError, ValueError) as exc:   # a huge rho_db overflows
                     raise ConfigError(f"{self.sweep_kind} = {value:g}: {exc}") from exc
+                where = f"{variant.label} at {self.sweep_kind} = {value:g}"
                 if j_alt < 1:
-                    raise ConfigError(f"{variant.label} at {self.sweep_kind} = {value:g}: "
-                                      f"j_alt must be at least 1, got {j_alt}")
+                    raise ConfigError(f"{where}: j_alt must be at least 1, got {j_alt}")
+                if variant.scheme in ("GA", "PSO"):
+                    try:   # the budget depends on the configuration alone
+                        benchmarks.budget_from_ao(scenario, j_alt=j_alt, j_p=self.ga_j_p)
+                    except ValueError as exc:
+                        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,34 @@ class TestMetaheuristics:
         cells = [line.split(",")[1] for line in (tmp_path / "rows.csv").read_text().splitlines()]
         assert cells[1:] == [f"{s}!InfeasibleBudgetError" for s in schemes]
 
+    def test_repair_skips_the_exact_power_at_the_desk_budget(self, fits_all_active, monkeypatch):
+        # no row of a desk run comes near the surface budget, so the only
+        # exact powers are the floor, the ceiling table and _finalize's total
+        sc, ch = self._setup(2)
+        budget = budget_from_ao(sc)
+        power, repair = circuit.power_consumption, _CircuitSearchSpace.repair
+        calls = {"repair": 0, "inside": 0, "outside": 0}
+        where = ["outside"]
+
+        def counted_power(*args):
+            calls[where[-1]] += 1
+            return power(*args)
+
+        def counted_repair(space, x):
+            calls["repair"] += 1
+            where.append("inside")
+            try:
+                return repair(space, x)
+            finally:
+                where.pop()
+
+        monkeypatch.setattr(circuit, "power_consumption", counted_power)
+        monkeypatch.setattr(_CircuitSearchSpace, "repair", counted_repair)
+        run_ga(sc, ch, fits_all_active, budget, np.random.default_rng(7))
+        assert calls["repair"] == budget.p
+        assert calls["inside"] == 0
+        assert 1 <= calls["outside"] <= 3
+
     def test_repair_respects_both_budgets(self, fits_all_active):
         sc, ch = self._setup(6)
         budget = budget_from_ao(sc, j_alt=4, j_p=1)
@@ -351,6 +379,40 @@ class TestPopulationOracle:
         budget = budget_from_ao(sc, j_alt=6, j_p=1)
         seqs = self._compare(sc, 5, budget, fits_of)
         assert all(seq.relaxed > 0 for seq in seqs)
+
+    def test_rows_inside_the_ceiling_slack_take_the_exact_path(self, fits_of, monkeypatch):
+        # the budget sits between the exact and the ceiling total of one row
+        # of the initial population: the screen sends that row to the exact
+        # power, which finds nothing to relax
+        import dataclasses
+
+        seed = 5
+        sc = desk_scenario()
+        budget = budget_from_ao(sc, j_alt=6, j_p=1)
+        ch, mask = trial_channels(sc, seed, 0, 0)
+        space = _CircuitSearchSpace(sc, ch, fits_of(mask))
+        x = np.random.default_rng(seed).uniform(space.lower, space.upper,
+                                                size=(budget.k, space.dim))
+        r = space.decode(x)[0][:, space.active]
+        exact = circuit.power_consumption(r, sc.circuit).sum(axis=1)
+        ceiling = circuit.power_ceiling(sc.circuit)(r).sum(axis=1)
+        row = np.argsort(exact)[budget.k // 2]
+        sc = dataclasses.replace(sc, p_ris_w=0.5 * (exact[row] + ceiling[row]))
+        assert exact[row] < sc.p_ris_w < ceiling[row]
+
+        relax = _CircuitSearchSpace._relax_to_budget
+        totals = []
+
+        def recorded_relax(space, r, powers):
+            totals.append(powers.sum())
+            return relax(space, r, powers)
+
+        monkeypatch.setattr(_CircuitSearchSpace, "_relax_to_budget", recorded_relax)
+        self._compare(sc, seed, budget, fits_of)
+        totals = np.array(totals)
+        slack = totals <= sc.p_ris_w + 1e-12
+        assert slack.any() and not slack.all()
+        assert np.min(np.abs(totals - exact[row])) <= 1e-15 * exact[row]
 
     def test_best_individual_is_a_bred_child(self, fits_of):
         import dataclasses

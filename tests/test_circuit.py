@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actris import circuit
 from actris.circuit import (
+    CEILING_POINTS,
     M_HI,
     M_LO,
     CellState,
     CircuitParams,
     circuit_from_gamma,
+    diode_band,
     exact_amplitude_bounds,
     feasibility_condition,
+    fig2_params,
     nearest_realizable_cell,
     phase_capacitance,
     m_from_resistance,
+    power_ceiling,
     power_consumption,
     reflection,
     reflection_coeff,
@@ -218,6 +224,71 @@ class TestPowerConsumption:
         p = power_consumption(r, params_va)
         assert all(np.array_equal(p[k], power_consumption(r[k], params_va)) for k in range(40))
         assert all(p[0, j] == power_consumption(r[0, j], params_va) for j in range(16))
+
+
+@st.composite
+def hardware(draw):
+    """The reference and fig2 hardware, or a random unit cell (every one in
+    these ranges meets the feasibility condition)."""
+    kind = draw(st.sampled_from(["reference", "fig2", "random"]))
+    if kind == "reference":
+        return CircuitParams()
+    if kind == "fig2":
+        return fig2_params()
+    return CircuitParams(
+        l1=draw(st.floats(1e-9, 10e-9)), l2=draw(st.floats(0.1e-9, 2e-9)),
+        omega=2.0 * np.pi * draw(st.floats(1e9, 5e9)), r0=draw(st.floats(0.05, 20.0)),
+        v0=draw(st.floats(0.01, 1.0)),
+    )
+
+
+@st.composite
+def band_resistances(draw):
+    """Hardware and in-band resistances: both band edges, the ceiling's grid
+    points, uniform draws, and each of them moved by at most one ulp."""
+    params = draw(hardware())
+    band_lo, band_hi = diode_band(params)
+    grid = np.linspace(band_lo, band_hi, CEILING_POINTS)
+    r = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["edge", "grid", "uniform"]))
+        if kind == "edge":
+            x = draw(st.sampled_from([band_lo, band_hi]))
+        elif kind == "grid":
+            x = grid[draw(st.integers(0, CEILING_POINTS - 1))]
+        else:
+            x = draw(st.floats(band_lo, band_hi))
+        x = np.nextafter(x, draw(st.sampled_from([-np.inf, x, np.inf])))
+        r.append(min(max(x, band_lo), band_hi))
+    return params, np.array(r)
+
+
+class TestPowerCeiling:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(problem=band_resistances())
+    def test_bounds_the_computed_power(self, problem):
+        params, r = problem
+        assert np.all(power_ceiling(params)(r) >= power_consumption(r, params))
+
+    @pytest.mark.parametrize("params", [CircuitParams(), fig2_params()],
+                             ids=["reference", "fig2"])
+    def test_bounds_every_grid_point_and_its_neighbours(self, params):
+        band_lo, band_hi = diode_band(params)
+        grid = np.linspace(band_lo, band_hi, CEILING_POINTS)
+        r = np.concatenate([grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf)])
+        r = np.clip(r, band_lo, band_hi)
+        assert np.all(power_ceiling(params)(r) >= power_consumption(r, params))
+
+    def test_tight_within_two_grid_steps(self, params_va):
+        # the screen passes a cell on to the exact power only near its bound
+        band_lo, band_hi = diode_band(params_va)
+        r = np.linspace(band_lo, band_hi, 1001)
+        step = (band_hi - band_lo) / (CEILING_POINTS - 1)
+        lower = power_consumption(np.maximum(r - 2.0 * step, band_lo), params_va)
+        assert np.all(power_ceiling(params_va)(r) <= lower * (1.0 + 1e-9))
+
+    def test_cached_per_hardware(self, params_va):
+        assert power_ceiling(params_va) is power_ceiling(CircuitParams())
 
 
 class TestCapacitanceForPhase:

@@ -463,6 +463,30 @@ class TestCli:
         for threads in ("0", "-1"):
             assert main(["run", "--config", str(cfg), "--threads", threads]) == 2
 
+    def test_unmatchable_search_budget_is_a_configuration_error(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # at N = 2 one population of two already overshoots the AO budget by
+        # 27 percent; every GA row of every trial used to fail on it
+        from actris import harness
+        from actris.cli import main
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran on an unmatchable budget")
+
+        monkeypatch.setattr(harness, "run_scheme", no_trial)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "m_t": 4, "m_r": 4, "d": 4, "n_elements": 2, "p_ris_w": 0.375,
+            "trials": 2, "schemes": ["GA", "DO"],
+        }))
+        out = tmp_path / "rows.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: GA at rho_db")
+        for part in ("complexity budget", "N = 2", "j_alt = 20", "target 452.548", "is 576"):
+            assert part in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, text", [
         ("run", "trials: abc\n"),
         ("run", "m_t: [1, 2]\n"),
