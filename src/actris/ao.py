@@ -479,33 +479,37 @@ def power_repair_loop(scenario, fits, phi, surrogate, resolve):
 
 
 def feasible_amplitude_scale(scenario, fits, phi, alpha_bar):
-    """Largest uniform shrink of the amplitude controls that fits the budget.
+    """Design at the largest uniform shrink of the amplitude controls that
+    fits the budget.
 
     True circuit power is monotone in the controls, so a bisection on a
-    global multiplier yields a feasible configuration from any starting one.
+    global multiplier yields a feasible design from any starting controls.
     """
-    params = scenario.circuit
+    params, p_ris = scenario.circuit, scenario.p_ris_w
 
-    def power_at(scale):
+    def design_at(scale):
         alpha = reflection.amplitude_from_normalized(fits, phi, scale * alpha_bar)
-        return reflection.realize_design(params, fits, phi, alpha).ris_power_w
+        return reflection.realize_design(params, fits, phi, alpha)
 
-    if power_at(1.0) <= scenario.p_ris_w:
-        return 1.0
+    design = design_at(1.0)
+    if design.ris_power_w <= p_ris:
+        return design
     lo, hi = 0.0, 1.0
-    if power_at(0.0) > scenario.p_ris_w:
+    design = design_at(0.0)
+    if design.ris_power_w > p_ris:
         raise InfeasibleBudgetError("surface power budget below the all-minimum power")
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if power_at(mid) <= scenario.p_ris_w:
-            lo = mid
+        trial = design_at(mid)
+        if trial.ris_power_w <= p_ris:
+            lo, design = mid, trial
         else:
             hi = mid
-    return lo
+    return design
 
 
 def random_init(scenario, fits, rng):
-    """Random feasible starting point (v0, phi0, alpha_bar0)."""
+    """Random feasible starting point (v0, design0)."""
     v0 = rng.standard_normal((scenario.m_t, scenario.d)) + 1j * rng.standard_normal(
         (scenario.m_t, scenario.d)
     )
@@ -513,17 +517,7 @@ def random_init(scenario, fits, rng):
     phi0 = rng.uniform(0.0, 2.0 * np.pi, scenario.n)
     alpha_bar0 = rng.uniform(0.0, 1.0, scenario.n)
     alpha_bar0[~fits.active_mask] = 0.0
-    scale = feasible_amplitude_scale(scenario, fits, phi0, alpha_bar0)
-    return v0, phi0, scale * alpha_bar0
-
-
-def init_from_design(scenario, v, design):
-    """Turn a finished design into a feasible AO starting point."""
-    v0 = np.asarray(v, dtype=complex)
-    if v0.shape[1] < scenario.d:
-        pad = np.zeros((scenario.m_t, scenario.d - v0.shape[1]), dtype=complex)
-        v0 = np.concatenate([v0, pad], axis=1)
-    return v0, design.phi.copy(), design.alpha_bar.copy()
+    return v0, feasible_amplitude_scale(scenario, fits, phi0, alpha_bar0)
 
 
 @dataclass
@@ -539,41 +533,33 @@ class AOResult:
 def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
     """Alternating optimization of precoder, combiner and surface.
 
-    init is a feasible (v0, phi0, alpha_bar0) triple. Stops on relative rate
-    change below eps or after j_alt iterations, and returns the best iterate
-    seen (the initial design included). Its rates are model rates, at the
-    cosine-model reflection design.gamma.
+    init is (v0, design0): a precoder, padded here with zero columns up to
+    d streams, and a realized RISDesign within the surface budget, which is
+    the first iterate. Stops on relative rate change below eps or after
+    j_alt iterations, and returns the best iterate seen (the initial design
+    included). Its rates are model rates, at the cosine-model reflection
+    design.gamma.
     """
-    v0, phi0, alpha_bar0 = init
+    v0, design = init
     params = scenario.circuit
     v = np.asarray(v0, dtype=complex)
+    if v.shape[1] < scenario.d:
+        pad = np.zeros((scenario.m_t, scenario.d - v.shape[1]), dtype=complex)
+        v = np.concatenate([v, pad], axis=1)
     if np.trace(v.conj().T @ v).real > scenario.p_t_w * (1.0 + 1e-6):
         raise ValueError("initial precoder violates the transmit power budget")
-    phi = np.asarray(phi0, dtype=float)
-    alpha_bar = np.asarray(alpha_bar0, dtype=float)
-
-    alpha = reflection.amplitude_from_normalized(fits, phi, alpha_bar)
-    design = reflection.realize_design(params, fits, phi, alpha)
     if design.ris_power_w > scenario.p_ris_w + POWER_TOL:
-        # a floor-tight budget cannot host the model floor; start from the
-        # minimum-bias configuration instead
-        design = reflection.realize_minimum_power(params, fits, phi)
-        if design.ris_power_w > scenario.p_ris_w + POWER_TOL:
-            raise ValueError("initial surface configuration violates the power budget")
-    gamma = design.gamma
-    rate = rate_lmmse(ch, v, gamma, scenario)
+        raise ValueError("initial surface design violates the power budget")
 
-    best = (rate, v, design, 0)
+    rate = rate_lmmse(ch, v, design.gamma, scenario)
+    best = (rate, v, design)
     history = [rate]
     repair_max = 0
-    prev_rate = rate
-    iterations = 0
     for _ in range(j_alt):
-        iterations += 1
-        y, sigma_aux = lmmse_receiver(ch, v, gamma, scenario)
-        v = precoder_update(ch, y, sigma_aux, gamma, scenario)
-        obj = build_phase_objective(ch, v, y, sigma_aux, fits, alpha_bar, scenario)
-        phasor, _ = rmo_phase_opt(obj, np.exp(1j * phi))
+        y, sigma_aux = lmmse_receiver(ch, v, design.gamma, scenario)
+        v = precoder_update(ch, y, sigma_aux, design.gamma, scenario)
+        obj = build_phase_objective(ch, v, y, sigma_aux, fits, design.alpha_bar, scenario)
+        phasor, _ = rmo_phase_opt(obj, np.exp(1j * design.phi))
         phi = np.angle(phasor) % (2.0 * np.pi)
         qp_data = _qp_phase_data(obj, phi)
         surrogate = _power_fit_arrays(fits, phi, params)
@@ -582,24 +568,21 @@ def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
             lambda budget: amplitude_qp(qp_data, surrogate, budget).alpha,
         )
         repair_max = max(repair_max, design.repair_passes)
-        gamma = design.gamma
-        alpha_bar = design.alpha_bar
 
-        rate = rate_lmmse(ch, v, gamma, scenario)
+        rate = rate_lmmse(ch, v, design.gamma, scenario)
         history.append(rate)
         if rate > best[0]:
-            best = (rate, v, design, iterations)
-        rel_change = abs(rate - prev_rate) / abs(rate) if rate != 0.0 else 0.0
+            best = (rate, v, design)
+        rel_change = abs(rate - history[-2]) / abs(rate) if rate != 0.0 else 0.0
         if rel_change <= eps:
             break
-        prev_rate = rate
 
-    rate, v, design, _ = best
+    rate, v, design = best
     return AOResult(
         v=v,
         design=design,
         rate=rate,
         rate_history=np.asarray(history),
-        iterations=iterations,
+        iterations=len(history) - 1,
         repair_passes_max=repair_max,
     )

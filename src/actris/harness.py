@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from . import benchmarks, circuit
-from .ao import init_from_design, random_init, run_ao
+from .ao import random_init, run_ao
 from .channel import (SPEED_OF_LIGHT, ScenarioConfig, db_to_linear, dbm_to_watt, rate_lmmse,
                       sample_channels)
 from .circuit import CircuitParams
@@ -400,7 +400,7 @@ def run_scheme(scheme, scenario, ch, fits, rng, j_alt=20, eps=1e-3, ga_j_p=2):
     elif scheme in ("AO", "AO-random-init"):
         if scheme == "AO":
             do_res = run_do(scenario, ch, fits, rng)
-            init = init_from_design(scenario, do_res.v, do_res.design)
+            init = (do_res.v, do_res.design)
         else:
             init = random_init(scenario, fits, rng)
         res = run_ao(scenario, ch, fits, init, eps=eps, j_alt=j_alt)
@@ -588,6 +588,8 @@ def load_design(path):
                 ris_power_w=float(payload["ris_power_w"]),
             )
             v = np.asarray(payload["v_re"]) + 1j * np.asarray(payload["v_im"])
+            if v.ndim != 2:
+                raise ValueError(f"precoder must be 2-D, not {v.ndim}-D")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed design file {path}: {exc!r}") from exc
     return design, v

@@ -190,10 +190,7 @@ def test_criterion_08_ao_soundness(fits_all_active, scenario_desk):
         fits = ElementFits(*class_fits(scenario_desk.circuit), mask)
         rng = np.random.default_rng(8000 + trial)
         do_res = run_do(scenario_desk, ch, fits, rng)
-        from actris.ao import init_from_design
-
-        init = init_from_design(scenario_desk, do_res.v, do_res.design)
-        res = run_ao(scenario_desk, ch, fits, init, j_alt=20)
+        res = run_ao(scenario_desk, ch, fits, (do_res.v, do_res.design), j_alt=20)
         best = np.maximum.accumulate(res.rate_history)
         if not np.all(np.diff(best) >= -1e-12):
             ok_monotone = False
@@ -364,10 +361,7 @@ def test_criterion_12_power_element_tradeoff():
             fits = ElementFits(*class_fits(scenario.circuit), mask)
             rng = np.random.default_rng(1200 + trial)
             do_res = run_do(scenario, ch, fits, rng)
-            from actris.ao import init_from_design
-
-            init = init_from_design(scenario, do_res.v, do_res.design)
-            res = run_ao(scenario, ch, fits, init, j_alt=8)
+            res = run_ao(scenario, ch, fits, (do_res.v, do_res.design), j_alt=8)
             rates[key].append(res.rate)
             if key == "all":
                 powers = circuit.power_consumption(

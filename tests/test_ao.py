@@ -27,6 +27,7 @@ from actris.channel import (
     noise_covariance,
     rate_lmmse,
 )
+from actris.constraints import POWER_TOL
 from actris.do import cascade_norm_objective
 from actris.errors import ConvergenceError, InfeasibleBudgetError
 from actris.harness import (
@@ -141,8 +142,7 @@ class TestLmmseCombiner:
             ch, mask = trial_channels(sc, 2020, 0, trial)
             fits = ElementFits.from_classes(active_fit, passive_fit, mask)
             do_res = run_do(sc, ch, fits, np.random.default_rng(trial))
-            res = run_ao(sc, ch, fits, ao.init_from_design(sc, do_res.v, do_res.design),
-                         j_alt=4)
+            res = run_ao(sc, ch, fits, (do_res.v, do_res.design), j_alt=4)
             v, gamma = res.v, res.design.gamma
             _, sinrs = lmmse_receiver(ch, v, gamma, sc)
             ref = reference_stream_sinrs(ch, v, gamma, sc)
@@ -766,16 +766,14 @@ class TestRunAO:
     def test_returns_at_least_init_rate(self, fits_all_active, scenario_desk):
         rng = np.random.default_rng(51)
         from actris.channel import sample_channels
+        from actris.constraints import validate_design
 
         ch = sample_channels(scenario_desk, rng)
         init = random_init(scenario_desk, fits_all_active, rng)
-        lower, upper = fits_all_active.bounds(init[1])
-        d0 = realize_design(
-            scenario_desk.circuit, fits_all_active, init[1],
-            lower + init[2] * (upper - lower),
-        )
-        init_rate = rate_lmmse(ch, init[0], d0.gamma, scenario_desk)
+        assert validate_design(scenario_desk, fits_all_active, *init) == []
+        init_rate = rate_lmmse(ch, init[0], init[1].gamma, scenario_desk)
         res = run_ao(scenario_desk, ch, fits_all_active, init, j_alt=5)
+        assert res.rate_history[0] == init_rate   # AO scores the design it is handed
         assert res.rate >= init_rate - 1e-12
 
     def test_infinite_tolerance_stops_after_one_iteration(self, fits_all_active, scenario_desk):
@@ -806,17 +804,40 @@ class TestRunAO:
             assert res.rate == pytest.approx(best[-1])
             assert validate_design(scenario_desk, fits_all_active, res.v, res.design) == []
 
+    def test_starts_from_the_do_design_bit_for_bit(self):
+        # paper size, where DO's precoder has fewer columns than d streams
+        from actris.do import run_do
+
+        sc = ScenarioConfig()
+        ch, mask = trial_channels(sc, 2021, 0, 1)
+        fits = ElementFits(*class_fits(sc.circuit), mask)
+        do_res = run_do(sc, ch, fits, np.random.default_rng(1))
+        assert do_res.v.shape[1] < sc.d
+        pad = np.zeros((sc.m_t, sc.d - do_res.v.shape[1]), dtype=complex)
+        v_padded = np.concatenate([do_res.v, pad], axis=1)
+        res = run_ao(sc, ch, fits, (do_res.v, do_res.design), j_alt=1)
+        assert res.rate_history[0] == rate_lmmse(ch, v_padded, do_res.design.gamma, sc)
+
+    def test_start_over_the_surface_budget_raises(self, fits_all_active, scenario_desk):
+        from actris.channel import sample_channels
+
+        ch = sample_channels(scenario_desk, np.random.default_rng(54))
+        phi = np.full(16, 5.9)
+        _, upper = fits_all_active.bounds(phi)
+        design0 = realize_design(scenario_desk.circuit, fits_all_active, phi, upper)
+        assert design0.ris_power_w > scenario_desk.p_ris_w + POWER_TOL
+        v0 = np.zeros((scenario_desk.m_t, scenario_desk.d), dtype=complex)
+        with pytest.raises(ValueError, match="surface design violates the power budget"):
+            run_ao(scenario_desk, ch, fits_all_active, (v0, design0))
+
     def test_feasible_scale_bisection(self, fits_all_active, scenario_desk):
         rng = np.random.default_rng(53)
         phi = rng.uniform(0, TWO_PI, 16)
         ab = np.ones(16)
-        scale = feasible_amplitude_scale(scenario_desk, fits_all_active, phi, ab)
+        design = feasible_amplitude_scale(scenario_desk, fits_all_active, phi, ab)
+        scale = design.alpha_bar[0]   # one uniform shrink of the all-ones controls
         assert 0.0 <= scale <= 1.0
-        lower, upper = fits_all_active.bounds(phi)
-        design = realize_design(
-            scenario_desk.circuit, fits_all_active, phi,
-            lower + scale * ab * (upper - lower),
-        )
+        assert np.allclose(design.alpha_bar, scale, rtol=0.0, atol=1e-12)
         assert design.ris_power_w <= scenario_desk.p_ris_w * (1 + 1e-9)
 
 

@@ -169,6 +169,14 @@ class TestConfig:
         spec = spec_from_dict(example)
         assert spec.scenario.m_r == 8 and spec.scenario.n == 64
 
+    def test_readme_library_example_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library example\n", 1)[1].split("\n## ", 1)[0]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(code, "README.md", "exec"), {})
+        rates = [float(line) for line in capsys.readouterr().out.split()]
+        assert len(rates) == 2 and all(rate > 0.0 for rate in rates)
+
 
 class TestDeterminism:
     def test_identical_runs_identical_csv(self, tmp_path):
@@ -495,6 +503,9 @@ class TestCli:
         ("run", "trials: 2: 3\n"),
         ("validate", '{"phi": [0.0], "active_mask": [1]}'),
         ("validate", "phi: [0.0]\n"),
+        ("validate", '{"phi": [0.0], "alpha_bar": [0.0], "active_mask": [1], "gamma_re": [0.5], '
+                     '"gamma_im": [0.0], "cells_r": [-5.0], "cells_c": [2e-12], '
+                     '"ris_power_w": 0.0, "v_re": [0.001, 0.0], "v_im": [0.0, 0.0]}'),
         ("run", "trials: 2.5\n"),
         ("run", "n_elements: true\n"),
         ("run", "record_timing: \"no\"\n"),
@@ -516,7 +527,8 @@ class TestCli:
         ("run", "threads: -4\n"),
         ("run", "sweep: {kind: j_alt, values: [0]}\n"),
     ], ids=["text-count", "list-count", "null-schemes", "scalar-sweep", "yaml-syntax",
-            "design-without-alpha-bar", "design-not-json", "fractional-count",
+            "design-without-alpha-bar", "design-not-json", "design-one-dimensional-precoder",
+            "fractional-count",
             "boolean-count", "text-flag", "number-flag", "nan-budget", "nan-snr",
             "nan-eps", "negative-eps", "infinite-power", "nan-circuit", "infinite-capacitance",
             "nan-sweep", "fractional-sweep", "zero-frequency", "overflowing-power",
@@ -595,9 +607,18 @@ class TestCli:
         code, err = validate(active_mask=payload["active_mask"][:3])
         assert code == 3 and ("16 phases, 16 normalized amplitudes, 16 reflection targets, "
                               "16 resistances and 16 capacitances for 3 cells") in err
-        band_lo = circuit.diode_band(params_va)[0]
+        band_lo, band_hi = circuit.diode_band(params_va)
         code, err = validate(cells_r=[2.0 * band_lo] + payload["cells_r"][1:])
         assert code == 3 and "below the diode band edge" in err
+        # a cell off the band, the recorded power being what the finite cells draw
+        for r0, fault in ((np.nan, "resistance nan ohm is not finite"),
+                          (np.inf, "resistance inf ohm is not finite"),
+                          (0.5 * band_hi, "above the diode band edge")):
+            r = np.array([r0] + payload["cells_r"][1:])
+            drawn = float(circuit.power_consumption(r[np.isfinite(r)], params_va).sum())
+            code, err = validate(cells_r=r.tolist(), ris_power_w=drawn)
+            assert code == 3 and err.count("VIOLATION") == 1, err
+            assert err.startswith("VIOLATION: element 0: ") and fault in err, err
 
     def test_preset_fig2_writes_curves(self, tmp_path, capsys):
         from actris.cli import main
