@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit, reflection
-from .channel import effective_channel, lmmse_receiver, rate_lmmse
+from .channel import _rate_of_sinrs, effective_channel, lmmse_receiver
 from .constraints import POWER_TOL
 from .errors import BracketError, ConvergenceError, InfeasibleBudgetError
 from .numerics import bisect, hermitian_eig
@@ -27,8 +27,8 @@ STALL_WINDOW = 10  # accepted CG steps over which a stalled objective is judged
 REPAIR_PASSES = 8  # shortfall passes of the power repair at most
 REPAIR_BISECTIONS = 8  # working-budget halvings once the shortfall loop stops
 PIVOT_TRIES = 3  # whole-set QP pivots without a new fewest-infeasible count
-# the backtracking steps 1, 1/2, ..., 2^-39, one (LADDER, 1) rung per row
-_STEP_LADDER = (BACKTRACK ** np.arange(MAX_BACKTRACKS, dtype=float)).reshape(-1, LADDER, 1)
+# the backtracking steps 1, 1/2, ..., 2^-39, one rung per row
+_STEP_LADDER = (BACKTRACK ** np.arange(MAX_BACKTRACKS, dtype=float))[:, None]
 
 
 @dataclass
@@ -73,9 +73,8 @@ def precoder_update(ch, y, sigma_aux, gamma, scenario):
     transmit power matches the budget.
     """
     heff = effective_channel(ch, gamma)
-    sig = np.diag(sigma_aux + 1.0)
-    z = heff.conj().T @ y @ sig
-    k = heff.conj().T @ y @ sig @ y.conj().T @ heff
+    z = heff.conj().T @ y @ np.diag(sigma_aux + 1.0)
+    k = z @ y.conj().T @ heff
     vals, u = hermitian_eig(k)
     vals = np.maximum(vals, 0.0)
     num = np.sum(np.abs(u.conj().T @ z) ** 2, axis=1)
@@ -83,15 +82,15 @@ def precoder_update(ch, y, sigma_aux, gamma, scenario):
     # numerical residue so the power sum stays finite at multiplier zero
     total = num.sum()
     keep = num > 1e-14 * max(total, 1e-300)
+    vals_kept, num_kept = vals[keep], num[keep]
 
     def tx_power(lam):
-        denom = (vals[keep] + lam) ** 2
-        return float(np.sum(num[keep] / denom))
+        return float(np.sum(num_kept / (vals_kept + lam) ** 2))
 
     p_t = scenario.p_t_w
     if not keep.any():
         return np.zeros((scenario.m_t, y.shape[1]), dtype=complex)
-    if np.all(vals[keep] > 0.0) and tx_power(0.0) <= p_t:
+    if np.all(vals_kept > 0.0) and tx_power(0.0) <= p_t:
         lam_opt = 0.0
     else:
         lam_hi = np.linalg.norm(z) / np.sqrt(p_t)
@@ -103,7 +102,7 @@ def precoder_update(ch, y, sigma_aux, gamma, scenario):
             raise BracketError("precoder power equation could not be bracketed")
         lam_opt = bisect(lambda lam: tx_power(lam) - p_t, 0.0, lam_hi, tol=1e-11 * p_t)
     scale = np.zeros_like(vals)
-    scale[keep] = 1.0 / (vals[keep] + lam_opt)
+    scale[keep] = 1.0 / (vals_kept + lam_opt)
     return u @ (scale[:, None] * (u.conj().T @ z))
 
 
@@ -141,8 +140,8 @@ def phase_gradient(obj, phasor, tg=None):
     return 2.0 * (2.0 * np.conj(phasor) * np.conj(obj.z2) * w + np.conj(obj.z1) * w)
 
 
-def _tangent_project(vec, phasor):
-    return vec - np.real(vec * np.conj(phasor)) * phasor
+def _tangent_project(vec, phasor, phasor_conj):
+    return vec - (vec * phasor_conj).real * phasor
 
 
 def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
@@ -150,12 +149,13 @@ def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
 
     Polak-Ribiere directions with restarts, Armijo backtracking from unit
     step, and retraction by elementwise normalization. The backtracking
-    steps are scored LADDER at a time as one stack of retracted candidates;
-    the first one that passes the Armijo test is taken, as in a step-by-step
-    search. Stops when the Riemannian gradient norm drops to tol, or when
-    the last STALL_WINDOW accepted steps lowered the objective by no more
-    than tol times its magnitude. Returns the final phasors and the
-    objective trace (nonincreasing).
+    steps are scored as stacks of retracted candidates: first up to one
+    rung past the rung the previous step took (LADDER rungs at first), then
+    LADDER rungs at a time. The first one that passes the Armijo test is
+    taken, as in a step-by-step search. Stops when the Riemannian gradient
+    norm drops to tol, or when the last STALL_WINDOW accepted steps lowered
+    the objective by no more than tol times its magnitude. Returns the final
+    phasors and the objective trace (nonincreasing).
     """
     phasor = np.asarray(phasor0, dtype=complex)
     if np.max(np.abs(np.abs(phasor) - 1.0)) > 1e-9:
@@ -167,11 +167,12 @@ def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
     # meaningful regardless of the absolute channel/noise scale
     s = max(np.abs(obj.t).max(), np.abs(obj.q).max(), 1e-300)
     work = PhaseObjective(t=obj.t / s, q=obj.q / s, z2=obj.z2, z1=obj.z1, z=obj.z)
+    armijo = ARMIJO_C * _STEP_LADDER[:, 0]
 
     val = work.value(phasor)
     trace = [val]
-    rgrad = _tangent_project(phase_gradient(work, phasor), phasor)
-    direction = -rgrad
+    rgrad = _tangent_project(phase_gradient(work, phasor), phasor, np.conj(phasor))
+    direction, rung = -rgrad, LADDER - 2   # rung: where the last line search passed
     for it in range(max_iters):
         gnorm2 = np.vdot(rgrad, rgrad).real
         if np.sqrt(gnorm2) <= tol:
@@ -180,32 +181,31 @@ def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
         if slope >= 0.0:
             direction = -rgrad
             slope = -gnorm2
-        new_phasor = None
-        for steps in _STEP_LADDER:
-            cand = phasor + steps * direction
-            cand = cand / np.abs(cand)
+        new_phasor, lo, hi = None, 0, rung + 2
+        while new_phasor is None and lo < MAX_BACKTRACKS:
+            cand = phasor + _STEP_LADDER[lo:hi] * direction
+            cand /= np.abs(cand)
             cand_vals, cand_tg = work.value(cand, with_tg=True)
-            passed = cand_vals <= val + ARMIJO_C * steps[:, 0] * slope
-            if passed.any():
-                k = int(passed.argmax())
-                new_phasor, cand_val, tg = cand[k], float(cand_vals[k]), cand_tg[k]
-                break
+            passed = cand_vals <= val + armijo[lo:hi] * slope
+            k = int(passed.argmax())   # the first pass, or 0 if none passed
+            if passed[k]:
+                new_phasor, cand_val, tg, rung = cand[k], float(cand_vals[k]), cand_tg[k], lo + k
+            lo, hi = hi, hi + LADDER
         if new_phasor is None:
             break
-        prev_rgrad = rgrad
-        phasor = new_phasor
-        val = cand_val
+        prev_rgrad, phasor, val = rgrad, new_phasor, cand_val
         trace.append(val)
         if len(trace) > STALL_WINDOW and trace[-1 - STALL_WINDOW] - val <= tol * abs(val):
             break
-        rgrad = _tangent_project(phase_gradient(work, phasor, tg), phasor)
-        beta = np.vdot(rgrad, rgrad - _tangent_project(prev_rgrad, phasor)).real / max(
+        pc = np.conj(phasor)
+        rgrad = _tangent_project(phase_gradient(work, phasor, tg), phasor, pc)
+        beta = np.vdot(rgrad, rgrad - _tangent_project(prev_rgrad, phasor, pc)).real / max(
             gnorm2, 1e-300
         )
         if beta < 0.0 or (it + 1) % n == 0:
             direction = -rgrad
         else:
-            direction = -rgrad + beta * _tangent_project(direction, phasor)
+            direction = -rgrad + beta * _tangent_project(direction, phasor, pc)
     return phasor, s * np.asarray(trace)
 
 
@@ -257,20 +257,23 @@ def _face_solve(free, x, m, c_lin, w, b):
     Cells outside free keep their values in x. The free cells solve the
     stationarity equations, bordered by the budget row when the box-only
     point breaks the budget; the multiplier is zero for the box-only point.
+    The blocks of m are gathered by take, C-ordered as np.ix_ blocks are.
     Raises LinAlgError when a system is singular, as the bordered one is
     when w is zero on the free cells.
     """
-    fixed = ~free
-    m_ff = 2.0 * m[np.ix_(free, free)]
-    rhs = -(c_lin[free] + 2.0 * (m[np.ix_(free, fixed)] @ x[fixed]))
+    fi, fx = free.nonzero()[0], (~free).nonzero()[0]
+    rows = m.take(fi, 0)
+    m_ff = 2.0 * rows.take(fi, 1)
+    rhs = -(c_lin[fi] + 2.0 * (rows.take(fx, 1) @ x[fx]))
     y = x.copy()
-    y[free] = np.linalg.solve(m_ff, rhs)
+    y[fi] = np.linalg.solve(m_ff, rhs)
     if w @ y <= b + _budget_slack(b):
         return y, 0.0
-    w_f = w[free]
-    bordered = np.block([[m_ff, w_f[:, None]], [w_f, 0.0]])
-    sol = np.linalg.solve(bordered, np.append(rhs, b - w[fixed] @ x[fixed]))
-    y[free] = sol[:-1]
+    bordered = np.zeros((fi.size + 1, fi.size + 1))
+    bordered[:-1, :-1] = m_ff
+    bordered[:-1, -1] = bordered[-1, :-1] = w[fi]
+    sol = np.linalg.solve(bordered, np.append(rhs, b - w[fx] @ x[fx]))
+    y[fi] = sol[:-1]
     return y, float(sol[-1])
 
 
@@ -306,6 +309,7 @@ def _pivot_face(x, m, c_lin, lower, upper, w, b):
     (width <= 1e-15 of its upper end).
     """
     movable = upper > lower
+    none_held = np.zeros_like(movable)
     mu_lo, mu_hi = -np.inf, np.inf   # box points break the budget at mu_lo, meet it at mu_hi
     pivots = 0
     while True:
@@ -315,7 +319,7 @@ def _pivot_face(x, m, c_lin, lower, upper, w, b):
         while True:
             free = movable & ~at_lo & ~at_hi
             y = np.where(at_lo, lower, np.where(at_hi, upper, x))
-            mu, held = 0.0, np.zeros_like(at_lo)
+            mu, held = 0.0, none_held
             if free.any():
                 try:
                     y, mu = _face_solve(free, y, m, c_lin, w, b)
@@ -329,11 +333,13 @@ def _pivot_face(x, m, c_lin, lower, upper, w, b):
                 held = at_lo & (w > 0.0)
                 if held.any():
                     mu = max(0.0, float(np.max(-(2.0 * (m @ y) + c_lin)[held] / w[held])))
-            g = 2.0 * (m @ y) + c_lin + mu * w
+            g = 2.0 * (m @ y) + c_lin
+            if mu != 0.0:   # adding +-0.0 could only flip the sign of a zero in g
+                g += mu * w
             below = free & (y < lower)
             above = free & (y > upper)
             flip = below | above | (at_lo & ~held & (g < 0.0)) | (at_hi & (g > 0.0))
-            count = int(flip.sum())
+            count = int(np.count_nonzero(flip))
             if count == 0:   # a bordered point meets the budget row up to rounding
                 return y, mu, pivots
             state = (at_lo.tobytes(), at_hi.tobytes(), fewest, tries)
@@ -551,12 +557,13 @@ def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
     if design.ris_power_w > scenario.p_ris_w + POWER_TOL:
         raise ValueError("initial surface design violates the power budget")
 
-    rate = rate_lmmse(ch, v, design.gamma, scenario)
+    # one receiver per iterate: its rate, and the next iteration's combiner
+    y, sigma_aux = lmmse_receiver(ch, v, design.gamma, scenario)
+    rate = _rate_of_sinrs(sigma_aux)
     best = (rate, v, design)
     history = [rate]
     repair_max = 0
     for _ in range(j_alt):
-        y, sigma_aux = lmmse_receiver(ch, v, design.gamma, scenario)
         v = precoder_update(ch, y, sigma_aux, design.gamma, scenario)
         obj = build_phase_objective(ch, v, y, sigma_aux, fits, design.alpha_bar, scenario)
         phasor, _ = rmo_phase_opt(obj, np.exp(1j * design.phi))
@@ -569,7 +576,8 @@ def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
         )
         repair_max = max(repair_max, design.repair_passes)
 
-        rate = rate_lmmse(ch, v, design.gamma, scenario)
+        y, sigma_aux = lmmse_receiver(ch, v, design.gamma, scenario)
+        rate = _rate_of_sinrs(sigma_aux)
         history.append(rate)
         if rate > best[0]:
             best = (rate, v, design)

@@ -182,10 +182,15 @@ def lmmse_receiver(ch, v, gamma, scenario):
     return y, np.maximum(s / (1.0 - s), 0.0)
 
 
+def _rate_of_sinrs(sinrs):
+    """Sum rate of per-stream SINRs (..., d): a float for one design."""
+    rates = np.sum(np.log2(1.0 + sinrs), axis=-1)
+    return float(rates) if rates.ndim == 0 else rates
+
+
 def rate_lmmse(ch, v, gamma, scenario):
     """Achievable rate with the rate-optimal linear receiver (bps/Hz).
 
     A float for one design; an array of rates for a stack of designs.
     """
-    rates = np.sum(np.log2(1.0 + lmmse_receiver(ch, v, gamma, scenario)[1]), axis=-1)
-    return float(rates) if rates.ndim == 0 else rates
+    return _rate_of_sinrs(lmmse_receiver(ch, v, gamma, scenario)[1])

@@ -484,16 +484,17 @@ def run_experiment(spec):
     """Run every (sweep value, trial) task and return rows in canonical order.
 
     Each scheme of a trial draws its channels from the same seed, so all
-    schemes see the same channels. Tasks run on a process pool when more
-    than one worker is requested; the row order and content are independent
-    of the worker count. The element classes are fitted before the pool
-    forks, so the workers inherit the fits.
+    schemes see the same channels. Tasks run on a forked pool of
+    min(threads, tasks) workers when that is more than one; the row order and
+    content are independent of the worker count. The element classes are
+    fitted before the pool forks, so the workers inherit the fits.
     """
     class_fits(spec.scenario.circuit)
     tasks = [(si, ti) for si in range(len(spec.sweep_values)) for ti in range(spec.trials)]
     run = partial(_run_task, spec)
-    if spec.threads > 1:
-        with _worker_pool(spec.threads) as pool:
+    workers = min(spec.threads, len(tasks))
+    if workers > 1:
+        with _worker_pool(workers) as pool:
             per_task = list(pool.map(run, tasks))
     else:
         per_task = map(run, tasks)

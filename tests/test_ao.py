@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -341,7 +342,7 @@ class TestManifoldDescent:
         ph = np.exp(1j * rng.uniform(0, TWO_PI, 16))
         from actris.ao import _tangent_project
 
-        rg = _tangent_project(phase_gradient(obj, ph), ph)
+        rg = _tangent_project(phase_gradient(obj, ph), ph, np.conj(ph))
         assert np.max(np.abs(np.real(rg * np.conj(ph)))) < 1e-12
 
     def test_monotone_descent_trace(self, fits_all_active):
@@ -818,6 +819,44 @@ class TestRunAO:
         res = run_ao(sc, ch, fits, (do_res.v, do_res.design), j_alt=1)
         assert res.rate_history[0] == rate_lmmse(ch, v_padded, do_res.design.gamma, sc)
 
+    def test_rate_history_is_the_lmmse_rate_of_each_iterate(
+        self, fits_all_active, scenario_desk, monkeypatch
+    ):
+        # one receiver solve per iterate: its SINRs give the iterate's rate
+        # and its combiner starts the next outer iteration
+        from actris import channel
+        from actris.channel import sample_channels
+
+        rng = np.random.default_rng(55)
+        ch = sample_channels(scenario_desk, rng)
+        init = random_init(scenario_desk, fits_all_active, rng)
+        vs, gammas, solves = [init[0]], [init[1].gamma], []
+
+        def counting(solve):
+            def receiver(*args):
+                solves.append(args)
+                return solve(*args)
+            return receiver
+
+        def precoder(*args, update=ao.precoder_update):
+            vs.append(update(*args))
+            return vs[-1]
+
+        def repair(*args, loop=ao.power_repair_loop):
+            design = loop(*args)
+            gammas.append(design.gamma)
+            return design
+
+        for module in (ao, channel):
+            monkeypatch.setattr(module, "lmmse_receiver", counting(module.lmmse_receiver))
+        monkeypatch.setattr(ao, "precoder_update", precoder)
+        monkeypatch.setattr(ao, "power_repair_loop", repair)
+        res = run_ao(scenario_desk, ch, fits_all_active, init, j_alt=8)
+        assert res.iterations >= 2
+        assert len(solves) == len(res.rate_history) == len(vs) == len(gammas)
+        for rate, v, gamma in zip(res.rate_history, vs, gammas):
+            assert rate == rate_lmmse(ch, v, gamma, scenario_desk)
+
     def test_start_over_the_surface_budget_raises(self, fits_all_active, scenario_desk):
         from actris.channel import sample_channels
 
@@ -841,10 +880,11 @@ class TestRunAO:
         assert design.ris_power_w <= scenario_desk.p_ris_w * (1 + 1e-9)
 
 
-def _reference_rmo(obj, phasor0, max_iters=300, tol=1e-6):
+def _reference_rmo(obj, phasor0, max_iters=300, tol=1e-6, rungs=None):
     """Reference phase CG: the step-by-step Armijo backtracking loop that the
     stacked step ladder of rmo_phase_opt replaces, with the same gradient
-    and stall stops."""
+    and stall stops. rungs, if given, collects the backtracking count each
+    line search took (None where none passed)."""
     phasor = np.asarray(phasor0, dtype=complex)
     phasor = phasor / np.abs(phasor)
     n = phasor.size
@@ -857,7 +897,7 @@ def _reference_rmo(obj, phasor0, max_iters=300, tol=1e-6):
 
     val = value(phasor)
     trace = [val]
-    rgrad = ao._tangent_project(phase_gradient(work, phasor), phasor)
+    rgrad = ao._tangent_project(phase_gradient(work, phasor), phasor, np.conj(phasor))
     direction = -rgrad
     for it in range(max_iters):
         gnorm2 = np.vdot(rgrad, rgrad).real
@@ -869,7 +909,7 @@ def _reference_rmo(obj, phasor0, max_iters=300, tol=1e-6):
             slope = -gnorm2
         step = 1.0
         new_phasor = None
-        for _ in range(40):
+        for rung in range(40):
             cand = phasor + step * direction
             cand = cand / np.abs(cand)
             cand_val = value(cand)
@@ -877,6 +917,8 @@ def _reference_rmo(obj, phasor0, max_iters=300, tol=1e-6):
                 new_phasor = cand
                 break
             step *= ao.BACKTRACK
+        if rungs is not None:
+            rungs.append(None if new_phasor is None else rung)
         if new_phasor is None:
             break
         prev_rgrad = rgrad
@@ -885,14 +927,15 @@ def _reference_rmo(obj, phasor0, max_iters=300, tol=1e-6):
         trace.append(val)
         if len(trace) > ao.STALL_WINDOW and trace[-1 - ao.STALL_WINDOW] - val <= tol * abs(val):
             break
-        rgrad = ao._tangent_project(phase_gradient(work, phasor), phasor)
-        beta = np.vdot(rgrad, rgrad - ao._tangent_project(prev_rgrad, phasor)).real / max(
+        pc = np.conj(phasor)
+        rgrad = ao._tangent_project(phase_gradient(work, phasor), phasor, pc)
+        beta = np.vdot(rgrad, rgrad - ao._tangent_project(prev_rgrad, phasor, pc)).real / max(
             gnorm2, 1e-300
         )
         if beta < 0.0 or (it + 1) % n == 0:
             direction = -rgrad
         else:
-            direction = -rgrad + beta * ao._tangent_project(direction, phasor)
+            direction = -rgrad + beta * ao._tangent_project(direction, phasor, pc)
     return phasor, s * np.asarray(trace)
 
 
@@ -1058,13 +1101,15 @@ class TestSolverOracle:
     reference above."""
 
     def test_objective_stack_rows_match_single_designs(self, active_fit, passive_fit):
+        # the step ladder scores stacks of every height from 1 to MAX_BACKTRACKS
         for size, sc in SIZES.items():
             objectives, _ = _trial_objectives(sc, active_fit, passive_fit, 5)
             rng = np.random.default_rng(1)
-            for obj in objectives.values():
-                stack = np.exp(1j * rng.uniform(0.0, TWO_PI, (ao.LADDER, sc.n)))
+            for obj, height in itertools.product(objectives.values(),
+                                                 (ao.LADDER, 1, 2, 13, ao.MAX_BACKTRACKS)):
+                stack = np.exp(1j * rng.uniform(0.0, TWO_PI, (height, sc.n)))
                 vals = obj.value(stack)
-                assert vals.shape == (ao.LADDER,)
+                assert vals.shape == (height,)
                 for row, val in zip(stack, vals):
                     single = obj.value(row)
                     assert isinstance(single, float)
@@ -1083,6 +1128,47 @@ class TestSolverOracle:
         while len(expected) < ao.MAX_BACKTRACKS:
             expected.append(expected[-1] * ao.BACKTRACK)
         assert steps.tolist() == expected
+
+    def test_ladder_stacks_follow_the_last_accepted_rung(self, active_fit, passive_fit,
+                                                         monkeypatch):
+        # each step's first stack runs to one rung past the previous step's,
+        # later stacks hold LADDER rungs; the paper-size DO and PAIDO
+        # objectives accept near rung 11, so steps run past their first stack
+        # and first stacks shrink back again
+        heights = []
+        value = PhaseObjective.value
+
+        def recording(self, phasor, with_tg=False):
+            if phasor.ndim > 1:
+                heights.append(phasor.shape[0])
+            return value(self, phasor, with_tg)
+
+        monkeypatch.setattr(PhaseObjective, "value", recording)
+        sc = SIZES["paper"]
+        past_first = shrunk = 0
+        for seed in (3, 17):
+            objectives, _ = _trial_objectives(sc, active_fit, passive_fit, seed)
+            rng = np.random.default_rng(seed)
+            for name in ("DO", "PAIDO"):
+                ph0 = np.exp(1j * rng.uniform(0.0, TWO_PI, sc.n))
+                heights.clear()
+                ph, trace = rmo_phase_opt(objectives[name], ph0)
+                rungs = []
+                ph_ref, trace_ref = _reference_rmo(objectives[name], ph0, rungs=rungs)
+                assert _same_bits(ph, ph_ref) and _same_bits(trace, trace_ref), (seed, name)
+                expected, first, last = [], ao.LADDER, ao.LADDER - 2
+                for rung in rungs:
+                    top = ao.MAX_BACKTRACKS - 1 if rung is None else rung
+                    lo, hi = 0, last + 2
+                    past_first += rung is not None and rung >= hi
+                    shrunk += hi < first
+                    first = hi
+                    while lo <= top:
+                        expected.append(min(hi, ao.MAX_BACKTRACKS) - lo)
+                        lo, hi = hi, hi + ao.LADDER
+                    last = top
+                assert heights == expected, (seed, name)
+        assert past_first > 0 and shrunk > 0
 
     @pytest.mark.parametrize("size", sorted(SIZES))
     def test_phase_cg_matches_sequential_line_search(self, size, active_fit, passive_fit):
@@ -1159,11 +1245,50 @@ def _ao_qp_cases(sc, active_fit, passive_fit, seed):
     return obj, phi, fits, budgets
 
 
+def _reference_face_solve(free, x, m, c_lin, w, b):
+    """Reference face solve with boolean np.ix_ blocks and an np.block
+    bordered matrix."""
+    fixed = ~free
+    m_ff = 2.0 * m[np.ix_(free, free)]
+    rhs = -(c_lin[free] + 2.0 * (m[np.ix_(free, fixed)] @ x[fixed]))
+    y = x.copy()
+    y[free] = np.linalg.solve(m_ff, rhs)
+    if w @ y <= b + 1e-15 * max(abs(b), 1.0):
+        return y, 0.0
+    w_f = w[free]
+    bordered = np.block([[m_ff, w_f[:, None]], [w_f, 0.0]])
+    sol = np.linalg.solve(bordered, np.append(rhs, b - w[fixed] @ x[fixed]))
+    y[free] = sol[:-1]
+    return y, float(sol[-1])
+
+
 class TestAmplitudeFaceSolve:
     """Block principal pivoting must end every AO amplitude QP at a point
     certified to rounding level, on the face and with the bits of the
     projected-gradient loop's face solve, and never above the objective of
     that loop alone."""
+
+    @pytest.mark.parametrize("n", [16, 64, 144])
+    def test_face_solve_matches_the_ix_and_block_layout(self, n):
+        # a chained boolean index m[free][:, fixed] is F-ordered, and its
+        # matvec moves bits; the index-array blocks must not
+        rng = np.random.default_rng(n)
+        bordered_faces = 0
+        for _ in range(12):
+            a = rng.standard_normal((n, n))
+            m = a @ a.T / n + 0.1 * np.eye(n)
+            c_lin = rng.standard_normal(n)
+            w = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.1, 2.0, n))
+            x = rng.uniform(0.0, 1.0, n)
+            free = rng.random(n) < rng.uniform(0.1, 0.9)
+            free[rng.integers(n)] = True
+            box_only, _ = _reference_face_solve(free, x, m, c_lin, w, np.inf)
+            for b in (w @ box_only + 1.0, w @ box_only - 1.0, -(w @ box_only)):
+                y_ref, mu_ref = _reference_face_solve(free, x, m, c_lin, w, b)
+                y, mu = ao._face_solve(free, x, m, c_lin, w, b)
+                assert _same_bits(y, y_ref) and _same_bits(mu, mu_ref), (n, b)
+                bordered_faces += mu_ref != 0.0
+        assert bordered_faces >= 12
 
     @pytest.mark.parametrize("size", sorted(SIZES))
     def test_ao_objectives_converge_below_the_cap(self, size, active_fit, passive_fit, pivot_log):

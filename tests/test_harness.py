@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from actris import circuit, reflection
+from actris import circuit, harness, reflection
 from actris.channel import ScenarioConfig, dbm_to_watt, rate_lmmse
 from actris.constraints import validate_design
 from actris.errors import ConfigError
@@ -224,6 +224,36 @@ class TestDeterminism:
         with _worker_pool(2) as pool:
             counts = {pool.submit(_blas_threads).result() for _ in range(4)}
         assert counts == {1}
+
+    def test_pool_never_outnumbers_the_tasks(self, monkeypatch):
+        # a forked pool starts all of its workers at the first submit, so the
+        # worker count is what _worker_pool is asked for; this serial stand-in
+        # records it and forks nothing
+        asked = []
+
+        class SerialPool:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        def recording(workers):
+            asked.append(workers)
+            return SerialPool()
+
+        monkeypatch.setattr(harness, "_worker_pool", recording)
+        serial = run_experiment(small_spec(threads=1))   # 2 sweep values x 3 trials
+        assert asked == []
+        assert run_experiment(small_spec(threads=16)) == serial
+        assert run_experiment(small_spec(threads=4)) == serial
+        assert asked == [6, 4]
+        one_task = small_spec(trials=1, sweep_values=(-30.0,))
+        assert run_experiment(dataclasses.replace(one_task, threads=8)) == run_experiment(one_task)
+        assert asked == [6, 4]
 
     def test_channels_shared_across_schemes(self):
         spec = small_spec()
