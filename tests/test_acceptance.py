@@ -323,10 +323,11 @@ def test_criterion_11_surface_noise_distance_effect():
         ])
         gaps.append(per_trial.mean())
         sems.append(per_trial.std(ddof=1) / np.sqrt(per_trial.size))
-    sat_ok = True
-    for s in ("AO", "DO", "PAIDO"):
-        change = abs(rates[(s, 4.0)] - rates[(s, 2.4)]) / rates[(s, 2.4)]
-        sat_ok = sat_ok and change < 0.02
+    # each scheme's rate saturates: it changes by under 2 % from d = 2.4 to 4.0
+    change = {
+        s: abs(rates[(s, 4.0)] - rates[(s, 2.4)]) / rates[(s, 2.4)] for s in ("AO", "DO", "PAIDO")
+    }
+    sat_ok = all(c < 0.02 for c in change.values())
     # nonincreasing within the matched-pair sampling error of the plateau
     mono_ok = all(
         gaps[i] >= gaps[i + 1] - 1.5 * np.hypot(sems[i], sems[i + 1]) for i in range(3)
@@ -334,7 +335,9 @@ def test_criterion_11_surface_noise_distance_effect():
     ok = mono_ok and sat_ok
     report(11, ok, (
         f"AO-DO gaps by distance {['%.3f+-%.3f' % (g, s) for g, s in zip(gaps, sems)]}, "
-        f"saturation ok={sat_ok}; "
+        "saturation |r(4.0)-r(2.4)|/r(2.4) "
+        + ", ".join(f"{s} {100 * c:.2f}%" for s, c in change.items())
+        + f" (bound 2%) ok={sat_ok}; "
         + "; ".join(
             f"{s} " + ", ".join(
                 f"d={d}: {rates[(s, d)]:.3f} ({failed[(s, d)]})" for d in spec.sweep_values

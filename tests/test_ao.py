@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -684,9 +685,90 @@ class TestPowerRepair:
                                    solve_then_fail())
         assert design.repair_passes == 1
         assert design.cells == floor_design.cells
-        below_floor = dataclasses.replace(scenario_desk, p_ris_w=0.99 * floor_design.ris_power_w)
-        with pytest.raises(ConvergenceError):
+        p_ris = 0.99 * floor_design.ris_power_w
+        below_floor = dataclasses.replace(scenario_desk, p_ris_w=p_ris)
+        message = (f"surface budget {p_ris:.6g} W is below the minimum-bias power "
+                   f"{floor_design.ris_power_w:.6g} W")
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$"):
             power_repair_loop(below_floor, fits_all_active, phi, surrogate, solve_then_fail())
+
+    @staticmethod
+    def _stalled_upper_corner(fits, phi, params, p_ris):
+        """phi's upper corner, over the budget, and a design of amplitudes
+        0.2 of the way up the box, within it."""
+        lower, upper = fits.bounds(phi)
+        low = lower + 0.2 * (upper - lower)
+        assert realize_design(params, fits, phi, upper).ris_power_w > p_ris
+        assert realize_design(params, fits, phi, low).ris_power_w <= p_ris
+        return upper, low
+
+    def test_infeasible_shortfall_resolve_falls_through_to_bisection(
+        self, params_va, fits_all_active, scenario_desk
+    ):
+        # the first re-solve finds its budget infeasible; the loop must go on
+        # to bisect between the linear floor and the surface budget, whose
+        # solves succeed
+        rng = np.random.default_rng(34)
+        phi = rng.uniform(0, TWO_PI, 16)
+        p_ris = scenario_desk.p_ris_w
+        upper, low = self._stalled_upper_corner(fits_all_active, phi, params_va, p_ris)
+        surrogate = ao._power_fit_arrays(fits_all_active, phi, params_va)
+        floor = float(surrogate[0].sum())
+        budgets = []
+
+        def resolve(budget):
+            budgets.append(budget)
+            if len(budgets) == 1:
+                return upper
+            if len(budgets) == 2:
+                raise InfeasibleBudgetError("re-solve found no feasible amplitudes")
+            return low
+
+        design = power_repair_loop(scenario_desk, fits_all_active, phi, surrogate, resolve)
+        assert design.repair_passes == 1
+        assert budgets[0] == p_ris and floor < budgets[1] < p_ris
+        # the failed re-solve leaves the working budget at p_ris: every
+        # bisection budget then fits, so each one raises the lower end
+        lo, expected = floor, []
+        for _ in range(ao.REPAIR_BISECTIONS):
+            lo = 0.5 * (lo + p_ris)
+            expected.append(lo)
+        assert budgets[2:] == expected
+        assert _same_bits(design.gamma, low * np.exp(1j * phi))
+
+    def test_infeasible_bisection_step_lowers_the_upper_end(
+        self, params_va, fits_all_active, scenario_desk
+    ):
+        # the re-solve stalls at the upper corner, so the loop bisects; a
+        # bisection solve above `cut` raises InfeasibleBudgetError, which must
+        # make its budget the new upper end
+        rng = np.random.default_rng(37)
+        phi = rng.uniform(0, TWO_PI, 16)
+        p_ris = scenario_desk.p_ris_w
+        upper, low = self._stalled_upper_corner(fits_all_active, phi, params_va, p_ris)
+        surrogate = ao._power_fit_arrays(fits_all_active, phi, params_va)
+        floor = float(surrogate[0].sum())
+        cut = floor + 0.3 * (p_ris - floor)
+        budgets = []
+
+        def resolve(budget):
+            budgets.append(budget)
+            if len(budgets) <= 2:   # the solve at p_ris and the stalled re-solve
+                return upper
+            if budget > cut:
+                raise InfeasibleBudgetError("bisection budget found infeasible")
+            return low
+
+        design = power_repair_loop(scenario_desk, fits_all_active, phi, surrogate, resolve)
+        assert design.repair_passes == 2
+        lo, hi, expected = floor, budgets[1], []
+        for _ in range(ao.REPAIR_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            expected.append(mid)
+            lo, hi = (lo, mid) if mid > cut else (mid, hi)
+        assert budgets[2:] == expected
+        assert any(b > cut for b in expected) and any(b <= cut for b in expected)
+        assert _same_bits(design.gamma, low * np.exp(1j * phi))
 
     def test_desk_ao_core_paido_row_has_no_error(self):
         # the first core block of the desk-ao benchmark workload, where
@@ -785,6 +867,34 @@ class TestRunAO:
         init = random_init(scenario_desk, fits_all_active, rng)
         res = run_ao(scenario_desk, ch, fits_all_active, init, eps=np.inf, j_alt=20)
         assert res.iterations == 1
+
+    @pytest.mark.parametrize("eps, tol", [(1e-3, 1e-5), (0.0, 1e-6), (0.5, 5e-3),
+                                          (np.inf, np.inf)])
+    def test_phase_solve_tolerance_follows_eps(
+        self, monkeypatch, fits_all_active, scenario_desk, eps, tol
+    ):
+        # each phase step runs to max(eps / 100, 1e-6); at eps = inf every
+        # gradient is within it, so the step returns its start
+        import inspect
+
+        from actris.channel import sample_channels
+
+        rng = np.random.default_rng(53)
+        ch = sample_channels(scenario_desk, rng)
+        init = random_init(scenario_desk, fits_all_active, rng)
+        signature = inspect.signature(rmo_phase_opt)
+        calls = []
+
+        def recording(*args, **kwargs):
+            out = rmo_phase_opt(*args, **kwargs)
+            calls.append((signature.bind(*args, **kwargs).arguments.get("tol"), out[1].size))
+            return out
+
+        monkeypatch.setattr(ao, "rmo_phase_opt", recording)
+        res = run_ao(scenario_desk, ch, fits_all_active, init, eps=eps, j_alt=3)
+        assert [t for t, _ in calls] == [tol] * res.iterations
+        if eps == np.inf:
+            assert calls[0][1] == 1   # the trace holds the start alone: no CG step
 
     def test_default_iteration_budget(self):
         import inspect

@@ -14,6 +14,7 @@ from actris.benchmarks import (
 )
 from actris.channel import MimoChannels, ScenarioConfig, rate_lmmse, sample_channels
 from actris.constraints import validate_design
+from actris.do import run_do
 from actris.errors import InfeasibleBudgetError
 from actris.harness import (ExperimentSpec, SchemeVariant, export_csv, run_experiment, run_scheme,
                             trial_channels)
@@ -74,6 +75,52 @@ class TestPaido:
         phase_err = abs((res.design.phi[0] - trough + np.pi) % TWO_PI - np.pi)
         assert phase_err < 0.2
         assert abs(res.design.gamma[0]) < 2.0  # frozen value was beta_max ~ 30
+
+
+class TestPhaseSolveTolerance:
+    """AO solves each phase step to max(eps / 100, 1e-6); DO and PAIDO, whose
+    phases are the delivered design, pass no tol and keep the solver's 1e-6.
+    do.py imports the solver by name, so both module names are patched."""
+
+    @staticmethod
+    def _recorded_tols(monkeypatch):
+        import inspect
+
+        from actris import ao, do
+
+        solve = ao.rmo_phase_opt
+        signature = inspect.signature(solve)
+        assert signature.parameters["tol"].default == 1e-6
+        tols = []
+
+        def recording(*args, **kwargs):
+            tols.append(signature.bind(*args, **kwargs).arguments.get("tol"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(ao, "rmo_phase_opt", recording)
+        monkeypatch.setattr(do, "rmo_phase_opt", recording)
+        return tols
+
+    @pytest.mark.parametrize("run", [run_do, run_paido], ids=["DO", "PAIDO"])
+    def test_decoupled_designs_keep_the_default(self, monkeypatch, fits_all_active,
+                                                scenario_desk, run):
+        tols = self._recorded_tols(monkeypatch)
+        ch = sample_channels(scenario_desk, np.random.default_rng(61))
+        run(scenario_desk, ch, fits_all_active, np.random.default_rng(62))
+        assert tols == [None]
+
+    def test_ao_schemes_pass_a_hundredth_of_the_default_eps(self, monkeypatch, fits_all_active,
+                                                          scenario_desk):
+        tols = self._recorded_tols(monkeypatch)
+        ch = sample_channels(scenario_desk, np.random.default_rng(63))
+        _, _, _, iterations = run_scheme("AO", scenario_desk, ch, fits_all_active,
+                                         np.random.default_rng(64), j_alt=3)
+        # AO's DO start passes none, then one phase solve per outer iteration
+        assert tols == [None] + [1e-5] * iterations
+        tols.clear()
+        _, _, _, iterations = run_scheme("AO-random-init", scenario_desk, ch, fits_all_active,
+                                         np.random.default_rng(64), j_alt=3)
+        assert tols == [1e-5] * iterations
 
 
 class TestMetaheuristics:
