@@ -423,12 +423,13 @@ def amplitude_qp(qp_data, surrogate, budget):
                     kkt_residual=float(residual), iterations=pivots)
 
 
-def power_repair_loop(scenario, fits, phi, surrogate, resolve):
+def power_repair_loop(scenario, fits, phi, amplitudes):
     """Solve the amplitudes at the surface budget, map them to circuits, then
     lower the working budget until the true power fits.
 
-    resolve(budget) returns the amplitudes at phases phi for a working
-    budget; surrogate is _power_fit_arrays at phi. The linearized budget can
+    amplitudes(surrogate, budget) returns the amplitudes at phases phi for a
+    working budget; the repair builds surrogate, _power_fit_arrays at phi,
+    once and passes it to every solve. The linearized budget can
     under-account the circuit power; each pass lowers the working budget by
     the realized shortfall and re-solves. The passes stop when one does not
     bring the realized power below the best pass so far, at REPAIR_PASSES,
@@ -440,11 +441,16 @@ def power_repair_loop(scenario, fits, phi, surrogate, resolve):
     minimum-bias power.
     """
     params, p_ris = scenario.circuit, scenario.p_ris_w
+    surrogate = _power_fit_arrays(fits, phi, params)
     p_min, slope, lower, _ = surrogate
+
+    def resolve(budget):
+        return np.asarray(amplitudes(surrogate, budget), dtype=float)
+
     floor = float(p_min.sum())
     working = p_ris
     best_power = np.inf
-    alpha = np.asarray(resolve(p_ris), dtype=float)
+    alpha = resolve(p_ris)
     for k in range(1, REPAIR_PASSES + 1):
         design = reflection.realize_design(params, fits, phi, alpha)
         if design.ris_power_w <= p_ris + POWER_TOL:
@@ -456,7 +462,7 @@ def power_repair_loop(scenario, fits, phi, surrogate, resolve):
         shortfall = design.ris_power_w - float(floor + slope @ (alpha - lower))
         next_working = max(working - max(shortfall, 1e-15), floor)
         try:
-            alpha = np.asarray(resolve(next_working), dtype=float)
+            alpha = resolve(next_working)
         except InfeasibleBudgetError:
             break
         working = next_working
@@ -556,7 +562,6 @@ def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
     one iteration, and there the phase step returns its start.
     """
     v0, design = init
-    params = scenario.circuit
     v = np.asarray(v0, dtype=complex)
     if v.shape[1] < scenario.d:
         pad = np.zeros((scenario.m_t, scenario.d - v.shape[1]), dtype=complex)
@@ -579,10 +584,9 @@ def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
         phasor, _ = rmo_phase_opt(obj, np.exp(1j * design.phi), tol=phase_tol)
         phi = np.angle(phasor) % (2.0 * np.pi)
         qp_data = _qp_phase_data(obj, phi)
-        surrogate = _power_fit_arrays(fits, phi, params)
         design = power_repair_loop(
-            scenario, fits, phi, surrogate,
-            lambda budget: amplitude_qp(qp_data, surrogate, budget).alpha,
+            scenario, fits, phi,
+            lambda surrogate, budget: amplitude_qp(qp_data, surrogate, budget).alpha,
         )
         repair_max = max(repair_max, design.repair_passes)
 

@@ -204,18 +204,8 @@ class BenchmarkResult:
 
 def _finalize(space, best_phenotype, best_rate, iterations):
     r, c, v, gamma = best_phenotype
-    params = space.params
     phi = np.angle(gamma) % (2 * np.pi)
-    total = circuit.power_consumption(r[space.active], params).sum()
-    design = reflection.RISDesign(
-        phi=phi,
-        alpha_bar=reflection.normalized_amplitude(space.fits, phi, np.abs(gamma)),
-        active_mask=space.fits.active_mask.copy(),
-        gamma=gamma,
-        r=r,
-        c=c,
-        ris_power_w=float(total),
-    )
+    design = reflection.circuit_design(space.params, space.fits, phi, np.abs(gamma), gamma, r, c)
     return BenchmarkResult(v=v, design=design, rate=best_rate, iterations=iterations)
 
 

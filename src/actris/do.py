@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reflection
-from .ao import PhaseObjective, _power_fit_arrays, power_repair_loop, rmo_phase_opt
+from .ao import PhaseObjective, power_repair_loop, rmo_phase_opt
 from .channel import effective_channel
 from .errors import InfeasibleBudgetError
 
@@ -130,9 +130,7 @@ def decoupled_design(scenario, ch, fits, rng, obj, amplitudes):
     precoding."""
     phasor, _ = rmo_phase_opt(obj, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, fits.n)))
     phi = np.angle(phasor) % (2.0 * np.pi)
-    surrogate = _power_fit_arrays(fits, phi, scenario.circuit)
-    design = power_repair_loop(scenario, fits, phi, surrogate,
-                               lambda budget: amplitudes(surrogate, budget))
+    design = power_repair_loop(scenario, fits, phi, amplitudes)
     v, _, _, powers = svd_precoder_combiner(ch, design.gamma, scenario)
     return DOResult(v=v, design=design, stream_powers=powers)
 

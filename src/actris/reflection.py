@@ -295,6 +295,21 @@ def _realize_cells(params, active_mask, phi, gamma):
     return r, np.clip(c, *params.c_range), branch
 
 
+def circuit_design(params, fits, phi, alpha, gamma, r, c):
+    """RISDesign of realized circuits (r, c) at phases phi and amplitudes
+    alpha with target reflection gamma: the normalized controls, a copy of
+    the active mask, and the true power the active cells draw."""
+    return RISDesign(
+        phi=phi,
+        alpha_bar=normalized_amplitude(fits, phi, alpha),
+        active_mask=fits.active_mask.copy(),
+        gamma=gamma,
+        r=r,
+        c=c,
+        ris_power_w=float(circuit.power_consumption(r[fits.active_mask], params).sum()),
+    )
+
+
 def realize_design(params, fits, phi, alpha):
     """Map per-element (phase, amplitude) targets onto circuit states.
 
@@ -308,15 +323,7 @@ def realize_design(params, fits, phi, alpha):
     alpha = np.asarray(alpha, dtype=float)
     gamma = alpha * np.exp(1j * phi)
     r, c, _ = _realize_cells(params, fits.active_mask, phi, gamma)
-    return RISDesign(
-        phi=phi,
-        alpha_bar=normalized_amplitude(fits, phi, alpha),
-        active_mask=fits.active_mask.copy(),
-        gamma=gamma,
-        r=r,
-        c=c,
-        ris_power_w=float(circuit.power_consumption(r[fits.active_mask], params).sum()),
-    )
+    return circuit_design(params, fits, phi, alpha, gamma, r, c)
 
 
 def realize_minimum_power(params, fits, phi):
@@ -332,12 +339,4 @@ def realize_minimum_power(params, fits, phi):
     r = np.where(fits.active_mask, circuit.diode_band(params)[1], params.r_passive)
     c = np.clip(circuit.nearest_realizable_cell(params, r, phi)[0], *params.c_range)
     lower, _ = fits.bounds(phi)
-    return RISDesign(
-        phi=phi,
-        alpha_bar=np.zeros(phi.size),
-        active_mask=fits.active_mask.copy(),
-        gamma=lower * np.exp(1j * phi),
-        r=r,
-        c=c,
-        ris_power_w=float(circuit.power_consumption(r[fits.active_mask], params).sum()),
-    )
+    return circuit_design(params, fits, phi, lower, lower * np.exp(1j * phi), r, c)

@@ -602,16 +602,19 @@ class TestPowerRepair:
         rng = np.random.default_rng(28)
         phi = rng.uniform(0, TWO_PI, 16)
         lower, _ = fits_all_active.bounds(phi)
-        budgets = []
+        budgets, surrogates = [], []
 
-        def resolve(budget):
+        def resolve(surrogate, budget):
             budgets.append(budget)
+            surrogates.append(surrogate)
             return lower
 
-        surrogate = ao._power_fit_arrays(fits_all_active, phi, params_va)
-        design = power_repair_loop(scenario_desk, fits_all_active, phi, surrogate, resolve)
+        design = power_repair_loop(scenario_desk, fits_all_active, phi, resolve)
         # one solve at the surface budget, no re-solve
         assert budgets == [scenario_desk.p_ris_w]
+        # the repair hands its solves the linear power surrogate at phi
+        expected = ao._power_fit_arrays(fits_all_active, phi, params_va)
+        assert all(_same_bits(got, want) for got, want in zip(surrogates[0], expected))
         assert design.repair_passes == 1
         assert design.ris_power_w <= scenario_desk.p_ris_w + 1e-9
         unchanged = realize_design(params_va, fits_all_active, phi, lower)
@@ -623,14 +626,12 @@ class TestPowerRepair:
         rng = np.random.default_rng(29)
         for _ in range(20):
             phi = rng.uniform(0, TWO_PI, 16)
-            surrogate = ao._power_fit_arrays(fits_all_active, phi, params_va)
-
-            def resolve(budget, surrogate=surrogate):
+            def resolve(surrogate, budget):
                 p_min, slope, lo, up = surrogate
                 frac = min(1.0, max(0.0, (budget - p_min.sum()) / max(slope @ (up - lo), 1e-12)))
                 return lo + frac * (up - lo)
 
-            design = power_repair_loop(scenario_desk, fits_all_active, phi, surrogate, resolve)
+            design = power_repair_loop(scenario_desk, fits_all_active, phi, resolve)
             assert design.ris_power_w <= scenario_desk.p_ris_w + 1e-9
 
     def test_stalled_shortfall_bisects_the_working_budget(
@@ -650,12 +651,11 @@ class TestPowerRepair:
         assert realize_design(params_va, fits_all_active, phi, low).ris_power_w <= p_ris
         budgets = []
 
-        def resolve(budget):
+        def resolve(surrogate, budget):
             budgets.append(budget)
             return upper if budget > cut else low
 
-        surrogate = ao._power_fit_arrays(fits_all_active, phi, params_va)
-        design = power_repair_loop(scenario_desk, fits_all_active, phi, surrogate, resolve)
+        design = power_repair_loop(scenario_desk, fits_all_active, phi, resolve)
         assert design.ris_power_w <= p_ris + 1e-9
         assert 1 <= design.repair_passes <= 8
         # the solve at the surface budget, one re-solve per further pass, then the bisection
@@ -667,22 +667,20 @@ class TestPowerRepair:
         rng = np.random.default_rng(33)
         phi = rng.uniform(0, TWO_PI, 16)
         _, upper = fits_all_active.bounds(phi)
-        surrogate = ao._power_fit_arrays(fits_all_active, phi, params_va)
 
         def solve_then_fail():
             # the solve at the surface budget returns the upper corner; every
             # re-solve finds its budget infeasible
             answers = iter([upper])
 
-            def resolve(budget):
+            def resolve(surrogate, budget):
                 for alpha in answers:
                     return alpha
                 raise InfeasibleBudgetError("re-solve found no feasible amplitudes")
             return resolve
 
         floor_design = realize_minimum_power(params_va, fits_all_active, phi)
-        design = power_repair_loop(scenario_desk, fits_all_active, phi, surrogate,
-                                   solve_then_fail())
+        design = power_repair_loop(scenario_desk, fits_all_active, phi, solve_then_fail())
         assert design.repair_passes == 1
         assert design.cells == floor_design.cells
         p_ris = 0.99 * floor_design.ris_power_w
@@ -690,7 +688,7 @@ class TestPowerRepair:
         message = (f"surface budget {p_ris:.6g} W is below the minimum-bias power "
                    f"{floor_design.ris_power_w:.6g} W")
         with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$"):
-            power_repair_loop(below_floor, fits_all_active, phi, surrogate, solve_then_fail())
+            power_repair_loop(below_floor, fits_all_active, phi, solve_then_fail())
 
     @staticmethod
     def _stalled_upper_corner(fits, phi, params, p_ris):
@@ -712,11 +710,10 @@ class TestPowerRepair:
         phi = rng.uniform(0, TWO_PI, 16)
         p_ris = scenario_desk.p_ris_w
         upper, low = self._stalled_upper_corner(fits_all_active, phi, params_va, p_ris)
-        surrogate = ao._power_fit_arrays(fits_all_active, phi, params_va)
-        floor = float(surrogate[0].sum())
+        floor = float(ao._power_fit_arrays(fits_all_active, phi, params_va)[0].sum())
         budgets = []
 
-        def resolve(budget):
+        def resolve(surrogate, budget):
             budgets.append(budget)
             if len(budgets) == 1:
                 return upper
@@ -724,7 +721,7 @@ class TestPowerRepair:
                 raise InfeasibleBudgetError("re-solve found no feasible amplitudes")
             return low
 
-        design = power_repair_loop(scenario_desk, fits_all_active, phi, surrogate, resolve)
+        design = power_repair_loop(scenario_desk, fits_all_active, phi, resolve)
         assert design.repair_passes == 1
         assert budgets[0] == p_ris and floor < budgets[1] < p_ris
         # the failed re-solve leaves the working budget at p_ris: every
@@ -746,12 +743,11 @@ class TestPowerRepair:
         phi = rng.uniform(0, TWO_PI, 16)
         p_ris = scenario_desk.p_ris_w
         upper, low = self._stalled_upper_corner(fits_all_active, phi, params_va, p_ris)
-        surrogate = ao._power_fit_arrays(fits_all_active, phi, params_va)
-        floor = float(surrogate[0].sum())
+        floor = float(ao._power_fit_arrays(fits_all_active, phi, params_va)[0].sum())
         cut = floor + 0.3 * (p_ris - floor)
         budgets = []
 
-        def resolve(budget):
+        def resolve(surrogate, budget):
             budgets.append(budget)
             if len(budgets) <= 2:   # the solve at p_ris and the stalled re-solve
                 return upper
@@ -759,7 +755,7 @@ class TestPowerRepair:
                 raise InfeasibleBudgetError("bisection budget found infeasible")
             return low
 
-        design = power_repair_loop(scenario_desk, fits_all_active, phi, surrogate, resolve)
+        design = power_repair_loop(scenario_desk, fits_all_active, phi, resolve)
         assert design.repair_passes == 2
         lo, hi, expected = floor, budgets[1], []
         for _ in range(ao.REPAIR_BISECTIONS):
@@ -831,7 +827,7 @@ class TestDesignStepData:
         from actris import benchmarks, do
 
         counts = collections.Counter()
-        self._counted(monkeypatch, counts, (ao, "_power_fit_arrays"), (do, "_power_fit_arrays"),
+        self._counted(monkeypatch, counts, (ao, "_power_fit_arrays"),
                       (do, "do_amplitude_max"), (benchmarks, "do_amplitude_max"))
         resolved = 0
         for sc, ch, fits, seed in self._desk_trials(range(3)):
