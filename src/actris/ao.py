@@ -24,6 +24,7 @@ BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
 LADDER = 8  # Armijo steps scored per stacked objective call
 STALL_WINDOW = 10  # accepted CG steps over which a stalled objective is judged
+MAX_CG_ITERS = 300  # CG steps of one phase solve at most
 REPAIR_PASSES = 8  # shortfall passes of the power repair at most
 REPAIR_BISECTIONS = 8  # working-budget halvings once the shortfall loop stops
 PIVOT_TRIES = 3  # whole-set QP pivots without a new fewest-infeasible count
@@ -144,7 +145,7 @@ def _tangent_project(vec, phasor, phasor_conj):
     return vec - (vec * phasor_conj).real * phasor
 
 
-def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
+def rmo_phase_opt(obj, phasor0, tol=1e-6):
     """Conjugate-gradient descent on the complex circle manifold.
 
     Polak-Ribiere directions with restarts, Armijo backtracking from unit
@@ -153,9 +154,10 @@ def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
     rung past the rung the previous step took (LADDER rungs at first), then
     LADDER rungs at a time. The first one that passes the Armijo test is
     taken, as in a step-by-step search. Stops when the Riemannian gradient
-    norm drops to tol, or when the last STALL_WINDOW accepted steps lowered
-    the objective by no more than tol times its magnitude. Returns the final
-    phasors and the objective trace (nonincreasing).
+    norm drops to tol, when the last STALL_WINDOW accepted steps lowered
+    the objective by no more than tol times its magnitude, or after
+    MAX_CG_ITERS steps. Returns the final phasors and the objective trace
+    (nonincreasing).
     """
     phasor = np.asarray(phasor0, dtype=complex)
     if np.max(np.abs(np.abs(phasor) - 1.0)) > 1e-9:
@@ -173,7 +175,7 @@ def rmo_phase_opt(obj, phasor0, max_iters=300, tol=1e-6):
     trace = [val]
     rgrad = _tangent_project(phase_gradient(work, phasor), phasor, np.conj(phasor))
     direction, rung = -rgrad, LADDER - 2   # rung: where the last line search passed
-    for it in range(max_iters):
+    for it in range(MAX_CG_ITERS):
         gnorm2 = np.vdot(rgrad, rgrad).real
         if np.sqrt(gnorm2) <= tol:
             break
@@ -428,29 +430,25 @@ def power_repair_loop(scenario, fits, phi, amplitudes):
     lower the working budget until the true power fits.
 
     amplitudes(surrogate, budget) returns the amplitudes at phases phi for a
-    working budget; the repair builds surrogate, _power_fit_arrays at phi,
-    once and passes it to every solve. The linearized budget can
-    under-account the circuit power; each pass lowers the working budget by
-    the realized shortfall and re-solves. The passes stop when one does not
-    bring the realized power below the best pass so far, at REPAIR_PASSES,
-    or when a re-solve finds its budget infeasible. The working budget is then bisected REPAIR_BISECTIONS times
-    between the linearized floor, whose minimum-bias realization always
-    fits a reachable budget, and the last working budget; the design of the
-    highest budget that fits is kept. repair_passes counts the shortfall
+    working budget; surrogate is _power_fit_arrays at phi, built once here
+    for every solve. The linearized budget can under-account the circuit
+    power; each pass lowers the working budget by the realized shortfall and
+    re-solves. The passes stop when one does not bring the realized power
+    below the best pass so far, at REPAIR_PASSES, or when a re-solve finds
+    its budget infeasible. The working budget is then bisected
+    REPAIR_BISECTIONS times between the linearized floor, whose minimum-bias
+    realization always fits a reachable budget, and the last working budget;
+    the design of the highest budget that fits is kept. repair_passes counts the shortfall
     passes. Raises ConvergenceError only when the budget is below the
     minimum-bias power.
     """
     params, p_ris = scenario.circuit, scenario.p_ris_w
     surrogate = _power_fit_arrays(fits, phi, params)
     p_min, slope, lower, _ = surrogate
-
-    def resolve(budget):
-        return np.asarray(amplitudes(surrogate, budget), dtype=float)
-
     floor = float(p_min.sum())
     working = p_ris
     best_power = np.inf
-    alpha = resolve(p_ris)
+    alpha = np.asarray(amplitudes(surrogate, p_ris), dtype=float)
     for k in range(1, REPAIR_PASSES + 1):
         design = reflection.realize_design(params, fits, phi, alpha)
         if design.ris_power_w <= p_ris + POWER_TOL:
@@ -462,7 +460,7 @@ def power_repair_loop(scenario, fits, phi, amplitudes):
         shortfall = design.ris_power_w - float(floor + slope @ (alpha - lower))
         next_working = max(working - max(shortfall, 1e-15), floor)
         try:
-            alpha = resolve(next_working)
+            alpha = np.asarray(amplitudes(surrogate, next_working), dtype=float)
         except InfeasibleBudgetError:
             break
         working = next_working
@@ -478,7 +476,7 @@ def power_repair_loop(scenario, fits, phi, amplitudes):
         for _ in range(REPAIR_BISECTIONS):
             mid = 0.5 * (lo + hi)
             try:
-                design = reflection.realize_design(params, fits, phi, resolve(mid))
+                design = reflection.realize_design(params, fits, phi, amplitudes(surrogate, mid))
             except InfeasibleBudgetError:
                 hi = mid
                 continue

@@ -305,12 +305,16 @@ def circuit_from_gamma(p, gamma):
     return r[()], c[()], ok[()]
 
 
-def nearest_realizable_cell(p, r, phi, max_offset=0.5):
+MAX_PHASE_NUDGE = 0.5  # rad a fixed-resistance cell's phase is nudged at most
+
+
+def nearest_realizable_cell(p, r, phi):
     """Capacitances at resistances r realizing the phases closest to phi.
 
     Phases on the unrealizable arc of the reflection locus are nudged
     outward, +step then -step with the step growing 1.6x from 2 mrad, until
-    a capacitance root exists. Used when a configuration asks a
+    a capacitance root exists; a phase no step up to MAX_PHASE_NUDGE
+    realizes raises PhaseNotRealizableError. Used when a configuration asks a
     fixed-resistance cell for a phase the hardware cannot hit exactly.
     Returns (c, offset), offset being each cell's phase nudge (0 if exact).
     """
@@ -321,7 +325,7 @@ def nearest_realizable_cell(p, r, phi, max_offset=0.5):
     offset = np.zeros(c.size)
     miss = np.flatnonzero(np.isnan(c))
     step = 2e-3
-    while miss.size and step <= max_offset:
+    while miss.size and step <= MAX_PHASE_NUDGE:
         for sign in (1.0, -1.0):
             got = phase_capacitance(p, r[miss], phi[miss] + sign * step)
             hit = ~np.isnan(got)
@@ -334,6 +338,6 @@ def nearest_realizable_cell(p, r, phi, max_offset=0.5):
     if miss.size:
         i = miss[0]
         raise PhaseNotRealizableError(
-            f"no phase within {max_offset} rad of {phi[i]:.4f} realizable at R={r[i]:.4f}"
+            f"no phase within {MAX_PHASE_NUDGE} rad of {phi[i]:.4f} realizable at R={r[i]:.4f}"
         )
     return c.reshape(shape)[()], offset.reshape(shape)[()]

@@ -16,35 +16,26 @@ from .errors import InfeasibleBudgetError
 def waterfill(gains, p_t):
     """Waterfilling power allocation over parallel channels.
 
-    gains are per-unit-power SINRs; returns powers summing to the budget
-    (streams with zero gain get nothing; all-zero gains give all zeros).
+    gains are per-unit-power SINRs. The water level is exact (Telatar,
+    Eur. Trans. Telecommun. 10(6), 1999): over the k strongest streams it
+    is p_t plus their noise floors 1/g, over k, and the streams that take
+    power are those whose floor lies below the level they share. Returns
+    powers summing to p_t; zero gains get nothing, and all-zero gains or
+    p_t <= 0 give all zeros.
     """
     gains = np.asarray(gains, dtype=float)
     if np.any(gains < 0.0):
         raise ValueError("channel gains must be nonnegative")
-    pos = gains > 0.0
-    if not pos.any():
-        return np.zeros_like(gains)
-
-    def total(eta):
-        return float(np.sum(np.maximum(1.0 / eta - 1.0 / gains[pos], 0.0)))
-
-    hi = float(gains.max())
-    lo = 1.0 / (p_t + np.sum(1.0 / gains[pos]))
-    for _ in range(200):
-        eta = 0.5 * (lo + hi)
-        t = total(eta)
-        if abs(t - p_t) <= 1e-12 * max(p_t, 1.0):
-            break
-        if t > p_t:
-            lo = eta
-        else:
-            hi = eta
     p = np.zeros_like(gains)
-    p[pos] = np.maximum(1.0 / eta - 1.0 / gains[pos], 0.0)
-    # exact budget despite bisection rounding
-    if p.sum() > 0.0:
-        p *= p_t / p.sum()
+    pos = gains > 0.0
+    if p_t <= 0.0 or not pos.any():
+        return p
+    floor = np.sort(1.0 / gains[pos])
+    level = (p_t + np.cumsum(floor)) / np.arange(1, floor.size + 1)
+    # the strongest stream always takes power, also where p_t is below the
+    # rounding of its floor (then every power rounds to zero)
+    k = max(np.count_nonzero(level > floor), 1)
+    p[pos] = np.maximum(level[k - 1] - 1.0 / gains[pos], 0.0)
     return p
 
 
@@ -53,7 +44,8 @@ def svd_precoder_combiner(ch, gamma, scenario):
 
     Diagonalizes the effective channel, feeds the per-unit-power SINRs
     (surface-noise quadratic included) to waterfilling, and keeps only the
-    streams that receive power.
+    streams that receive power: with every gain zero, v and the combiner
+    have no columns.
     """
     heff = effective_channel(ch, gamma)
     u1, lam, u2h = np.linalg.svd(heff, full_matrices=False)
@@ -67,13 +59,6 @@ def svd_precoder_combiner(ch, gamma, scenario):
     gains = lam**2 / noise
     powers = waterfill(gains, scenario.p_t_w)
     keep = powers > 0.0
-    if not keep.any():
-        return (
-            np.zeros((scenario.m_t, 1), dtype=complex),
-            u1[:, :1],
-            gains,
-            powers,
-        )
     v = u2[:, keep] * np.sqrt(powers[keep])[None, :]
     return v, u1[:, keep], gains, powers
 

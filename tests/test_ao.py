@@ -784,8 +784,8 @@ class TestPowerRepair:
 
 
 class TestDesignStepData:
-    """A design step builds its QP data and power surrogate once and passes
-    them down: the power repair's re-solves build nothing."""
+    """A design step builds its QP data once and passes it down, and its power
+    repair builds the surrogate once: the re-solves build nothing."""
 
     @staticmethod
     def _counted(monkeypatch, counts, *sites):
@@ -1289,24 +1289,27 @@ class TestSolverOracle:
                 assert _same_bits(ph, ph_ref), (size, seed, name)
                 assert _same_bits(trace, trace_ref), (size, seed, name)
 
-    def test_phase_cg_matches_on_short_caps_and_tolerances(self, active_fit, passive_fit):
+    def test_phase_cg_matches_on_short_caps_and_tolerances(
+        self, active_fit, passive_fit, monkeypatch
+    ):
         objectives, _ = _trial_objectives(SIZES["desk"], active_fit, passive_fit, 29)
         rng = np.random.default_rng(29)
+        cap = ao.MAX_CG_ITERS
+        cases = ((1, {}), (7, {}), (cap, {"tol": 1e-2}), (cap, {"tol": 1e-12}))
         for obj in objectives.values():
             ph0 = np.exp(1j * rng.uniform(0.0, TWO_PI, 16))
-            for kwargs in ({"max_iters": 1}, {"max_iters": 7}, {"tol": 1e-2}, {"tol": 1e-12}):
+            for max_iters, kwargs in cases:
+                monkeypatch.setattr(ao, "MAX_CG_ITERS", max_iters)
                 ph, trace = rmo_phase_opt(obj, ph0, **kwargs)
-                ph_ref, trace_ref = _reference_rmo(obj, ph0, **kwargs)
-                assert _same_bits(ph, ph_ref) and _same_bits(trace, trace_ref), kwargs
+                ph_ref, trace_ref = _reference_rmo(obj, ph0, max_iters=max_iters, **kwargs)
+                assert _same_bits(ph, ph_ref) and _same_bits(trace, trace_ref), (max_iters, kwargs)
 
 
 class TestPhaseStallStop:
     def test_paper_size_stops_early_near_the_gradient_stop_value(
         self, active_fit, passive_fit, monkeypatch
     ):
-        import inspect
-
-        max_iters = inspect.signature(rmo_phase_opt).parameters["max_iters"].default
+        max_iters = ao.MAX_CG_ITERS
         sc = SIZES["paper"]
         runs = []
         for seed in (3, 17):

@@ -330,7 +330,7 @@ class TestCapacitanceForPhase:
         assert phase_capacitance(params_va, r, phi) == first
         assert phase_capacitance(params_va, np.full(3, r), np.full(3, phi)).tolist() == [first] * 3
 
-    def test_nudge_schedule_reaches_the_nearest_realizable_phase(self, params_va):
+    def test_nudge_schedule_reaches_the_nearest_realizable_phase(self, params_va, monkeypatch):
         phis = np.array([1.0, 2.94, 3.0])
         c, offset = nearest_realizable_cell(params_va, params_va.r_passive, phis)
         assert offset[0] == 0.0 and offset[1] != 0.0
@@ -345,14 +345,16 @@ class TestCapacitanceForPhase:
         for i in (1, 2):
             earlier = phis[i] + schedule[:np.flatnonzero(schedule == offset[i])[0]]
             assert np.isnan(phase_capacitance(params_va, params_va.r_passive, earlier)).all()
+        monkeypatch.setattr(circuit, "MAX_PHASE_NUDGE", 1e-3)
         with pytest.raises(PhaseNotRealizableError):
-            nearest_realizable_cell(params_va, params_va.r_passive, 2.94, max_offset=1e-3)
+            nearest_realizable_cell(params_va, params_va.r_passive, 2.94)
 
-    def test_unrealizable_arc_raises(self, params_va):
+    def test_unrealizable_arc_raises(self, params_va, monkeypatch):
         # phases opposite the amplitude peak are not on the reflection locus
         assert np.isnan(phase_capacitance(params_va, -5.0, 2.94))
+        monkeypatch.setattr(circuit, "MAX_PHASE_NUDGE", 0.0)
         with pytest.raises(PhaseNotRealizableError):
-            nearest_realizable_cell(params_va, -5.0, 2.94, max_offset=0.0)
+            nearest_realizable_cell(params_va, -5.0, 2.94)
 
 
 class TestResistanceRange:

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from actris.channel import ScenarioConfig, effective_channel, sample_channels
+from actris.channel import ScenarioConfig, effective_channel, rate_lmmse, sample_channels
 from actris.do import (
     cascade_norm_objective,
     do_amplitude_max,
@@ -11,16 +13,60 @@ from actris.do import (
     svd_precoder_combiner,
     waterfill,
 )
-from actris.ao import _linear_power, _power_fit_arrays, rmo_phase_opt
+from actris.ao import _linear_power, _power_fit_arrays, rmo_phase_opt, run_ao
 from actris.circuit import diode_band, power_consumption
 from actris.constraints import validate_design
 from actris.errors import InfeasibleBudgetError
-from actris.harness import run_scheme
+from actris.harness import load_design, run_scheme, save_design
 from actris.reflection import ElementFits
 from conftest import desk_scenario
 from test_channel import random_channels, reference_spectral_efficiency
 
 TWO_PI = 2.0 * np.pi
+
+
+def _reference_waterfill(gains, p_t):
+    """Reference: the water level bisected until the powers sum to within
+    1e-12 max(p_t, 1) W of p_t, then the powers rescaled onto p_t."""
+    gains = np.asarray(gains, dtype=float)
+    pos = gains > 0.0
+    if not pos.any():
+        return np.zeros_like(gains)
+
+    def total(eta):
+        return float(np.sum(np.maximum(1.0 / eta - 1.0 / gains[pos], 0.0)))
+
+    hi = float(gains.max())
+    lo = 1.0 / (p_t + np.sum(1.0 / gains[pos]))
+    for _ in range(200):
+        eta = 0.5 * (lo + hi)
+        t = total(eta)
+        if abs(t - p_t) <= 1e-12 * max(p_t, 1.0):
+            break
+        if t > p_t:
+            lo = eta
+        else:
+            hi = eta
+    p = np.zeros_like(gains)
+    p[pos] = np.maximum(1.0 / eta - 1.0 / gains[pos], 0.0)
+    if p.sum() > 0.0:
+        p *= p_t / p.sum()
+    return p
+
+
+@st.composite
+def waterfill_problems(draw):
+    """(gains, p_t): 1 to 8 streams, some of zero gain, noise floors 1/g up to
+    1e9 times the strongest one, p_t from 5e-6 to 30 W, and p_t over the
+    strongest floor (its SNR) from 1e-3 to 1e6."""
+    n = draw(st.integers(1, 8))
+    zero = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    spread = np.array(draw(st.lists(st.floats(0.0, 9.0), min_size=n, max_size=n)))
+    p_t = 10.0 ** draw(st.floats(np.log10(5e-6), np.log10(30.0)))
+    snr = 10.0 ** draw(st.floats(-3.0, 6.0))
+    strongest = spread[~zero].min() if (~zero).any() else 0.0
+    gains = np.where(zero, 0.0, snr / p_t * 10.0 ** (strongest - spread))
+    return gains, p_t
 
 
 class TestWaterfill:
@@ -65,6 +111,21 @@ class TestWaterfill:
     def test_zero_gains(self):
         assert np.all(waterfill(np.zeros(3), 1.0) == 0.0)
 
+    def test_no_budget_gives_zeros(self):
+        gains = np.array([3.0, 0.0, 0.5])
+        for p_t in (0.0, -1.0):
+            assert np.all(waterfill(gains, p_t) == 0.0), p_t
+
+    def test_negative_gain_raises(self):
+        with pytest.raises(ValueError):
+            waterfill(np.array([1.0, -1e-3]), 1.0)
+
+    def test_budget_below_the_floor_rounding_powers_nothing(self):
+        # p_t + 1/g rounds to 1/g: the strongest stream's power rounds to
+        # zero, and no other stream takes the budget
+        p = waterfill(np.array([1e-20, 2e-20]), 1e-5)
+        assert np.all(p == 0.0)
+
     def test_complementary_slackness(self):
         rng = np.random.default_rng(2)
         gains = rng.uniform(0.05, 5.0, 6)
@@ -72,8 +133,37 @@ class TestWaterfill:
         p = waterfill(gains, p_t)
         levels = p + 1.0 / gains
         eta = levels[p > 0].mean()
-        assert np.allclose(levels[p > 0], eta, rtol=1e-6)
+        assert np.allclose(levels[p > 0], eta, rtol=1e-12)
         assert np.all(1.0 / gains[p == 0.0] >= eta - 1e-9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(problem=waterfill_problems())
+    @example(problem=(np.zeros(4), 1.0))
+    @example(problem=(np.full(8, 2.0), 5e-6))   # equal floors: all streams share p_t
+    def test_matches_the_bisection(self, problem):
+        gains, p_t = problem
+        # the reference stops within 1e-12 max(p_t, 1) W of the budget
+        tol = 1e-9 * p_t + 1e-12 * max(p_t, 1.0)
+        assert np.all(np.abs(waterfill(gains, p_t) - _reference_waterfill(gains, p_t)) <= tol)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(problem=waterfill_problems())
+    def test_kkt_conditions(self, problem):
+        gains, p_t = problem
+        p = waterfill(gains, p_t)
+        assert np.all(p >= 0.0)
+        if not np.any(gains > 0.0):
+            assert np.all(p == 0.0)
+            return
+        on = p > 0.0
+        levels = p[on] + 1.0 / gains[on]
+        # one water level over the powered streams, at or below every other floor
+        assert np.ptp(levels) <= 1e-12 * levels.max()
+        off = ~on & (gains > 0.0)
+        assert np.all(1.0 / gains[off] >= levels.max() * (1.0 - 1e-12))
+        assert abs(p.sum() - p_t) <= 1e-12 * p_t
+        # the powered streams are the strongest ones
+        assert gains[on].min() >= np.max(gains[~on], initial=0.0)
 
 
 class TestSvdPrecoderCombiner:
@@ -275,6 +365,28 @@ class TestRunDo:
         design.ris_power_w = float(power_consumption(design.r[design.active_mask], params).sum())
         problems = validate_design(scenario_desk, fits_all_active, res.v, design)
         assert len(problems) == 1 and problems[0].startswith(f"element {i}: amplitude")
+
+    def test_zero_gain_streams_give_a_precoder_without_columns(
+        self, fits_all_active, scenario_desk, tmp_path
+    ):
+        # with a dark transmit hop the surface passes nothing: every stream
+        # gain is zero, so waterfilling powers no stream
+        sc = scenario_desk
+        ch = sample_channels(sc, np.random.default_rng(16))
+        dark = dataclasses.replace(ch, h_1=np.zeros_like(ch.h_1))
+        res = run_do(sc, dark, fits_all_active, np.random.default_rng(17))
+        assert res.v.shape == (sc.m_t, 0)
+        assert np.all(res.stream_powers == 0.0)
+        assert rate_lmmse(dark, res.v, res.design.gamma, sc) == 0.0
+        assert validate_design(sc, fits_all_active, res.v, res.design) == []
+        # AO pads it with zero columns up to d streams
+        ao_res = run_ao(sc, dark, fits_all_active, (res.v, res.design), j_alt=0)
+        assert ao_res.v.shape == (sc.m_t, sc.d) and not ao_res.v.any()
+        assert ao_res.rate == 0.0
+        path = tmp_path / "design.json"
+        save_design(path, res.design, res.v)
+        _, v = load_design(path)
+        assert v.shape == (sc.m_t, 0)
 
     def test_stream_powers_meet_budget(self, fits_all_active, scenario_desk):
         rng = np.random.default_rng(15)

@@ -435,6 +435,12 @@ class TestRealizeOracle:
         assert _close(design.r, [cell.r for cell in cells])
         assert _close(design.c, [cell.c for cell in cells])
         assert _close(design.ris_power_w, power)
+        # the cosine floor, whose controls normalize to exact (positive) zeros
+        lower, _ = fits.bounds(phi)
+        assert design.gamma.tobytes() == (lower * np.exp(1j * phi)).tobytes()
+        assert design.alpha_bar.tobytes() == np.zeros(24).tobytes()
+        assert design.active_mask is not fits.active_mask
+        assert np.array_equal(design.active_mask, mask)
 
     def test_cells_view_and_cells_keyword(self, params_va, active_fit, passive_fit):
         fits = ElementFits.from_classes(active_fit, passive_fit, np.array([True, False]))
