@@ -488,38 +488,14 @@ def power_repair_loop(scenario, fits, phi, amplitudes):
     return best
 
 
-def feasible_amplitude_scale(scenario, fits, phi, alpha_bar):
-    """Design at the largest uniform shrink of the amplitude controls that
-    fits the budget.
-
-    True circuit power is monotone in the controls, so a bisection on a
-    global multiplier yields a feasible design from any starting controls.
-    """
-    params, p_ris = scenario.circuit, scenario.p_ris_w
-
-    def design_at(scale):
-        alpha = reflection.amplitude_from_normalized(fits, phi, scale * alpha_bar)
-        return reflection.realize_design(params, fits, phi, alpha)
-
-    design = design_at(1.0)
-    if design.ris_power_w <= p_ris:
-        return design
-    lo, hi = 0.0, 1.0
-    design = design_at(0.0)
-    if design.ris_power_w > p_ris:
-        raise InfeasibleBudgetError("surface power budget below the all-minimum power")
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        trial = design_at(mid)
-        if trial.ris_power_w <= p_ris:
-            lo, design = mid, trial
-        else:
-            hi = mid
-    return design
-
-
 def random_init(scenario, fits, rng):
-    """Random feasible starting point (v0, design0)."""
+    """Random feasible starting point (v0, design0).
+
+    Random phases and normalized controls are realized once, the active
+    cells are relaxed into the surface budget (circuit.relax_to_budget), and
+    the design records the reflection its cells deliver.
+    """
+    params = scenario.circuit
     v0 = rng.standard_normal((scenario.m_t, scenario.d)) + 1j * rng.standard_normal(
         (scenario.m_t, scenario.d)
     )
@@ -527,7 +503,13 @@ def random_init(scenario, fits, rng):
     phi0 = rng.uniform(0.0, 2.0 * np.pi, scenario.n)
     alpha_bar0 = rng.uniform(0.0, 1.0, scenario.n)
     alpha_bar0[~fits.active_mask] = 0.0
-    return v0, feasible_amplitude_scale(scenario, fits, phi0, alpha_bar0)
+    lower, upper = fits.bounds(phi0)
+    design = reflection.realize_design(params, fits, phi0, lower + alpha_bar0 * (upper - lower))
+    r, c = design.r, design.c
+    circuit.relax_to_budget(params, r[None], scenario.p_ris_w)   # passive cells never move
+    gamma = circuit.reflection(params, r, c)
+    return v0, reflection.circuit_design(params, fits, np.angle(gamma) % (2.0 * np.pi),
+                                         np.abs(gamma), gamma, r, c)
 
 
 @dataclass

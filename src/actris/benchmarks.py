@@ -10,8 +10,6 @@ from . import circuit, reflection
 from .ao import _linear_power
 from .channel import rate_lmmse
 from .do import cascade_norm_objective, decoupled_design, do_amplitude_max
-from .errors import InfeasibleBudgetError
-from .numerics import bisect
 
 
 @dataclass(frozen=True)
@@ -76,9 +74,10 @@ class _CircuitSearchSpace:
     Decision vector: diode resistances of the active cells, capacitances of
     all cells, then the precoder entries as interleaved real/imaginary
     parts. Constraint handling is by repair: the precoder is rescaled into
-    the transmit budget and the most power-hungry resistances are relaxed
-    toward the low-power band edge until the surface budget holds; a
-    budget below the minimum-bias power raises InfeasibleBudgetError.
+    the transmit budget and circuit.relax_to_budget relaxes the most
+    power-hungry resistances toward the low-power band edge until the
+    surface budget holds; a budget below the minimum-bias power raises
+    InfeasibleBudgetError.
 
     decode, encode, repair and fitness work on a population: a (K, dim)
     stack of decision vectors, one row per individual.
@@ -94,18 +93,17 @@ class _CircuitSearchSpace:
         self.n_act = self.active.size
         n = scenario.n
         self.n = n
-        self.band_lo, self.band_hi = circuit.diode_band(params)
-        self.p_floor = circuit.power_consumption(self.band_hi, params)
+        band_lo, band_hi = circuit.diode_band(params)
         self.ceiling = circuit.power_ceiling(params)
         v_len = 2 * scenario.m_t * scenario.d
         vmax = np.sqrt(scenario.p_t_w)
         self.lower = np.concatenate([
-            np.full(self.n_act, self.band_lo),
+            np.full(self.n_act, band_lo),
             np.full(n, params.c_range[0]),
             np.full(v_len, -vmax),
         ])
         self.upper = np.concatenate([
-            np.full(self.n_act, self.band_hi),
+            np.full(self.n_act, band_hi),
             np.full(n, params.c_range[1]),
             np.full(v_len, vmax),
         ])
@@ -129,36 +127,6 @@ class _CircuitSearchSpace:
         vflat[:, 1::2] = v.imag.reshape(k, -1)
         return np.concatenate([r[:, self.active], c, vflat], axis=1)
 
-    def _relax_to_budget(self, r, powers):
-        """Relax the most power-hungry resistances of one design, in place,
-        until its surface power fits the budget; returns whether any moved.
-        Raises InfeasibleBudgetError when every active cell already draws the
-        floor power."""
-        total = powers.sum()
-        budget = self.scenario.p_ris_w
-        over = total > budget + 1e-12
-        while total > budget + 1e-12:
-            i = int(np.argmax(powers))
-            if powers[i] <= self.p_floor:
-                raise InfeasibleBudgetError(
-                    f"surface budget {budget:.6g} W is below the minimum-bias power "
-                    f"{total:.6g} W of the {self.n_act} active cells"
-                )
-            target = powers[i] - (total - budget)
-            if target <= self.p_floor + 1e-15:
-                r[i] = self.band_hi
-            else:
-                r[i] = bisect(
-                    lambda rr: circuit.power_consumption(rr, self.params) - target,
-                    self.band_lo,
-                    self.band_hi,
-                    tol=1e-15,
-                )
-            new_p = circuit.power_consumption(r[i], self.params)
-            total += new_p - powers[i]
-            powers[i] = new_p
-        return over
-
     def repair(self, x):
         """Project a population onto the constraint set; returns the repaired
         stack together with the decoded design pieces, one row each."""
@@ -174,11 +142,9 @@ class _CircuitSearchSpace:
         near = np.flatnonzero(ceiling > self.scenario.p_ris_w + 1e-12)
         changed = loud.any()
         if near.size:
-            powers = np.zeros((near.size, self.n))
-            powers[:, self.active] = circuit.power_consumption(r[np.ix_(near, self.active)],
-                                                               self.params)
-            for k, row in zip(near, powers):
-                changed |= self._relax_to_budget(r[k], row)
+            rows = r[near]
+            changed |= circuit.relax_to_budget(self.params, rows, self.scenario.p_ris_w).any()
+            r[near] = rows
         gamma = circuit.reflection(self.params, r, c)
         # encode(decode(x)) is exact: an untouched stack is returned as clipped
         return (self.encode(r, c, v) if changed else x), r, c, v, gamma

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CircuitError, PhaseNotRealizableError
+from .errors import CircuitError, InfeasibleBudgetError, PhaseNotRealizableError
 from .numerics import lambert_w0
 
 TWO_PI = 2.0 * np.pi
@@ -171,6 +171,58 @@ def power_ceiling(p):
         return table[np.clip(i, 0, CEILING_POINTS - 1)]
 
     return ceiling
+
+
+RELAX_HALVINGS = 60  # narrow any diode band down to adjacent doubles
+
+
+def relax_to_budget(p, r, budget):
+    """Relax rows (k, n) of cell resistances, in place, into the surface
+    budget; returns the mask of rows that moved.
+
+    A row within budget + 1e-12 keeps its bits. A row over it moves its most
+    power-hungry cells (ties to the lower index) to the band_hi floor while
+    its excess is at least what the cell can give, less 1e-15 W; the next
+    cell moves only as far as the budget needs: RELAX_HALVINGS halvings of
+    [band_lo, band_hi] keep the end whose power fits and stop at a midpoint
+    within 1e-15 W of the power the budget leaves the cell. Passive (r >= 0)
+    cells draw nothing and never move. A row over the budget with every cell
+    at or below the floor power raises InfeasibleBudgetError.
+    """
+    k, n = r.shape
+    band_lo, band_hi = diode_band(p)
+    floor = power_consumption(band_hi, p)
+    powers = power_consumption(r, p)
+    order = np.argsort(-powers, axis=1, kind="stable")
+    # the cells in the order they move, then a floor-power stop
+    s = np.append(np.take_along_axis(powers, order, axis=1), np.full((k, 1), floor), axis=1)
+    # each row's total before each move, added up as a cell-by-cell loop adds it
+    totals = np.cumsum(np.append(powers.sum(axis=1)[:, None], floor - s[:, :-1], axis=1), axis=1)
+    over = totals > budget + 1e-12
+    target = s - (totals - budget)
+    stop = (~over | (s <= floor) | (target > floor + 1e-15)).argmax(axis=1)
+    rows = np.arange(k)
+    last = over[rows, stop]
+    stuck = np.flatnonzero(last & (s[rows, stop] <= floor))
+    if stuck.size:
+        i = stuck[0]
+        raise InfeasibleBudgetError(
+            f"surface budget {budget:.6g} W is below the minimum-bias power "
+            f"{totals[i, stop[i]]:.6g} W of the {np.count_nonzero(r[i] < 0.0)} active cells"
+        )
+    to_floor = np.zeros((k, n), dtype=bool)
+    np.put_along_axis(to_floor, order, np.arange(n) < stop[:, None], axis=1)
+    r[to_floor] = band_hi
+    part = np.flatnonzero(last)
+    want = target[part, stop[part]]
+    lo, hi = np.full(part.size, band_lo), np.full(part.size, band_hi)
+    for _ in range(RELAX_HALVINGS if part.size else 0):
+        mid = 0.5 * (lo + hi)
+        f = power_consumption(mid, p) - want
+        hit = np.abs(f) <= 1e-15   # both ends close on it, so it stays
+        lo, hi = np.where(hit | (f > 0.0), mid, lo), np.where(hit | (f <= 0.0), mid, hi)
+    r[part, order[part, stop[part]]] = hi
+    return over[:, 0]
 
 
 def _tan_coefficients(p):

@@ -119,15 +119,6 @@ def approx_amplitude_bounds(fit, phi):
     return lower, upper
 
 
-def amplitude_from_normalized(fit, phi, alpha_bar):
-    """Amplitude at phase phi for a normalized control in [0, 1]."""
-    alpha_bar = np.asarray(alpha_bar, dtype=float)
-    if np.any(alpha_bar < 0.0) or np.any(alpha_bar > 1.0):
-        raise ValueError("normalized amplitude outside [0, 1]")
-    lower, upper = approx_amplitude_bounds(fit, phi)
-    return lower + alpha_bar * (upper - lower)
-
-
 def normalized_amplitude(fits, phi, alpha):
     """Normalized controls of amplitudes alpha at phases phi, clipped to
     [0, 1] and zero on passive cells."""

@@ -12,7 +12,6 @@ from actris.ao import (
     PhaseObjective,
     amplitude_qp,
     build_phase_objective,
-    feasible_amplitude_scale,
     phase_gradient,
     power_repair_loop,
     precoder_update,
@@ -975,15 +974,37 @@ class TestRunAO:
         with pytest.raises(ValueError, match="surface design violates the power budget"):
             run_ao(scenario_desk, ch, fits_all_active, (v0, design0))
 
-    def test_feasible_scale_bisection(self, fits_all_active, scenario_desk):
-        rng = np.random.default_rng(53)
-        phi = rng.uniform(0, TWO_PI, 16)
-        ab = np.ones(16)
-        design = feasible_amplitude_scale(scenario_desk, fits_all_active, phi, ab)
-        scale = design.alpha_bar[0]   # one uniform shrink of the all-ones controls
-        assert 0.0 <= scale <= 1.0
-        assert np.allclose(design.alpha_bar, scale, rtol=0.0, atol=1e-12)
-        assert design.ris_power_w <= scenario_desk.p_ris_w * (1 + 1e-9)
+    @pytest.mark.parametrize("p_ris_w", [0.375, 0.2])
+    def test_random_start_is_one_relaxed_realization(self, monkeypatch, fits_all_active,
+                                                      p_ris_w):
+        # the random controls are realized once; at 0.2 W the relax moves
+        # cells of that realization, at the desk budget it moves none
+        from actris import reflection
+        from actris.channel import sample_channels
+        from actris.constraints import validate_design
+
+        sc = desk_scenario(p_ris_w=p_ris_w)
+        realized = []
+
+        def recording(*args, realize=reflection.realize_design):
+            design = realize(*args)
+            realized.append((design.r.copy(), design.c.copy()))
+            return design
+
+        monkeypatch.setattr(reflection, "realize_design", recording)
+        rng = np.random.default_rng(56)
+        ch = sample_channels(sc, rng)
+        v0, design = random_init(sc, fits_all_active, rng)
+        assert validate_design(sc, fits_all_active, v0, design) == []
+        assert design.ris_power_w <= sc.p_ris_w + 1e-12
+        (r, c), = realized
+        moved = design.r != r
+        assert moved.any() == (p_ris_w == 0.2)
+        assert np.all(design.r[moved] > r[moved]) and np.array_equal(design.c, c)
+        gamma = circuit.reflection(sc.circuit, design.r, design.c)
+        assert np.array_equal(design.gamma, gamma)
+        res = run_ao(sc, ch, fits_all_active, (v0, design), j_alt=1)
+        assert res.rate_history[0] == rate_lmmse(ch, v0, gamma, sc)
 
 
 def _reference_rmo(obj, phasor0, max_iters=300, tol=1e-6, rungs=None):

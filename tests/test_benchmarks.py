@@ -18,7 +18,6 @@ from actris.do import run_do
 from actris.errors import InfeasibleBudgetError
 from actris.harness import (ExperimentSpec, SchemeVariant, export_csv, run_experiment, run_scheme,
                             trial_channels)
-from actris.numerics import bisect
 from actris.reflection import ElementFits
 from conftest import desk_scenario
 
@@ -197,7 +196,7 @@ class TestMetaheuristics:
         sc = desk_scenario(p_ris_w=0.5 * 16 * p_floor)
         ch = sample_channels(sc, np.random.default_rng(8))
         budget = budget_from_ao(sc, j_alt=4, j_p=1)
-        schemes = ("AO", "DO", "PAIDO", "GA", "PSO")
+        schemes = ("AO", "AO-random-init", "DO", "PAIDO", "GA", "PSO")
         previous = signal.signal(signal.SIGALRM, timed_out)
         signal.alarm(30)
         try:
@@ -293,25 +292,8 @@ class _SequentialSpace:
         # a realized (R, C) has a real root of its phase quadratic: |R| <= F(arg gamma)
         gamma = circuit.reflection(sp.params, r, c)
         assert np.all(np.abs(r) <= circuit.resistance_range(sp.params, np.angle(gamma) % TWO_PI))
-        powers = np.zeros(sp.n)
-        powers[sp.active] = circuit.power_consumption(r[sp.active], sp.params)
-        total = powers.sum()
-        budget = sp.scenario.p_ris_w
-        if total > budget + 1e-12:
-            self.relaxed += 1
-        while total > budget + 1e-12:
-            i = int(np.argmax(powers))
-            target = powers[i] - (total - budget)
-            if target <= sp.p_floor + 1e-15:
-                r[i] = sp.band_hi
-            else:
-                r[i] = bisect(
-                    lambda rr: circuit.power_consumption(rr, sp.params) - target,
-                    sp.band_lo, sp.band_hi, tol=1e-15,
-                )
-            new_p = circuit.power_consumption(r[i], sp.params)
-            total += new_p - powers[i]
-            powers[i] = new_p
+        # r[None] is a view: the one row relaxes in place
+        self.relaxed += bool(circuit.relax_to_budget(sp.params, r[None], sp.scenario.p_ris_w)[0])
         gamma = circuit.reflection(sp.params, r, c)
         return self.encode(r, c, v), r, c, v, gamma
 
@@ -447,14 +429,14 @@ class TestPopulationOracle:
         sc = dataclasses.replace(sc, p_ris_w=0.5 * (exact[row] + ceiling[row]))
         assert exact[row] < sc.p_ris_w < ceiling[row]
 
-        relax = _CircuitSearchSpace._relax_to_budget
+        relax = circuit.relax_to_budget
         totals = []
 
-        def recorded_relax(space, r, powers):
-            totals.append(powers.sum())
-            return relax(space, r, powers)
+        def recorded_relax(params, rows, budget):
+            totals.extend(circuit.power_consumption(rows, params).sum(axis=1))
+            return relax(params, rows, budget)
 
-        monkeypatch.setattr(_CircuitSearchSpace, "_relax_to_budget", recorded_relax)
+        monkeypatch.setattr(circuit, "relax_to_budget", recorded_relax)
         self._compare(sc, seed, budget, fits_of)
         totals = np.array(totals)
         slack = totals <= sc.p_ris_w + 1e-12

@@ -22,11 +22,13 @@ from actris.circuit import (
     power_consumption,
     reflection,
     reflection_coeff,
+    relax_to_budget,
     resistance_range,
     stable_resistance,
     usable_resistance_band,
 )
-from actris.errors import CircuitError, PhaseNotRealizableError
+from actris.errors import CircuitError, InfeasibleBudgetError, PhaseNotRealizableError
+from actris.numerics import bisect
 from test_numerics import reference_lambert_w0
 
 TWO_PI = 2.0 * np.pi
@@ -289,6 +291,71 @@ class TestPowerCeiling:
 
     def test_cached_per_hardware(self, params_va):
         assert power_ceiling(params_va) is power_ceiling(CircuitParams())
+
+
+def _reference_relax(p, r, budget):
+    """Reference relax of one row, in place: the argmax loop that
+    relax_to_budget replaced, with a scalar bisection for the last cell.
+    Returns whether the row moved."""
+    band_lo, band_hi = diode_band(p)
+    p_floor = power_consumption(band_hi, p)
+    powers = power_consumption(r, p)
+    total = powers.sum()
+    over = total > budget + 1e-12
+    while total > budget + 1e-12:
+        i = int(np.argmax(powers))
+        if powers[i] <= p_floor:
+            raise InfeasibleBudgetError("every cell is at or below the floor power")
+        target = powers[i] - (total - budget)
+        if target <= p_floor + 1e-15:
+            r[i] = band_hi
+        else:
+            r[i] = bisect(lambda rr: power_consumption(rr, p) - target, band_lo, band_hi,
+                          tol=1e-15)
+        new_p = power_consumption(r[i], p)
+        total += new_p - powers[i]
+        powers[i] = new_p
+    return over
+
+
+def _relax_rows(p, n, seed):
+    """Seeded rows of n cells: uniform over the diode band, band_lo-heavy
+    rows, and rows with some passive-side (r >= 0) cells."""
+    rng = np.random.default_rng(seed)
+    band_lo, band_hi = diode_band(p)
+    r = rng.uniform(band_lo, band_hi, (60, n))
+    r[:20] = np.where(rng.uniform(size=(20, n)) < 0.5, band_lo, r[:20])
+    r[20:40] = np.where(rng.uniform(size=(20, n)) < 0.2, rng.uniform(0.0, 3.0, (20, n)), r[20:40])
+    return r
+
+
+class TestRelaxToBudget:
+    @pytest.mark.parametrize("n, budgets", [(16, (0.2, 0.25, 0.3, 0.35, 0.4)),
+                                            (64, (0.6, 0.7, 0.8, 0.9))])
+    def test_matches_the_argmax_loop(self, params_va, n, budgets):
+        moved_rows = 0
+        for seed, budget in enumerate(budgets):
+            r = _relax_rows(params_va, n, seed)
+            want, got = r.copy(), r.copy()
+            moved = np.array([_reference_relax(params_va, row, budget) for row in want])
+            assert np.array_equal(relax_to_budget(params_va, got, budget), moved)
+            assert np.array_equal(got[~moved], r[~moved])   # unmoved rows keep their bits
+            assert np.abs(got - want).max() <= 1e-9
+            powers = power_consumption(got, params_va)
+            assert np.abs(powers - power_consumption(want, params_va)).max() <= 1e-12
+            assert np.all(powers[moved].sum(axis=1) <= budget + 1e-12)
+            moved_rows += moved.sum()
+        assert 0 < moved_rows < 60 * len(budgets)
+
+    def test_budget_below_the_minimum_bias_power_raises(self, params_va):
+        floor = power_consumption(diode_band(params_va)[1], params_va)
+        r = _relax_rows(params_va, 16, 7)[40:]
+        with pytest.raises(InfeasibleBudgetError, match="minimum-bias power"):
+            relax_to_budget(params_va, r, 0.9 * 16 * floor)
+
+    def test_rows_without_cells_move_nothing(self, params_va):
+        r = np.empty((3, 0))
+        assert not relax_to_budget(params_va, r, 0.1).any()
 
 
 class TestCapacitanceForPhase:

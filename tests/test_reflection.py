@@ -19,7 +19,6 @@ from actris.reflection import (
     NUDGED,
     ElementFits,
     FitParams,
-    amplitude_from_normalized,
     approx_amplitude_bounds,
     class_fits,
     exact_bound_curves,
@@ -93,25 +92,6 @@ class TestApproxBounds:
             assert active_fit.beta_min - 1e-12 <= up <= active_fit.beta_max + 1e-12
 
 
-class TestNormalizedAmplitude:
-    def test_endpoints_and_midpoint(self, active_fit):
-        phi = 1.1
-        lo, up = approx_amplitude_bounds(active_fit, phi)
-        assert amplitude_from_normalized(active_fit, phi, 0.0) == pytest.approx(lo)
-        assert amplitude_from_normalized(active_fit, phi, 1.0) == pytest.approx(up)
-        assert amplitude_from_normalized(active_fit, phi, 0.5) == pytest.approx(0.5 * (lo + up))
-
-    def test_monotone_in_control(self, active_fit):
-        rng = np.random.default_rng(12)
-        for phi in rng.uniform(0.0, TWO_PI, 25):
-            vals = amplitude_from_normalized(active_fit, phi, np.linspace(0, 1, 33))
-            assert np.all(np.diff(vals) >= -1e-15)
-
-    def test_rejects_out_of_range_control(self, active_fit):
-        with pytest.raises(ValueError):
-            amplitude_from_normalized(active_fit, 0.3, 1.2)
-
-
 def per_cell_arrays(active_fit, passive_fit, mask):
     """Coefficient arrays built cell by cell from one FitParams per element."""
     cells = [active_fit if a else passive_fit for a in mask]
@@ -165,7 +145,8 @@ class TestElementFits:
         fits = ElementFits(active_fit, passive_fit, mask)
         phi = rng.uniform(0.0, TWO_PI, 12)
         alpha_bar = np.where(mask, rng.uniform(0.0, 1.0, 12), 0.0)
-        alpha = amplitude_from_normalized(fits, phi, alpha_bar)
+        lower, upper = fits.bounds(phi)
+        alpha = lower + alpha_bar * (upper - lower)
         back = reflection.normalized_amplitude(fits, phi, alpha)
         assert np.allclose(back, alpha_bar, atol=1e-12)
         assert not back[~mask].any()
