@@ -10,6 +10,7 @@ circuit power).
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,13 @@ class PhaseObjective:
         val = (quad.real - 2.0 * lin.real)[..., 0, 0]
         val = float(val) if val.ndim == 0 else val
         return (val, tg[..., 0]) if with_tg else val
+
+    @cached_property
+    def gradient_factors(self):
+        """(4 conj(z2), 2 conj(z1)), phase_gradient's factors, once per
+        objective. Scaling by a power of two is exact, so folding the
+        gradient's factors of two in here keeps its bits."""
+        return 4.0 * np.conj(self.z2), 2.0 * np.conj(self.z1)
 
 
 def precoder_update(ch, y, sigma_aux, gamma, scenario):
@@ -138,7 +146,8 @@ def phase_gradient(obj, phasor, tg=None):
     already has it.
     """
     w = (obj.t @ obj.gamma_of(phasor) if tg is None else tg) - obj.q
-    return 2.0 * (2.0 * np.conj(phasor) * np.conj(obj.z2) * w + np.conj(obj.z1) * w)
+    k2, k1 = obj.gradient_factors
+    return np.conj(phasor) * k2 * w + k1 * w
 
 
 def _tangent_project(vec, phasor, phasor_conj):
@@ -390,15 +399,21 @@ def _qp_phase_data(obj, phi):
     return m, c_lin, 2.0 * float(eig[-1])
 
 
-def amplitude_qp(qp_data, surrogate, budget):
+def amplitude_qp(qp_data, surrogate, budget, start=None):
     """Amplitude subproblem at fixed phases: convex QP over box and budget.
 
     Minimizes the reflected-signal quadratic (qp_data, from _qp_phase_data)
     subject to the per-element amplitude box and the linearized power
-    budget (surrogate, from _power_fit_arrays at the same phases). From the
-    lower box corner, block principal pivoting (_pivot_face) finds the
-    optimal face and solves the quadratic on it exactly. iterations counts
-    its pivots. kkt_residual is the largest KKT violation at the face's
+    budget (surrogate, from _power_fit_arrays at the same phases). Block
+    principal pivoting (_pivot_face) finds the optimal face and solves the
+    quadratic on it exactly, starting from the face of start clipped into
+    the box (the previous solve's amplitudes; Judice & Pires, Comput.
+    Oper. Res. 21(5), 1994), or from the lower box corner when start is
+    None or the budget leaves no room above that corner, whose point is
+    then the only feasible one. The point depends only on the face the
+    pivoting ends on, so a start changes the path, not the answer, unless
+    the QP is degenerate enough to have two certified faces. iterations
+    counts its pivots. kkt_residual is the largest KKT violation at the face's
     budget multiplier mu, in amplitude units at step 1/L: the box
     fixed-point residual of the gradient 2 m y + c_lin + mu w, the budget gap
     (|w y - b| if mu > 0, else its excess) over max w, and step max(-mu, 0)
@@ -412,9 +427,15 @@ def amplitude_qp(qp_data, surrogate, budget):
     span = float(np.max(upper - lower))
     scale = max(lip * span, np.abs(c_lin).max(), 1e-300)
     step = 1.0 / max(lip, scale / max(span, 1e-12))
-    if slope @ lower > b + 1e-12 * max(abs(b), 1.0):
+    corner = slope @ lower
+    if corner > b + 1e-12 * max(abs(b), 1.0):
         raise InfeasibleBudgetError("amplitude budget infeasible at the lower box corner")
-    y, mu, pivots = _pivot_face(lower, m, c_lin, lower, upper, slope, b)
+    # a budget that the lower corner fills allows no other point: start there
+    if start is None or corner >= b - _budget_slack(b):
+        x0 = lower
+    else:
+        x0 = np.maximum(np.minimum(start, upper), lower)
+    y, mu, pivots = _pivot_face(x0, m, c_lin, lower, upper, slope, b)
     grad = 2.0 * (m @ y) + c_lin + mu * slope
     box = np.max(np.abs(y - np.minimum(np.maximum(y - step * grad, lower), upper)))
     gap = slope @ y - b
@@ -430,8 +451,9 @@ def power_repair_loop(scenario, fits, phi, amplitudes):
     lower the working budget until the true power fits.
 
     amplitudes(surrogate, budget) returns the amplitudes at phases phi for a
-    working budget; surrogate is _power_fit_arrays at phi, built once here
-    for every solve. The linearized budget can under-account the circuit
+    working budget; surrogate is _power_fit_arrays at phi, and the realizer
+    of phi (reflection.realizer) is built once here for every solve and
+    realization. The linearized budget can under-account the circuit
     power; each pass lowers the working budget by the realized shortfall and
     re-solves. The passes stop when one does not bring the realized power
     below the best pass so far, at REPAIR_PASSES, or when a re-solve finds
@@ -444,13 +466,14 @@ def power_repair_loop(scenario, fits, phi, amplitudes):
     """
     params, p_ris = scenario.circuit, scenario.p_ris_w
     surrogate = _power_fit_arrays(fits, phi, params)
+    realize = reflection.realizer(params, fits, phi)
     p_min, slope, lower, _ = surrogate
     floor = float(p_min.sum())
     working = p_ris
     best_power = np.inf
     alpha = np.asarray(amplitudes(surrogate, p_ris), dtype=float)
     for k in range(1, REPAIR_PASSES + 1):
-        design = reflection.realize_design(params, fits, phi, alpha)
+        design = realize(alpha)
         if design.ris_power_w <= p_ris + POWER_TOL:
             design.repair_passes = k
             return design
@@ -476,7 +499,7 @@ def power_repair_loop(scenario, fits, phi, amplitudes):
         for _ in range(REPAIR_BISECTIONS):
             mid = 0.5 * (lo + hi)
             try:
-                design = reflection.realize_design(params, fits, phi, amplitudes(surrogate, mid))
+                design = realize(amplitudes(surrogate, mid))
             except InfeasibleBudgetError:
                 hi = mid
                 continue
@@ -508,8 +531,9 @@ def random_init(scenario, fits, rng):
     r, c = design.r, design.c
     circuit.relax_to_budget(params, r[None], scenario.p_ris_w)   # passive cells never move
     gamma = circuit.reflection(params, r, c)
-    return v0, reflection.circuit_design(params, fits, np.angle(gamma) % (2.0 * np.pi),
-                                         np.abs(gamma), gamma, r, c)
+    phi = np.angle(gamma) % (2.0 * np.pi)
+    alpha_bar = reflection.normalized_amplitude(fits, phi, np.abs(gamma))
+    return v0, reflection.circuit_design(params, fits, phi, alpha_bar, gamma, r, c)
 
 
 @dataclass
@@ -527,10 +551,14 @@ def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
 
     init is (v0, design0): a precoder, padded here with zero columns up to
     d streams, and a realized RISDesign within the surface budget, which is
-    the first iterate. Stops on relative rate change below eps or after
-    j_alt iterations, and returns the best iterate seen (the initial design
-    included). Its rates are model rates, at the cosine-model reflection
-    design.gamma.
+    the first iterate. Stops on relative rate change below eps, after
+    j_alt iterations, or at an iterate whose LMMSE combiner is all zero
+    (nothing reaches the receiver, and the precoder update would be zero
+    too), and returns the best iterate seen (the initial design included).
+    Its rates are model rates, at the cosine-model reflection design.gamma.
+    Each amplitude QP starts from the one solved before it, in the same
+    power repair or in the previous outer iteration; the first starts from
+    the lower box corner.
 
     eps also sets how far each phase step is solved: rmo_phase_opt runs to
     tol = max(eps / 100, 1e-6), which is 1e-5 at the default eps, while
@@ -558,16 +586,22 @@ def run_ao(scenario, ch, fits, init, eps=1e-3, j_alt=20):
     history = [rate]
     repair_max = 0
     phase_tol = max(eps / 100, 1e-6)
+    last = None   # the last amplitude QP solve, where the next one starts
+
+    def amplitudes(surrogate, budget):
+        nonlocal last
+        last = amplitude_qp(qp_data, surrogate, budget, last).alpha
+        return last
+
     for _ in range(j_alt):
+        if not y.any():
+            break
         v = precoder_update(ch, y, sigma_aux, design.gamma, scenario)
         obj = build_phase_objective(ch, v, y, sigma_aux, fits, design.alpha_bar, scenario)
         phasor, _ = rmo_phase_opt(obj, np.exp(1j * design.phi), tol=phase_tol)
         phi = np.angle(phasor) % (2.0 * np.pi)
         qp_data = _qp_phase_data(obj, phi)
-        design = power_repair_loop(
-            scenario, fits, phi,
-            lambda surrogate, budget: amplitude_qp(qp_data, surrogate, budget).alpha,
-        )
+        design = power_repair_loop(scenario, fits, phi, amplitudes)
         repair_max = max(repair_max, design.repair_passes)
 
         y, sigma_aux = lmmse_receiver(ch, v, design.gamma, scenario)

@@ -171,7 +171,8 @@ class BenchmarkResult:
 def _finalize(space, best_phenotype, best_rate, iterations):
     r, c, v, gamma = best_phenotype
     phi = np.angle(gamma) % (2 * np.pi)
-    design = reflection.circuit_design(space.params, space.fits, phi, np.abs(gamma), gamma, r, c)
+    alpha_bar = reflection.normalized_amplitude(space.fits, phi, np.abs(gamma))
+    design = reflection.circuit_design(space.params, space.fits, phi, alpha_bar, gamma, r, c)
     return BenchmarkResult(v=v, design=design, rate=best_rate, iterations=iterations)
 
 

@@ -86,7 +86,7 @@ def do_amplitude_max(surrogate, budget):
     floor = p_min.sum()
     if floor > budget + 1e-12:
         raise InfeasibleBudgetError(
-            f"minimum amplitudes already need {floor:.4f} W > budget {budget:.4f} W"
+            f"minimum amplitudes already need {floor:.6g} W > budget {budget:.6g} W"
         )
     order = np.flatnonzero(slope > 0.0)
     order = order[np.argsort(slope[order], kind="stable")]

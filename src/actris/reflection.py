@@ -119,14 +119,25 @@ def approx_amplitude_bounds(fit, phi):
     return lower, upper
 
 
+def _normalizer(fits, phi):
+    """normalize(alpha): normalized_amplitude at phases phi, whose box and
+    span are computed here once."""
+    lower, upper = fits.bounds(phi)
+    span = np.where(upper > lower, upper - lower, 1.0)
+    passive = ~fits.active_mask
+
+    def normalize(alpha):
+        alpha_bar = np.clip((alpha - lower) / span, 0.0, 1.0)
+        alpha_bar[passive] = 0.0
+        return alpha_bar
+
+    return normalize
+
+
 def normalized_amplitude(fits, phi, alpha):
     """Normalized controls of amplitudes alpha at phases phi, clipped to
     [0, 1] and zero on passive cells."""
-    lower, upper = fits.bounds(phi)
-    span = np.where(upper > lower, upper - lower, 1.0)
-    alpha_bar = np.clip((alpha - lower) / span, 0.0, 1.0)
-    alpha_bar[~fits.active_mask] = 0.0
-    return alpha_bar
+    return _normalizer(fits, phi)(alpha)
 
 
 class ElementFits:
@@ -211,7 +222,7 @@ class RISDesign:
         return tuple(CellState(r=r, c=c) for r, c in zip(self.r.tolist(), self.c.tolist()))
 
 
-# realization branch of a cell, as _realize_cells reports it
+# realization branch of a cell, as _cell_realizer reports it
 DIRECT, CLIPPED, FALLBACK, NUDGED = range(4)
 FALLBACK_RUNGS = 80  # 0.97 shrinks tried before the passive nudge
 FALLBACK_SHRINK = 0.97
@@ -248,8 +259,9 @@ def _fallback_cells(params, gamma):
     return r, c, branch
 
 
-def _realize_cells(params, active_mask, phi, gamma):
-    """Circuit states (r, c, branch) realizing per-cell reflection targets.
+def _cell_realizer(params, active_mask, phi):
+    """cells(gamma) -> (r, c, branch): the circuit states realizing per-cell
+    reflection targets gamma at phases phi.
 
     Active cells are inverted from their target reflection coefficient.
     The tunable resistance saturates at the diode band edges: a negative
@@ -260,39 +272,58 @@ def _realize_cells(params, active_mask, phi, gamma):
     whose clipped cell misses the phase, take the passive-side fallback.
     Passive cells keep their fixed resistance and realize the nearest
     achievable phase. Every capacitance is then clipped into c_range.
+
+    What depends on the phases alone is computed once: the passive cells'
+    capacitances here, and the active cells' capacitances at both band
+    edges, in one call when a target first clips. Every kernel works
+    elementwise, so a cell gets the bits it would get from a call on its
+    own.
     """
     n = phi.size
-    r = np.full(n, params.r_passive)
-    c = np.empty(n)
-    branch = np.full(n, DIRECT)
+    c_fixed = np.empty(n)
+    branch_fixed = np.full(n, DIRECT)
     passive = ~active_mask
     if passive.any():
-        c[passive], offset = circuit.nearest_realizable_cell(
+        c_fixed[passive], offset = circuit.nearest_realizable_cell(
             params, params.r_passive, phi[passive]
         )
-        branch[passive] = np.where(offset != 0.0, NUDGED, DIRECT)
+        branch_fixed[passive] = np.where(offset != 0.0, NUDGED, DIRECT)
     act = np.flatnonzero(active_mask)
-    ra, ca, ok = circuit.circuit_from_gamma(params, gamma[act])
     band_lo, band_hi = circuit.diode_band(params)
-    clip = ok & (ra < 0.0) & ((ra < band_lo) | (ra > band_hi))
-    if clip.any():
-        ra[clip] = np.clip(ra[clip], band_lo, band_hi)
-        ca[clip] = circuit.phase_capacitance(params, ra[clip], phi[act[clip]])
-        ok &= ~np.isnan(ca)
-    ba = np.where(clip, CLIPPED, DIRECT)
-    if not ok.all():
-        ra[~ok], ca[~ok], ba[~ok] = _fallback_cells(params, gamma[act[~ok]])
-    r[act], c[act], branch[act] = ra, ca, ba
-    return r, np.clip(c, *params.c_range), branch
+    edge_c = None   # (2, active cells): phase_capacitance at band_lo, band_hi
+
+    def cells(gamma):
+        nonlocal edge_c
+        ra, ca, ok = circuit.circuit_from_gamma(params, gamma[act])
+        clip = ok & (ra < 0.0) & ((ra < band_lo) | (ra > band_hi))
+        if clip.any():
+            if edge_c is None:
+                edges = np.repeat([[band_lo], [band_hi]], act.size, axis=1)
+                edge_c = circuit.phase_capacitance(params, edges, np.tile(phi[act], (2, 1)))
+            i = np.flatnonzero(clip)
+            edge = (ra[i] > band_hi).astype(np.intp)   # 0: below band_lo, 1: above band_hi
+            ra[i] = np.where(edge, band_hi, band_lo)
+            ca[i] = edge_c[edge, i]
+            ok &= ~np.isnan(ca)
+        ba = np.where(clip, CLIPPED, DIRECT)
+        if not ok.all():
+            ra[~ok], ca[~ok], ba[~ok] = _fallback_cells(params, gamma[act[~ok]])
+        r = np.full(n, params.r_passive)
+        c = c_fixed.copy()
+        branch = branch_fixed.copy()
+        r[act], c[act], branch[act] = ra, ca, ba
+        return r, np.clip(c, *params.c_range), branch
+
+    return cells
 
 
-def circuit_design(params, fits, phi, alpha, gamma, r, c):
-    """RISDesign of realized circuits (r, c) at phases phi and amplitudes
-    alpha with target reflection gamma: the normalized controls, a copy of
-    the active mask, and the true power the active cells draw."""
+def circuit_design(params, fits, phi, alpha_bar, gamma, r, c):
+    """RISDesign of realized circuits (r, c) at phases phi with normalized
+    controls alpha_bar and target reflection gamma: a copy of the active
+    mask, and the true power the active cells draw."""
     return RISDesign(
         phi=phi,
-        alpha_bar=normalized_amplitude(fits, phi, alpha),
+        alpha_bar=alpha_bar,
         active_mask=fits.active_mask.copy(),
         gamma=gamma,
         r=r,
@@ -301,20 +332,38 @@ def circuit_design(params, fits, phi, alpha, gamma, r, c):
     )
 
 
-def realize_design(params, fits, phi, alpha):
-    """Map per-element (phase, amplitude) targets onto circuit states.
+def realizer(params, fits, phi):
+    """realize(alpha): the design realizing amplitudes alpha at phases phi.
 
     Active cells are solved from their target reflection coefficient with
     the resistance saturating at the diode band; passive cells keep their
-    fixed resistance and realize the nearest achievable phase. The recorded
-    gamma is the target; the circuits deliver what the exact curves allow.
-    Returns the design together with the true total power drawn.
+    fixed resistance and realize the nearest achievable phase
+    (_cell_realizer). The recorded gamma is the target; the circuits
+    deliver what the exact curves allow, and the design records the true
+    total power drawn. The work that depends on phi alone (the phasors, the
+    cosine box behind the normalized controls and the cells' phase-only
+    capacitances) is done once per realizer, so a power repair, which
+    realizes several amplitude vectors at one phase vector, pays for it
+    once; every realization has the bits of a fresh realizer's.
     """
     phi = np.asarray(phi, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    gamma = alpha * np.exp(1j * phi)
-    r, c, _ = _realize_cells(params, fits.active_mask, phi, gamma)
-    return circuit_design(params, fits, phi, alpha, gamma, r, c)
+    phasor = np.exp(1j * phi)
+    normalize = _normalizer(fits, phi)
+    cells = _cell_realizer(params, fits.active_mask, phi)
+
+    def realize(alpha):
+        alpha = np.asarray(alpha, dtype=float)
+        gamma = alpha * phasor
+        r, c, _ = cells(gamma)
+        return circuit_design(params, fits, phi, normalize(alpha), gamma, r, c)
+
+    return realize
+
+
+def realize_design(params, fits, phi, alpha):
+    """The design realizing amplitudes alpha at phases phi: one call of a
+    fresh realizer(params, fits, phi)."""
+    return realizer(params, fits, phi)(alpha)
 
 
 def realize_minimum_power(params, fits, phi):
@@ -330,4 +379,5 @@ def realize_minimum_power(params, fits, phi):
     r = np.where(fits.active_mask, circuit.diode_band(params)[1], params.r_passive)
     c = np.clip(circuit.nearest_realizable_cell(params, r, phi)[0], *params.c_range)
     lower, _ = fits.bounds(phi)
-    return circuit_design(params, fits, phi, lower, lower * np.exp(1j * phi), r, c)
+    return circuit_design(params, fits, phi, normalized_amplitude(fits, phi, lower),
+                          lower * np.exp(1j * phi), r, c)

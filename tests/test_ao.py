@@ -309,6 +309,19 @@ class TestPhaseGradient:
             worst = max(worst, err)
         assert worst <= 1e-5
 
+    def test_folded_factors_keep_the_bits_of_the_written_out_gradient(self, active_fit,
+                                                                       passive_fit):
+        # the factors of two folded into gradient_factors are powers of two,
+        # so the gradient keeps the bits of 2 (2 conj(p) conj(z2) w + conj(z1) w)
+        for seed, n in itertools.product(range(20), (8, 64)):
+            rng = np.random.default_rng(seed + 300)
+            fits = ElementFits.from_classes(active_fit, passive_fit, rng.uniform(size=n) < 0.8)
+            obj = self._random_objective(rng, fits, n)
+            ph = np.exp(1j * rng.uniform(0, TWO_PI, n))
+            w = obj.t @ obj.gamma_of(ph) - obj.q
+            want = 2.0 * (2.0 * np.conj(ph) * np.conj(obj.z2) * w + np.conj(obj.z1) * w)
+            assert phase_gradient(obj, ph).tobytes() == want.tobytes()
+
     def test_zero_data_zero_gradient(self, fits_all_active):
         n = 16
         obj = PhaseObjective(
@@ -838,6 +851,94 @@ class TestDesignStepData:
                 assert counts["do_amplitude_max"] >= res.design.repair_passes, (run.__name__, seed)
                 resolved += res.design.repair_passes > 1
         assert resolved > 0
+
+
+class TestAmplitudeWarmStart:
+    """A QP started from any face of its box ends on the face a cold start
+    ends on, with its bits; run_ao starts each solve from the one before."""
+
+    @staticmethod
+    def _stress_qp(seed):
+        # the stress family: n from 2 to 40, a curvature of rank 1 to 4
+        # (the real part of a complex rank-k form, as _qp_phase_data builds
+        # it) plus a ridge from 1e-9 to 1e-1, random boxes and budgets, one
+        # in ten at the lower corner's power, where a repair's floor sits
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 41))
+        rank = int(rng.integers(1, 5))
+        a = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        t = a @ a.conj().T / n + 10.0 ** rng.uniform(-9.0, -1.0) * np.eye(n)
+        phasor = np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+        m = np.real(np.conj(phasor)[:, None] * t * phasor[None, :])
+        q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c_lin = -2.0 * np.real(np.conj(phasor) * q)
+        lower = rng.uniform(0.0, 1.0, n)
+        upper = lower + rng.uniform(0.0, 1.0, n)
+        slope = rng.uniform(0.1, 2.0, n)
+        share = 0.0 if rng.random() < 0.1 else rng.uniform(0.0, 1.0)
+        budget = float(share * slope @ (upper - lower))
+        qp_data = (m, c_lin, 2.0 * float(np.linalg.eigvalsh(m)[-1]))
+        return qp_data, (np.zeros(n), slope, lower, upper), budget, rng
+
+    def test_starts_keep_the_cold_answer_bit_for_bit(self):
+        long_random = 0
+        for seed in range(600):
+            qp_data, surrogate, budget, rng = self._stress_qp(seed)
+            cold = amplitude_qp(qp_data, surrogate, budget)
+            again = amplitude_qp(qp_data, surrogate, budget, cold.alpha)
+            assert again.alpha.tobytes() == cold.alpha.tobytes(), seed
+            assert again.iterations == 0, seed
+            lower, upper = surrogate[2], surrogate[3]
+            for _ in range(2):
+                # starts inside the box and beyond it on either side
+                start = lower + rng.uniform(-0.2, 1.2, lower.size) * (upper - lower)
+                warm = amplitude_qp(qp_data, surrogate, budget, start)
+                assert warm.alpha.tobytes() == cold.alpha.tobytes(), seed
+                long_random += warm.iterations > cold.iterations
+        # a random face can be a worse start than the lower corner, which is
+        # why run_ao starts only from a previous solve
+        assert long_random > 0
+
+    def test_run_ao_starts_each_solve_from_the_previous_one(self, monkeypatch):
+        solves = []
+        qp = ao.amplitude_qp
+
+        def recording(qp_data, surrogate, budget, start=None):
+            solves.append((start, qp(qp_data, surrogate, budget, start)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(ao, "amplitude_qp", recording)
+        resolved = 0
+        for sc, ch, fits, seed in TestDesignStepData._desk_trials(range(3)):
+            solves.clear()
+            res = run_ao(sc, ch, fits, random_init(sc, fits, np.random.default_rng(seed)),
+                         j_alt=8)
+            assert res.iterations >= 2 and len(solves) > res.iterations, seed
+            assert solves[0][0] is None
+            for (_, before), (start, _) in zip(solves, solves[1:]):
+                assert start is before.alpha
+            resolved += len(solves) - res.iterations
+        assert resolved > 0
+
+
+class TestDeadCascade:
+    @pytest.mark.parametrize("hop", ["h_1", "h_2"])
+    def test_every_scheme_reports_zero_with_a_valid_design(self, hop, fits_all_active):
+        # with a hop zeroed nothing reaches the receiver; AO's zero combiner
+        # stops it at its start instead of a singular amplitude QP
+        from actris.constraints import validate_design
+        from actris.channel import sample_channels
+        from actris.harness import SCHEME_NAMES
+
+        sc = desk_scenario()
+        ch = sample_channels(sc, np.random.default_rng(3))
+        dead = dataclasses.replace(ch, **{hop: np.zeros_like(getattr(ch, hop))})
+        assert len(SCHEME_NAMES) == 6
+        for k, scheme in enumerate(SCHEME_NAMES):
+            rate, v, design, _ = run_scheme(scheme, sc, dead, fits_all_active,
+                                            np.random.default_rng(k))
+            assert rate == 0.0, scheme
+            assert validate_design(sc, fits_all_active, v, design) == [], scheme
 
 
 class TestRunAO:

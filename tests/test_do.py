@@ -296,6 +296,16 @@ class TestDoAmplitudeMax:
                     want = _loop_greedy(surrogate, budget, raisable)
                     assert np.array_equal(do_amplitude_max(surrogate, budget), want)
 
+    def test_infeasible_budget_message_names_a_microwatt_budget(self, params_va,
+                                                               fits_all_active):
+        # a fixed-point format printed a 1e-6 W budget as "0.0000 W"
+        phi = np.random.default_rng(11).uniform(0, TWO_PI, 16)
+        surrogate = _power_fit_arrays(fits_all_active, phi, params_va)
+        floor = float(surrogate[0].sum())
+        with pytest.raises(InfeasibleBudgetError) as err:
+            do_amplitude_max(surrogate, budget=1e-6)
+        assert str(err.value) == f"minimum amplitudes already need {floor:.6g} W > budget 1e-06 W"
+
     def test_ample_budget_hits_upper_bounds(self, params_va, fits_all_active):
         rng = np.random.default_rng(10)
         phi = rng.uniform(0, TWO_PI, 16)

@@ -315,9 +315,9 @@ def _close(a, b, rel=1e-12):
 
 
 def _assert_matches_reference(params, fits, phi, alpha):
-    r, c, branch = reflection._realize_cells(
-        params, fits.active_mask, np.asarray(phi, dtype=float),
-        np.asarray(alpha, dtype=float) * np.exp(1j * np.asarray(phi, dtype=float)),
+    phi = np.asarray(phi, dtype=float)
+    r, c, branch = reflection._cell_realizer(params, fits.active_mask, phi)(
+        np.asarray(alpha, dtype=float) * np.exp(1j * phi)
     )
     cells, branches, power = _reference_realize_design(params, fits, phi, alpha)
     assert branch.tolist() == branches
@@ -332,6 +332,13 @@ def _same_cells(design, r, c):
     return design.r.tobytes() == r.tobytes() and design.c.tobytes() == c.tobytes()
 
 
+def _same_design(a, b):
+    return _same_cells(a, b.r, b.c) and all(
+        getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for name in ("phi", "alpha_bar", "active_mask", "gamma")
+    ) and a.ris_power_w == b.ris_power_w
+
+
 class TestRealizeOracle:
     """The vector realization must take each cell's reference branch and
     land within rounding of its circuit and power."""
@@ -339,27 +346,37 @@ class TestRealizeOracle:
     @pytest.mark.parametrize("size", ["desk", "paper"])
     def test_harness_calls_match_per_cell_reference(self, size, active_fit, passive_fit,
                                                     monkeypatch):
+        # every realization of a power repair goes through the one realizer
+        # it builds; each must carry the bits of a fresh realize_design call
         sc = desk_scenario() if size == "desk" else ScenarioConfig().with_rho_db(-30.0)
         calls, floors = [], []
 
-        def recording(params, fits, phi, alpha):
-            calls.append((params, fits, np.copy(phi), np.copy(alpha)))
-            return realize_design(params, fits, phi, alpha)
+        def recording(params, fits, phi, realizer=reflection.realizer):
+            realize = realizer(params, fits, phi)
+
+            def recorded(alpha):
+                design = realize(alpha)
+                calls.append((params, fits, np.copy(phi), np.copy(alpha), design))
+                return design
+
+            return recorded
 
         def recording_floor(params, fits, phi):
             floors.append((params, fits, np.copy(phi)))
             return realize_minimum_power(params, fits, phi)
 
-        monkeypatch.setattr(reflection, "realize_design", recording)
+        monkeypatch.setattr(reflection, "realizer", recording)
         monkeypatch.setattr(reflection, "realize_minimum_power", recording_floor)
         for seed in (3, 17):
             ch, mask = trial_channels(sc, seed, 0, 0)
             fits = ElementFits.from_classes(active_fit, passive_fit, mask)
             for k, scheme in enumerate(("AO", "DO", "PAIDO")):
                 run_scheme(scheme, sc, ch, fits, _scheme_rng(seed, 0, 0, k))
+        monkeypatch.undo()
         seen = set()
-        for params, fits, phi, alpha in calls:
+        for params, fits, phi, alpha, design in calls:
             seen.update(_assert_matches_reference(params, fits, phi, alpha))
+            assert _same_design(design, realize_design(params, fits, phi, alpha))
         for params, fits, phi in floors:
             design = realize_minimum_power(params, fits, phi)
             cells, power = _reference_realize_minimum_power(params, fits, phi)
@@ -401,10 +418,30 @@ class TestRealizeOracle:
             return np.where(ok, -np.abs(r) - 1.0, r), c, ok
 
         monkeypatch.setattr(circuit, "circuit_from_gamma", no_passive_rung)
-        r, c, branch = reflection._realize_cells(params_va, fits.active_mask, phi,
-                                                 np.exp(1j * phi))
+        r, c, branch = reflection._cell_realizer(params_va, fits.active_mask, phi)(
+            np.exp(1j * phi)
+        )
         assert branch.tolist() == [NUDGED, NUDGED]
         assert np.all(r == params_va.r_passive)
+
+    def test_reused_realizer_keeps_the_bits_of_fresh_ones(self, params_va, active_fit,
+                                                          passive_fit):
+        # one realizer over many amplitude vectors, with cells clipping at
+        # either band edge in turn: its cached edge capacitances and
+        # passive cells must give each call the bits of a fresh realizer
+        rng = np.random.default_rng(8)
+        mask = rng.uniform(size=40) < 0.8
+        fits = ElementFits.from_classes(active_fit, passive_fit, mask)
+        phi = rng.uniform(0.0, TWO_PI, 40)
+        lower, upper = fits.bounds(phi)
+        realize = reflection.realizer(params_va, fits, phi)
+        seen = set()
+        for _ in range(12):
+            alpha = lower + rng.uniform(-0.3, 1.3, 40) * (upper - lower)
+            design = realize(alpha)
+            assert _same_design(design, realize_design(params_va, fits, phi, alpha))
+            seen.update(_assert_matches_reference(params_va, fits, phi, alpha))
+        assert CLIPPED in seen
 
     def test_minimum_power_matches_reference(self, params_va, active_fit, passive_fit):
         rng = np.random.default_rng(4)
