@@ -516,7 +516,8 @@ def random_init(scenario, fits, rng):
 
     Random phases and normalized controls are realized once, the active
     cells are relaxed into the surface budget (circuit.relax_to_budget), and
-    the design records the reflection its cells deliver.
+    the design records the reflection its cells deliver
+    (reflection.delivered_design).
     """
     params = scenario.circuit
     v0 = rng.standard_normal((scenario.m_t, scenario.d)) + 1j * rng.standard_normal(
@@ -527,13 +528,10 @@ def random_init(scenario, fits, rng):
     alpha_bar0 = rng.uniform(0.0, 1.0, scenario.n)
     alpha_bar0[~fits.active_mask] = 0.0
     lower, upper = fits.bounds(phi0)
-    design = reflection.realize_design(params, fits, phi0, lower + alpha_bar0 * (upper - lower))
+    design = reflection.realizer(params, fits, phi0)(lower + alpha_bar0 * (upper - lower))
     r, c = design.r, design.c
     circuit.relax_to_budget(params, r[None], scenario.p_ris_w)   # passive cells never move
-    gamma = circuit.reflection(params, r, c)
-    phi = np.angle(gamma) % (2.0 * np.pi)
-    alpha_bar = reflection.normalized_amplitude(fits, phi, np.abs(gamma))
-    return v0, reflection.circuit_design(params, fits, phi, alpha_bar, gamma, r, c)
+    return v0, reflection.delivered_design(params, fits, r, c)
 
 
 @dataclass

@@ -150,14 +150,10 @@ class _CircuitSearchSpace:
         return (self.encode(r, c, v) if changed else x), r, c, v, gamma
 
     def fitness(self, x):
-        """Repair and score a population: (repaired stack, rates, (r, c, v, gamma))."""
-        x, r, c, v, gamma = self.repair(x)
-        return x, rate_lmmse(self.ch, v, gamma, self.scenario), (r, c, v, gamma)
-
-
-def _individual(phenotypes, i):
-    """Copy of individual i out of stacked phenotypes."""
-    return tuple(part[i].copy() for part in phenotypes)
+        """Repair and score a population: (repaired stack, rates). A repaired
+        row decodes to exactly the design it was scored at."""
+        x, _, _, v, gamma = self.repair(x)
+        return x, rate_lmmse(self.ch, v, gamma, self.scenario)
 
 
 @dataclass
@@ -168,11 +164,10 @@ class BenchmarkResult:
     iterations: int
 
 
-def _finalize(space, best_phenotype, best_rate, iterations):
-    r, c, v, gamma = best_phenotype
-    phi = np.angle(gamma) % (2 * np.pi)
-    alpha_bar = reflection.normalized_amplitude(space.fits, phi, np.abs(gamma))
-    design = reflection.circuit_design(space.params, space.fits, phi, alpha_bar, gamma, r, c)
+def _finalize(space, best_x, best_rate, iterations):
+    """The result of the winning repaired vector best_x, decoded once."""
+    (r,), (c,), (v,) = space.decode(best_x[None])
+    design = reflection.delivered_design(space.params, space.fits, r, c)
     return BenchmarkResult(v=v, design=design, rate=best_rate, iterations=iterations)
 
 
@@ -189,10 +184,10 @@ def run_ga(scenario, ch, fits, budget, rng):
     """
     space = _CircuitSearchSpace(scenario, ch, fits)
     k, p, dim = budget.k, budget.p, space.dim
-    pop, fitness, phenos = space.fitness(rng.uniform(space.lower, space.upper, size=(k, dim)))
+    pop, fitness = space.fitness(rng.uniform(space.lower, space.upper, size=(k, dim)))
     sigma = 0.05 * (space.upper - space.lower)
     best_idx = int(np.argmax(fitness))
-    best_fit, best_pheno = fitness[best_idx], _individual(phenos, best_idx)
+    best_fit, best_x = fitness[best_idx], pop[best_idx].copy()
     for _ in range(p - 1):
         elite = np.argsort(fitness)[::-1][:1]
         pairs = rng.integers(0, k, size=(2, k - 1, 2))
@@ -203,14 +198,13 @@ def run_ga(scenario, ch, fits, budget, rng):
         pa, pb = pop[np.where(fitness[i] >= fitness[j], i, j)]
         blend = u * pa + (1.0 - u) * pb
         children = np.where(mutate, blend + sigma * noise, blend)  # repair clips into the box
-        kids, kid_fit, kid_phenos = space.fitness(children)
+        kids, kid_fit = space.fitness(children)
         pop = np.concatenate([pop[elite], kids])
         fitness = np.concatenate([fitness[elite], kid_fit])
-        phenos = tuple(np.concatenate([a[elite], b]) for a, b in zip(phenos, kid_phenos))
         gen_best = int(np.argmax(fitness))
         if fitness[gen_best] > best_fit:
-            best_fit, best_pheno = fitness[gen_best], _individual(phenos, gen_best)
-    return _finalize(space, best_pheno, float(best_fit), p)
+            best_fit, best_x = fitness[gen_best], pop[gen_best].copy()
+    return _finalize(space, best_x, float(best_fit), p)
 
 
 def run_pso(scenario, ch, fits, budget, rng):
@@ -225,7 +219,7 @@ def run_pso(scenario, ch, fits, budget, rng):
     space = _CircuitSearchSpace(scenario, ch, fits)
     k, p = budget.k, budget.p
     omega, c1, c2 = 0.72, 1.49, 1.49
-    x, fit, phenos = space.fitness(rng.uniform(space.lower, space.upper, size=(k, space.dim)))
+    x, fit = space.fitness(rng.uniform(space.lower, space.upper, size=(k, space.dim)))
     vel = np.zeros_like(x)
     span = space.upper - space.lower
     pbest = x.copy()
@@ -234,7 +228,7 @@ def run_pso(scenario, ch, fits, budget, rng):
     for i in range(k):
         if fit[i] > gbest_fit:
             gbest_fit, g = fit[i], i
-    gbest, gbest_pheno = x[g].copy(), _individual(phenos, g)
+    gbest = x[g].copy()
     for _ in range(p - 1):
         pulls = rng.uniform(size=(k, 2, space.dim))
         i = 0
@@ -245,7 +239,7 @@ def run_pso(scenario, ch, fits, budget, rng):
                 + c2 * pulls[i:, 1] * (gbest - x[i:])
             )
             moved = np.clip(moved, -span, span)
-            cand, fit, phenos = space.fitness(x[i:] + moved)  # clipped by repair
+            cand, fit = space.fitness(x[i:] + moved)  # clipped by repair
             better = np.flatnonzero(fit > gbest_fit)
             m = better[0] + 1 if better.size else fit.size
             vel[i : i + m] = moved[:m]
@@ -255,6 +249,5 @@ def run_pso(scenario, ch, fits, budget, rng):
             pbest[i + up] = cand[up]
             if better.size:
                 gbest_fit, gbest = fit[m - 1], cand[m - 1].copy()
-                gbest_pheno = _individual(phenos, m - 1)
             i += m
-    return _finalize(space, gbest_pheno, float(gbest_fit), p)
+    return _finalize(space, gbest, float(gbest_fit), p)

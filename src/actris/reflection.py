@@ -222,14 +222,12 @@ class RISDesign:
         return tuple(CellState(r=r, c=c) for r, c in zip(self.r.tolist(), self.c.tolist()))
 
 
-# realization branch of a cell, as _cell_realizer reports it
-DIRECT, CLIPPED, FALLBACK, NUDGED = range(4)
 FALLBACK_RUNGS = 80  # 0.97 shrinks tried before the passive nudge
 FALLBACK_SHRINK = 0.97
 
 
 def _fallback_cells(params, gamma):
-    """Nearest passive-side realizations of reflection targets.
+    """Nearest passive-side realizations (r, c) of reflection targets.
 
     The cosine model keeps a collapsed near-unit amplitude band on the
     unrealizable arc of the reflection locus; targets there (and in the
@@ -238,7 +236,7 @@ def _fallback_cells(params, gamma):
     target is shrunk by 0.97 up to 80 times (one stack of rungs) and takes
     the first rung that is capacitive with r >= 0; a target no rung serves
     gets the passive resistance at the nearest realizable phase of its last
-    rung. Returns (r, c, branch).
+    rung.
     """
     shrink = np.full((FALLBACK_RUNGS + 1, gamma.size), FALLBACK_SHRINK, dtype=complex)
     shrink[0] = gamma
@@ -248,73 +246,13 @@ def _fallback_cells(params, gamma):
     first = win.argmax(axis=0)
     cols = np.arange(gamma.size)
     r, c = r[first, cols], c[first, cols]
-    branch = np.full(gamma.size, FALLBACK)
     nudge = ~win[first, cols]
     if nudge.any():
         r[nudge] = params.r_passive
         c[nudge], _ = circuit.nearest_realizable_cell(
             params, params.r_passive, np.angle(rungs[-1, nudge])
         )
-        branch[nudge] = NUDGED
-    return r, c, branch
-
-
-def _cell_realizer(params, active_mask, phi):
-    """cells(gamma) -> (r, c, branch): the circuit states realizing per-cell
-    reflection targets gamma at phases phi.
-
-    Active cells are inverted from their target reflection coefficient.
-    The tunable resistance saturates at the diode band edges: a negative
-    resistance outside the band is clipped to it and the capacitance
-    re-solved at the target phase, so the cell keeps the phase and delivers
-    the nearest achievable amplitude (the band-edge one), like a passive
-    cell delivers its own curve. Targets that no capacitance realizes, or
-    whose clipped cell misses the phase, take the passive-side fallback.
-    Passive cells keep their fixed resistance and realize the nearest
-    achievable phase. Every capacitance is then clipped into c_range.
-
-    What depends on the phases alone is computed once: the passive cells'
-    capacitances here, and the active cells' capacitances at both band
-    edges, in one call when a target first clips. Every kernel works
-    elementwise, so a cell gets the bits it would get from a call on its
-    own.
-    """
-    n = phi.size
-    c_fixed = np.empty(n)
-    branch_fixed = np.full(n, DIRECT)
-    passive = ~active_mask
-    if passive.any():
-        c_fixed[passive], offset = circuit.nearest_realizable_cell(
-            params, params.r_passive, phi[passive]
-        )
-        branch_fixed[passive] = np.where(offset != 0.0, NUDGED, DIRECT)
-    act = np.flatnonzero(active_mask)
-    band_lo, band_hi = circuit.diode_band(params)
-    edge_c = None   # (2, active cells): phase_capacitance at band_lo, band_hi
-
-    def cells(gamma):
-        nonlocal edge_c
-        ra, ca, ok = circuit.circuit_from_gamma(params, gamma[act])
-        clip = ok & (ra < 0.0) & ((ra < band_lo) | (ra > band_hi))
-        if clip.any():
-            if edge_c is None:
-                edges = np.repeat([[band_lo], [band_hi]], act.size, axis=1)
-                edge_c = circuit.phase_capacitance(params, edges, np.tile(phi[act], (2, 1)))
-            i = np.flatnonzero(clip)
-            edge = (ra[i] > band_hi).astype(np.intp)   # 0: below band_lo, 1: above band_hi
-            ra[i] = np.where(edge, band_hi, band_lo)
-            ca[i] = edge_c[edge, i]
-            ok &= ~np.isnan(ca)
-        ba = np.where(clip, CLIPPED, DIRECT)
-        if not ok.all():
-            ra[~ok], ca[~ok], ba[~ok] = _fallback_cells(params, gamma[act[~ok]])
-        r = np.full(n, params.r_passive)
-        c = c_fixed.copy()
-        branch = branch_fixed.copy()
-        r[act], c[act], branch[act] = ra, ca, ba
-        return r, np.clip(c, *params.c_range), branch
-
-    return cells
+    return r, c
 
 
 def circuit_design(params, fits, phi, alpha_bar, gamma, r, c):
@@ -332,38 +270,76 @@ def circuit_design(params, fits, phi, alpha_bar, gamma, r, c):
     )
 
 
+def delivered_design(params, fits, r, c):
+    """RISDesign of circuits (r, c) that records the reflection they deliver:
+    gamma, its phases and the normalized controls of its amplitudes."""
+    gamma = circuit.reflection(params, r, c)
+    phi = np.angle(gamma) % TWO_PI
+    return circuit_design(params, fits, phi, normalized_amplitude(fits, phi, np.abs(gamma)),
+                          gamma, r, c)
+
+
 def realizer(params, fits, phi):
     """realize(alpha): the design realizing amplitudes alpha at phases phi.
 
-    Active cells are solved from their target reflection coefficient with
-    the resistance saturating at the diode band; passive cells keep their
-    fixed resistance and realize the nearest achievable phase
-    (_cell_realizer). The recorded gamma is the target; the circuits
-    deliver what the exact curves allow, and the design records the true
-    total power drawn. The work that depends on phi alone (the phasors, the
-    cosine box behind the normalized controls and the cells' phase-only
-    capacitances) is done once per realizer, so a power repair, which
+    Active cells are inverted from their target reflection coefficient.
+    The tunable resistance saturates at the diode band edges: a negative
+    resistance outside the band is clipped to it and the capacitance
+    re-solved at the target phase, so the cell keeps the phase and delivers
+    the nearest achievable amplitude (the band-edge one), like a passive
+    cell delivers its own curve. Targets that no capacitance realizes, or
+    whose clipped cell misses the phase, take the passive-side fallback
+    (_fallback_cells). Passive cells keep their fixed resistance and realize
+    the nearest achievable phase. Every capacitance is then clipped into
+    c_range. The recorded gamma is the target; the circuits deliver what
+    the exact curves allow, and the design records the true total power
+    drawn.
+
+    The work that depends on phi alone is done once per realizer: the
+    phasors, the cosine box behind the normalized controls, the passive
+    cells' capacitances, and the active cells' capacitances at both band
+    edges, in one call when a target first clips. A power repair, which
     realizes several amplitude vectors at one phase vector, pays for it
-    once; every realization has the bits of a fresh realizer's.
+    once. Every kernel works elementwise, so every realization has the bits
+    of a fresh realizer's, and each cell the bits it would get on its own.
     """
     phi = np.asarray(phi, dtype=float)
     phasor = np.exp(1j * phi)
     normalize = _normalizer(fits, phi)
-    cells = _cell_realizer(params, fits.active_mask, phi)
+    c_fixed = np.empty(phi.size)
+    passive = ~fits.active_mask
+    if passive.any():
+        c_fixed[passive], _ = circuit.nearest_realizable_cell(
+            params, params.r_passive, phi[passive]
+        )
+    act = np.flatnonzero(fits.active_mask)
+    band_lo, band_hi = circuit.diode_band(params)
+    edge_c = None   # (2, active cells): phase_capacitance at band_lo, band_hi
 
     def realize(alpha):
+        nonlocal edge_c
         alpha = np.asarray(alpha, dtype=float)
         gamma = alpha * phasor
-        r, c, _ = cells(gamma)
-        return circuit_design(params, fits, phi, normalize(alpha), gamma, r, c)
+        ra, ca, ok = circuit.circuit_from_gamma(params, gamma[act])
+        clip = ok & (ra < 0.0) & ((ra < band_lo) | (ra > band_hi))
+        if clip.any():
+            if edge_c is None:
+                edges = np.repeat([[band_lo], [band_hi]], act.size, axis=1)
+                edge_c = circuit.phase_capacitance(params, edges, np.tile(phi[act], (2, 1)))
+            i = np.flatnonzero(clip)
+            edge = (ra[i] > band_hi).astype(np.intp)   # 0: below band_lo, 1: above band_hi
+            ra[i] = np.where(edge, band_hi, band_lo)
+            ca[i] = edge_c[edge, i]
+            ok &= ~np.isnan(ca)
+        if not ok.all():
+            ra[~ok], ca[~ok] = _fallback_cells(params, gamma[act[~ok]])
+        r = np.full(phi.size, params.r_passive)
+        c = c_fixed.copy()
+        r[act], c[act] = ra, ca
+        return circuit_design(params, fits, phi, normalize(alpha), gamma, r,
+                              np.clip(c, *params.c_range))
 
     return realize
-
-
-def realize_design(params, fits, phi, alpha):
-    """The design realizing amplitudes alpha at phases phi: one call of a
-    fresh realizer(params, fits, phi)."""
-    return realizer(params, fits, phi)(alpha)
 
 
 def realize_minimum_power(params, fits, phi):
@@ -371,13 +347,13 @@ def realize_minimum_power(params, fits, phi):
 
     Cells sit at the least negative band resistance (their exact lower
     amplitude curve); the recorded reflection vector keeps the cosine-model
-    floor, which can overstate the delivered amplitude by the fit error.
-    Capacitances are clipped into c_range. Used as the terminal fallback
-    when the budget leaves no amplitude slack.
+    floor, whose normalized controls are zero, and can overstate the
+    delivered amplitude by the fit error. Capacitances are clipped into
+    c_range. Used as the terminal fallback when the budget leaves no
+    amplitude slack.
     """
     phi = np.asarray(phi, dtype=float)
     r = np.where(fits.active_mask, circuit.diode_band(params)[1], params.r_passive)
     c = np.clip(circuit.nearest_realizable_cell(params, r, phi)[0], *params.c_range)
     lower, _ = fits.bounds(phi)
-    return circuit_design(params, fits, phi, normalized_amplitude(fits, phi, lower),
-                          lower * np.exp(1j * phi), r, c)
+    return circuit_design(params, fits, phi, np.zeros(fits.n), lower * np.exp(1j * phi), r, c)

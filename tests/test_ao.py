@@ -46,8 +46,8 @@ from actris.reflection import (
     ElementFits,
     approx_amplitude_bounds,
     class_fits,
-    realize_design,
     realize_minimum_power,
+    realizer,
 )
 from conftest import desk_scenario
 from test_channel import random_channels, reference_spectral_efficiency, selector_matrix
@@ -629,7 +629,7 @@ class TestPowerRepair:
         assert all(_same_bits(got, want) for got, want in zip(surrogates[0], expected))
         assert design.repair_passes == 1
         assert design.ris_power_w <= scenario_desk.p_ris_w + 1e-9
-        unchanged = realize_design(params_va, fits_all_active, phi, lower)
+        unchanged = realizer(params_va, fits_all_active, phi)(lower)
         assert _same_bits(design.gamma, unchanged.gamma)
         assert design.cells == unchanged.cells
         assert design.ris_power_w == unchanged.ris_power_w
@@ -659,8 +659,8 @@ class TestPowerRepair:
         floor = realize_minimum_power(params_va, fits_all_active, phi).ris_power_w
         cut = floor + 0.6 * (p_ris - floor)
         low = lower + 0.2 * (upper - lower)
-        assert realize_design(params_va, fits_all_active, phi, upper).ris_power_w > p_ris
-        assert realize_design(params_va, fits_all_active, phi, low).ris_power_w <= p_ris
+        assert realizer(params_va, fits_all_active, phi)(upper).ris_power_w > p_ris
+        assert realizer(params_va, fits_all_active, phi)(low).ris_power_w <= p_ris
         budgets = []
 
         def resolve(surrogate, budget):
@@ -708,8 +708,8 @@ class TestPowerRepair:
         0.2 of the way up the box, within it."""
         lower, upper = fits.bounds(phi)
         low = lower + 0.2 * (upper - lower)
-        assert realize_design(params, fits, phi, upper).ris_power_w > p_ris
-        assert realize_design(params, fits, phi, low).ris_power_w <= p_ris
+        assert realizer(params, fits, phi)(upper).ris_power_w > p_ris
+        assert realizer(params, fits, phi)(low).ris_power_w <= p_ris
         return upper, low
 
     def test_infeasible_shortfall_resolve_falls_through_to_bisection(
@@ -1069,7 +1069,7 @@ class TestRunAO:
         ch = sample_channels(scenario_desk, np.random.default_rng(54))
         phi = np.full(16, 5.9)
         _, upper = fits_all_active.bounds(phi)
-        design0 = realize_design(scenario_desk.circuit, fits_all_active, phi, upper)
+        design0 = realizer(scenario_desk.circuit, fits_all_active, phi)(upper)
         assert design0.ris_power_w > scenario_desk.p_ris_w + POWER_TOL
         v0 = np.zeros((scenario_desk.m_t, scenario_desk.d), dtype=complex)
         with pytest.raises(ValueError, match="surface design violates the power budget"):
@@ -1087,12 +1087,17 @@ class TestRunAO:
         sc = desk_scenario(p_ris_w=p_ris_w)
         realized = []
 
-        def recording(*args, realize=reflection.realize_design):
-            design = realize(*args)
-            realized.append((design.r.copy(), design.c.copy()))
-            return design
+        def recording(*args, make=reflection.realizer):
+            realize = make(*args)
 
-        monkeypatch.setattr(reflection, "realize_design", recording)
+            def recorded(alpha):
+                design = realize(alpha)
+                realized.append((design.r.copy(), design.c.copy()))
+                return design
+
+            return recorded
+
+        monkeypatch.setattr(reflection, "realizer", recording)
         rng = np.random.default_rng(56)
         ch = sample_channels(sc, rng)
         v0, design = random_init(sc, fits_all_active, rng)

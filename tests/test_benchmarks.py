@@ -2,11 +2,14 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actris import circuit
+from actris.ao import random_init
 from actris.benchmarks import (
+    BenchmarkResult,
     _CircuitSearchSpace,
-    _finalize,
     budget_from_ao,
     run_ga,
     run_paido,
@@ -18,7 +21,7 @@ from actris.do import run_do
 from actris.errors import InfeasibleBudgetError
 from actris.harness import (ExperimentSpec, SchemeVariant, export_csv, run_experiment, run_scheme,
                             trial_channels)
-from actris.reflection import ElementFits
+from actris.reflection import ElementFits, delivered_design, normalized_amplitude
 from conftest import desk_scenario
 
 TWO_PI = 2.0 * np.pi
@@ -214,7 +217,7 @@ class TestMetaheuristics:
 
     def test_repair_skips_the_exact_power_at_the_desk_budget(self, fits_all_active, monkeypatch):
         # no row of a desk run comes near the surface budget, so the only
-        # exact powers are the floor, the ceiling table and _finalize's total
+        # exact powers are the floor, the ceiling table and the winner's total
         sc, ch = self._setup(2)
         budget = budget_from_ao(sc)
         power, repair = circuit.power_consumption, _CircuitSearchSpace.repair
@@ -302,6 +305,14 @@ class _SequentialSpace:
         return x, rate_lmmse(self.space.ch, v, gamma, self.space.scenario), (r, c, v, gamma)
 
 
+def _expected_result(space, phenotype, rate, iterations):
+    """The result built from the winner's own (r, c, v), which the searches
+    recover by decoding its repaired decision vector."""
+    r, c, v, _ = phenotype
+    return BenchmarkResult(v=v, design=delivered_design(space.params, space.fits, r, c),
+                           rate=rate, iterations=iterations)
+
+
 def _reference_ga(seq, budget, rng):
     space = seq.space
     k, p = budget.k, budget.p
@@ -337,7 +348,7 @@ def _reference_ga(seq, budget, rng):
         gen_best = int(np.argmax(fitness))
         if fitness[gen_best] > best[0]:
             best = (fitness[gen_best], phenos[gen_best])
-    return _finalize(space, best[1], float(best[0]), p)
+    return _expected_result(space, best[1], float(best[0]), p)
 
 
 def _reference_pso(seq, budget, rng):
@@ -369,7 +380,7 @@ def _reference_pso(seq, budget, rng):
                 pbest[i] = x[i].copy()
             if fit > gbest_fit:
                 gbest_fit, gbest, gbest_pheno = fit, x[i].copy(), pheno
-    return _finalize(space, gbest_pheno, float(gbest_fit), p)
+    return _expected_result(space, gbest_pheno, float(gbest_fit), p)
 
 
 class TestPopulationOracle:
@@ -385,11 +396,9 @@ class TestPopulationOracle:
             seq = _SequentialSpace(scenario, ch, fits)
             want = reference(seq, budget, np.random.default_rng(seed))
             assert got.rate == want.rate
-            assert np.array_equal(got.v, want.v)
-            assert np.array_equal(got.design.gamma, want.design.gamma)
-            assert [(c.r, c.c) for c in got.design.cells] == [
-                (c.r, c.c) for c in want.design.cells
-            ]
+            assert got.v.tobytes() == want.v.tobytes()
+            for name in ("gamma", "phi", "alpha_bar", "r", "c"):
+                assert getattr(got.design, name).tobytes() == getattr(want.design, name).tobytes()
             assert got.design.ris_power_w == want.design.ris_power_w
             seqs.append(seq)
         return seqs
@@ -461,3 +470,87 @@ class TestPopulationOracle:
         budget = budget_from_ao(sc, j_alt=6, j_p=1)
         seqs = self._compare(sc, 8, budget, fits_of)
         assert all(seq.rescaled > 0 for seq in seqs)
+
+
+@st.composite
+def repair_populations(draw):
+    """(scenario, seed, row kinds): a desk surface, fully or partly active,
+    at the desk or a 0.2 W surface budget, and a population mixing rows
+    drawn over (and past) the box, rows whose precoder repair rescales into
+    the transmit budget, rows whose cells draw the most power, which repair
+    relaxes whenever the budget is below that, and rows repair leaves alone."""
+    n_act = draw(st.sampled_from([16, 11]))
+    p_ris_w = draw(st.sampled_from([0.375, 0.2]))
+    kinds = draw(st.lists(st.sampled_from(["random", "loud", "hungry", "quiet"]),
+                          min_size=1, max_size=6))
+    return desk_scenario(n_act=n_act, p_ris_w=p_ris_w), draw(st.integers(0, 2**32 - 1)), kinds
+
+
+class TestRepairDecoding:
+    """GA and PSO keep only their repaired decision vectors and decode the
+    winner once, so a repaired vector must decode to exactly the (r, c, v)
+    that repair scored."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(problem=repair_populations())
+    def test_decoded_repair_is_what_repair_returned(self, problem, active_fit, passive_fit):
+        sc, seed, kinds = problem
+        rng = np.random.default_rng(seed)
+        mask = np.zeros(sc.n, dtype=bool)
+        mask[rng.permutation(sc.n)[: sc.n_act]] = True
+        fits = ElementFits.from_classes(active_fit, passive_fit, mask)
+        space = _CircuitSearchSpace(sc, sample_channels(sc, rng), fits)
+        span = space.upper - space.lower
+        x = rng.uniform(space.lower - 0.2 * span, space.upper + 0.2 * span,
+                        size=(len(kinds), space.dim))
+        band_lo, band_hi = circuit.diode_band(sc.circuit)
+        v_part = slice(space.n_act + space.n, None)
+        for row, kind in enumerate(kinds):
+            if kind == "loud":
+                x[row, v_part] *= 3.0
+            elif kind in ("hungry", "quiet"):
+                x[row, : space.n_act] = band_lo if kind == "hungry" else band_hi
+            if kind == "quiet":
+                x[row, v_part] *= 0.5 * np.sqrt(sc.p_t_w) / np.linalg.norm(x[row, v_part])
+        repaired, r, c, v, _ = space.repair(x)
+        dr, dc, dv = space.decode(repaired)
+        assert dr.tobytes() == r.tobytes()
+        assert dc.tobytes() == c.tobytes()
+        assert dv.tobytes() == v.tobytes()
+        tx = np.linalg.norm(v, axis=(1, 2)) ** 2
+        hungry = space.n_act * circuit.power_consumption(band_lo, sc.circuit) > sc.p_ris_w
+        for row, kind in enumerate(kinds):
+            if kind == "loud":
+                assert tx[row] == pytest.approx(sc.p_t_w, rel=1e-12)
+            elif kind == "quiet":
+                assert np.array_equal(repaired[row], np.clip(x[row], space.lower, space.upper))
+            elif kind == "hungry":
+                assert np.any(r[row, space.active] != band_lo) == hungry
+
+
+class TestDeliveredDesign:
+    """GA, PSO and the random AO start build their designs from circuits:
+    each records the reflection its cells deliver, that reflection's phases
+    and their normalized controls (reflection.delivered_design)."""
+
+    @pytest.mark.parametrize("p_ris_w", [0.375, 0.2])
+    @pytest.mark.parametrize("scheme", ["GA", "PSO", "AO-random-init"])
+    def test_records_the_reflection_its_cells_deliver(self, active_fit, passive_fit,
+                                                      scheme, p_ris_w):
+        sc = desk_scenario(n_act=11, p_ris_w=p_ris_w)
+        ch, mask = trial_channels(sc, 5, 0, 0)
+        fits = ElementFits.from_classes(active_fit, passive_fit, mask)
+        rng = np.random.default_rng(5)
+        if scheme == "AO-random-init":
+            _, design = random_init(sc, fits, rng)
+        else:
+            runner = run_ga if scheme == "GA" else run_pso
+            design = runner(sc, ch, fits, budget_from_ao(sc, j_alt=4, j_p=1), rng).design
+        gamma = circuit.reflection(sc.circuit, design.r, design.c)
+        phi = np.angle(gamma) % TWO_PI
+        assert design.gamma.tobytes() == gamma.tobytes()
+        assert design.phi.tobytes() == phi.tobytes()
+        assert design.alpha_bar.tobytes() == normalized_amplitude(fits, phi, np.abs(gamma)).tobytes()
+        assert design.ris_power_w == float(circuit.power_consumption(design.r[mask],
+                                                                     sc.circuit).sum())
+        assert np.array_equal(design.active_mask, mask) and design.active_mask is not mask

@@ -446,7 +446,7 @@ class TestDesignPersistence:
     def test_budget_is_checked_on_the_drawn_power(self, params_va, fits_all_active, scenario_desk):
         phi = np.full(16, 5.9)
         _, upper = fits_all_active.bounds(phi)
-        design = reflection.realize_design(params_va, fits_all_active, phi, upper)
+        design = reflection.realizer(params_va, fits_all_active, phi)(upper)
         v = np.zeros((scenario_desk.m_t, 1))
         over = design.ris_power_w - scenario_desk.p_ris_w
         assert over > 0.0
@@ -613,7 +613,7 @@ class TestCli:
 
         phi = np.full(16, 5.9)
         lower, upper = fits_all_active.bounds(phi)
-        design = reflection.realize_design(params_va, fits_all_active, phi, 0.5 * (lower + upper))
+        design = reflection.realizer(params_va, fits_all_active, phi)(0.5 * (lower + upper))
         assert design.ris_power_w == pytest.approx(0.398, abs=1e-3)
         path = tmp_path / "design.json"
         save_design(path, design, np.zeros((8, 1)))

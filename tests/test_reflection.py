@@ -13,18 +13,15 @@ from actris.ao import PhaseObjective
 from actris.errors import CircuitError, ConfigError, PhaseNotRealizableError
 from actris.harness import _scheme_rng, run_scheme, trial_channels
 from actris.reflection import (
-    CLIPPED,
-    DIRECT,
-    FALLBACK,
-    NUDGED,
     ElementFits,
     FitParams,
     approx_amplitude_bounds,
     class_fits,
     exact_bound_curves,
     fit_amplitude_model,
-    realize_design,
+    normalized_amplitude,
     realize_minimum_power,
+    realizer,
 )
 from conftest import desk_scenario
 
@@ -248,6 +245,10 @@ def _ref_nearest(p, r, phi, max_offset=0.5):
     raise PhaseNotRealizableError("no realizable phase within the offset")
 
 
+# realization branch of a cell, as the per-cell reference reports it
+DIRECT, CLIPPED, FALLBACK, NUDGED = range(4)
+
+
 def _ref_fallback(p, gamma):
     for _ in range(80):
         gamma = 0.97 * gamma
@@ -281,8 +282,8 @@ def _ref_power(p, cells, mask):
     return float(circuit.power_consumption(active_r, p).sum()) if active_r.size else 0.0
 
 
-def _reference_realize_design(params, fits, phi, alpha):
-    """(cells, branches, power) of the per-cell realize_design loop."""
+def _reference_realization(params, fits, phi, alpha):
+    """(cells, branches, power) of the per-cell realization loop."""
     phi = np.asarray(phi, dtype=float)
     gamma = np.asarray(alpha, dtype=float) * np.exp(1j * phi)
     band_lo = circuit.stable_resistance(circuit.M_LO, params)
@@ -315,17 +316,25 @@ def _close(a, b, rel=1e-12):
 
 
 def _assert_matches_reference(params, fits, phi, alpha):
-    phi = np.asarray(phi, dtype=float)
-    r, c, branch = reflection._cell_realizer(params, fits.active_mask, phi)(
-        np.asarray(alpha, dtype=float) * np.exp(1j * phi)
-    )
-    cells, branches, power = _reference_realize_design(params, fits, phi, alpha)
-    assert branch.tolist() == branches
-    assert _close(r, [cell.r for cell in cells]) and _close(c, [cell.c for cell in cells])
-    design = realize_design(params, fits, phi, alpha)
-    assert _same_cells(design, r, c)
+    """The reference's branches, after checking the circuits and the power
+    of a fresh realizer's design against it."""
+    design = realizer(params, fits, phi)(alpha)
+    cells, branches, power = _reference_realization(params, fits, phi, alpha)
+    assert _close(design.r, [cell.r for cell in cells])
+    assert _close(design.c, [cell.c for cell in cells])
     assert _close(design.ris_power_w, power)
     return branches
+
+
+def _assert_cellwise(params, fits, phi, alpha, active_fit, passive_fit):
+    """Each cell of a surface's realization has the bits of the same cell
+    realized on a surface of its own."""
+    phi, alpha = np.asarray(phi, dtype=float), np.asarray(alpha, dtype=float)
+    design = realizer(params, fits, phi)(alpha)
+    for i in range(fits.n):
+        one = ElementFits.from_classes(active_fit, passive_fit, fits.active_mask[i : i + 1])
+        cell = realizer(params, one, phi[i : i + 1])(alpha[i : i + 1])
+        assert _same_cells(cell, design.r[i : i + 1], design.c[i : i + 1]), i
 
 
 def _same_cells(design, r, c):
@@ -340,14 +349,15 @@ def _same_design(a, b):
 
 
 class TestRealizeOracle:
-    """The vector realization must take each cell's reference branch and
-    land within rounding of its circuit and power."""
+    """The vector realization must land within rounding of each cell's
+    reference circuit and of its power; the reference's branches show which
+    cases a surface reached."""
 
     @pytest.mark.parametrize("size", ["desk", "paper"])
     def test_harness_calls_match_per_cell_reference(self, size, active_fit, passive_fit,
                                                     monkeypatch):
         # every realization of a power repair goes through the one realizer
-        # it builds; each must carry the bits of a fresh realize_design call
+        # it builds; each must carry the bits of a fresh realizer's
         sc = desk_scenario() if size == "desk" else ScenarioConfig().with_rho_db(-30.0)
         calls, floors = [], []
 
@@ -376,7 +386,7 @@ class TestRealizeOracle:
         seen = set()
         for params, fits, phi, alpha, design in calls:
             seen.update(_assert_matches_reference(params, fits, phi, alpha))
-            assert _same_design(design, realize_design(params, fits, phi, alpha))
+            assert _same_design(design, realizer(params, fits, phi)(alpha))
         for params, fits, phi in floors:
             design = realize_minimum_power(params, fits, phi)
             cells, power = _reference_realize_minimum_power(params, fits, phi)
@@ -402,6 +412,7 @@ class TestRealizeOracle:
         fits = ElementFits.from_classes(active_fit, passive_fit, mask)
         phi = np.angle(targets) % TWO_PI
         branches = _assert_matches_reference(params_va, fits, phi, np.abs(targets))
+        _assert_cellwise(params_va, fits, phi, np.abs(targets), active_fit, passive_fit)
         assert branches[:3] == [DIRECT, CLIPPED, CLIPPED]
         assert set(branches[3:5]) <= {FALLBACK, NUDGED}
         assert branches[5:] == [DIRECT, NUDGED]
@@ -418,11 +429,12 @@ class TestRealizeOracle:
             return np.where(ok, -np.abs(r) - 1.0, r), c, ok
 
         monkeypatch.setattr(circuit, "circuit_from_gamma", no_passive_rung)
-        r, c, branch = reflection._cell_realizer(params_va, fits.active_mask, phi)(
-            np.exp(1j * phi)
-        )
-        assert branch.tolist() == [NUDGED, NUDGED]
-        assert np.all(r == params_va.r_passive)
+        design = realizer(params_va, fits, phi)(np.ones(2))
+        assert np.all(design.r == params_va.r_passive)
+        # the passive resistance at the nearest realizable phase of the last rung
+        c, _ = circuit.nearest_realizable_cell(params_va, params_va.r_passive,
+                                               np.angle(0.97**80 * np.exp(1j * phi)))
+        assert _close(design.c, np.clip(c, *params_va.c_range))
 
     def test_reused_realizer_keeps_the_bits_of_fresh_ones(self, params_va, active_fit,
                                                           passive_fit):
@@ -434,12 +446,12 @@ class TestRealizeOracle:
         fits = ElementFits.from_classes(active_fit, passive_fit, mask)
         phi = rng.uniform(0.0, TWO_PI, 40)
         lower, upper = fits.bounds(phi)
-        realize = reflection.realizer(params_va, fits, phi)
+        realize = realizer(params_va, fits, phi)
         seen = set()
         for _ in range(12):
             alpha = lower + rng.uniform(-0.3, 1.3, 40) * (upper - lower)
             design = realize(alpha)
-            assert _same_design(design, realize_design(params_va, fits, phi, alpha))
+            assert _same_design(design, realizer(params_va, fits, phi)(alpha))
             seen.update(_assert_matches_reference(params_va, fits, phi, alpha))
         assert CLIPPED in seen
 
@@ -456,13 +468,14 @@ class TestRealizeOracle:
         # the cosine floor, whose controls normalize to exact (positive) zeros
         lower, _ = fits.bounds(phi)
         assert design.gamma.tobytes() == (lower * np.exp(1j * phi)).tobytes()
+        assert design.alpha_bar.tobytes() == normalized_amplitude(fits, phi, lower).tobytes()
         assert design.alpha_bar.tobytes() == np.zeros(24).tobytes()
         assert design.active_mask is not fits.active_mask
         assert np.array_equal(design.active_mask, mask)
 
     def test_cells_view_and_cells_keyword(self, params_va, active_fit, passive_fit):
         fits = ElementFits.from_classes(active_fit, passive_fit, np.array([True, False]))
-        design = realize_design(params_va, fits, np.array([1.0, 2.0]), np.array([2.0, 0.5]))
+        design = realizer(params_va, fits, np.array([1.0, 2.0]))(np.array([2.0, 0.5]))
         assert design.cells == tuple(CellState(r=r, c=c) for r, c in zip(design.r, design.c))
         again = reflection.RISDesign(phi=design.phi, alpha_bar=design.alpha_bar,
                                      active_mask=design.active_mask, gamma=design.gamma,
@@ -502,7 +515,7 @@ class TestExactValidation:
                                                 fits_all_active):
         phi = np.full(16, 1.0)
         lower, upper = fits_all_active.bounds(phi)
-        design = realize_design(params_va, fits_all_active, phi, lower + 0.1 * (upper - lower))
+        design = realizer(params_va, fits_all_active, phi)(lower + 0.1 * (upper - lower))
         v = np.zeros((scenario_desk.m_t, 1))
         assert validate_design(scenario_desk, fits_all_active, v, design) == []
         c_lo, c_hi = params_va.c_range
@@ -519,8 +532,8 @@ class TestExactValidation:
         r, c, ok = circuit.circuit_from_gamma(params_va, target)
         assert ok and c < params_va.c_range[0]
         fits = ElementFits.from_classes(active_fit, passive_fit, np.array([True]))
-        design = realize_design(params_va, fits, np.array([np.angle(target) % TWO_PI]),
-                                np.array([abs(target)]))
+        design = realizer(params_va, fits, np.array([np.angle(target) % TWO_PI]))(
+            np.array([abs(target)]))
         assert design.c[0] == params_va.c_range[0]
         assert design.r[0] == pytest.approx(r, rel=1e-9)
         assert design.ris_power_w == pytest.approx(circuit.power_consumption(r, params_va),
@@ -575,6 +588,7 @@ class TestRealizeProperties:
         phi = np.angle(targets) % TWO_PI
         try:
             _assert_matches_reference(params, fits, phi, np.abs(targets))
+            _assert_cellwise(params, fits, phi, np.abs(targets), active_fit, passive_fit)
         except PhaseNotRealizableError:
             with pytest.raises(PhaseNotRealizableError):
-                _reference_realize_design(params, fits, phi, np.abs(targets))
+                _reference_realization(params, fits, phi, np.abs(targets))
