@@ -1,8 +1,8 @@
 """Alternating joint design of precoder, combiner and surface configuration.
 
 One outer iteration updates, in order: the auxiliary receive directions and
-per-stream SINR weights (closed form), the precoder (KKT solution with a
-bisected power multiplier), the phases (conjugate-gradient descent on the
+per-stream SINR weights (closed form), the precoder (KKT solution with its
+power multiplier found by monotone Newton steps), the phases (conjugate-gradient descent on the
 complex circle manifold), and the amplitudes (box-plus-budget QP with a
 linearized power model, followed by a repair loop that enforces the true
 circuit power).
@@ -17,8 +17,7 @@ import numpy as np
 from . import circuit, reflection
 from .channel import _rate_of_sinrs, effective_channel, lmmse_receiver
 from .constraints import POWER_TOL
-from .errors import BracketError, ConvergenceError, InfeasibleBudgetError
-from .numerics import bisect, hermitian_eig
+from .errors import ConvergenceError, InfeasibleBudgetError
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
@@ -29,6 +28,7 @@ MAX_CG_ITERS = 300  # CG steps of one phase solve at most
 REPAIR_PASSES = 8  # shortfall passes of the power repair at most
 REPAIR_BISECTIONS = 8  # working-budget halvings once the shortfall loop stops
 PIVOT_TRIES = 3  # whole-set QP pivots without a new fewest-infeasible count
+NEWTON_STEPS = 50  # precoder multiplier steps at most; 3 to 9 reach the budget
 # the backtracking steps 1, 1/2, ..., 2^-39, one rung per row
 _STEP_LADDER = (BACKTRACK ** np.arange(MAX_BACKTRACKS, dtype=float))[:, None]
 
@@ -77,42 +77,40 @@ class PhaseObjective:
 def precoder_update(ch, y, sigma_aux, gamma, scenario):
     """Power-constrained precoder from the KKT conditions.
 
-    The multiplier is zero when the unconstrained solution fits the budget;
-    otherwise it is bisected on the eigen-decomposed power equation until the
-    transmit power matches the budget.
+    With z y^H heff = U diag(lambda) U^H and n_i = |(U^H z)_i|^2, the precoder
+    U diag(1/(lambda + mu)) U^H z draws P(mu) = sum n_i / (lambda_i + mu)^2.
+    Newton steps on the concave, increasing 1/sqrt(P(mu)) - 1/sqrt(p_t) (More
+    & Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983) rise monotonically onto
+    its root from the lower bound max(0, max_i sqrt(n_i/p_t) - lambda_i), with
+    no bracket, until P(mu) <= p_t (1 + 1e-11); mu = 0 is the first iterate,
+    and the answer, when the unconstrained precoder fits the budget.
     """
     heff = effective_channel(ch, gamma)
     z = heff.conj().T @ y @ np.diag(sigma_aux + 1.0)
-    k = z @ y.conj().T @ heff
-    vals, u = hermitian_eig(k)
-    vals = np.maximum(vals, 0.0)
-    num = np.sum(np.abs(u.conj().T @ z) ** 2, axis=1)
-    # numerators vanish analytically on the null space of k; drop the
+    vals, u = np.linalg.eigh(z @ y.conj().T @ heff)
+    uz = u.conj().T @ z
+    num = np.sum(np.abs(uz) ** 2, axis=1)
+    # numerators vanish analytically on the null space of z y^H heff; drop the
     # numerical residue so the power sum stays finite at multiplier zero
-    total = num.sum()
-    keep = num > 1e-14 * max(total, 1e-300)
-    vals_kept, num_kept = vals[keep], num[keep]
-
-    def tx_power(lam):
-        return float(np.sum(num_kept / (vals_kept + lam) ** 2))
-
-    p_t = scenario.p_t_w
+    keep = num > 1e-14 * max(num.sum(), 1e-300)
     if not keep.any():
         return np.zeros((scenario.m_t, y.shape[1]), dtype=complex)
-    if np.all(vals_kept > 0.0) and tx_power(0.0) <= p_t:
-        lam_opt = 0.0
+    lam, num = np.maximum(vals[keep], 0.0), num[keep]
+    p_t = scenario.p_t_w
+    mu = max(0.0, float(np.max(np.sqrt(num / p_t) - lam)))
+    for _ in range(NEWTON_STEPS):
+        inv = 1.0 / (lam + mu)
+        terms = num * inv * inv
+        power = float(terms.sum())
+        if power <= p_t * (1.0 + 1e-11):
+            break
+        mu += power * (np.sqrt(power / p_t) - 1.0) / float(np.sum(terms * inv))
     else:
-        lam_hi = np.linalg.norm(z) / np.sqrt(p_t)
-        for _ in range(60):
-            if tx_power(lam_hi) <= p_t:
-                break
-            lam_hi *= 2.0
-        else:
-            raise BracketError("precoder power equation could not be bracketed")
-        lam_opt = bisect(lambda lam: tx_power(lam) - p_t, 0.0, lam_hi, tol=1e-11 * p_t)
-    scale = np.zeros_like(vals)
-    scale[keep] = 1.0 / (vals_kept + lam_opt)
-    return u @ (scale[:, None] * (u.conj().T @ z))
+        raise ConvergenceError(
+            f"precoder power {power:.6g} W still exceeds the budget {p_t:.6g} W "
+            f"after {NEWTON_STEPS} Newton steps on its multiplier"
+        )
+    return u[:, keep] @ (inv[:, None] * uz[keep])
 
 
 def build_phase_objective(ch, v, y, sigma_aux, fits, alpha_bar, scenario):

@@ -79,7 +79,7 @@ class _CircuitSearchSpace:
     surface budget holds; a budget below the minimum-bias power raises
     InfeasibleBudgetError.
 
-    decode, encode, repair and fitness work on a population: a (K, dim)
+    decode, repair and fitness work on a population: a (K, dim)
     stack of decision vectors, one row per individual.
     """
 
@@ -120,34 +120,31 @@ class _CircuitSearchSpace:
         )
         return r, c, v
 
-    def encode(self, r, c, v):
-        k = v.shape[0]
-        vflat = np.empty((k, 2 * v[0].size))
-        vflat[:, 0::2] = v.real.reshape(k, -1)
-        vflat[:, 1::2] = v.imag.reshape(k, -1)
-        return np.concatenate([r[:, self.active], c, vflat], axis=1)
-
     def repair(self, x):
         """Project a population onto the constraint set; returns the repaired
-        stack together with the decoded design pieces, one row each."""
+        stack together with the decoded design pieces, one row each. The
+        repair edits the clipped stack in place, so a repaired row decodes
+        to exactly the pieces returned with it."""
         x = np.clip(x, self.lower, self.upper)
         r, c, v = self.decode(x)
         tx = np.trace(v.conj().swapaxes(-1, -2) @ v, axis1=-2, axis2=-1).real
         loud = tx > self.scenario.p_t_w
         if loud.any():
-            v[loud] = v[loud] * np.sqrt(self.scenario.p_t_w / tx[loud])[:, None, None]
+            # a real scale keeps the bits of each part: (a + jb)s = as + jbs
+            scale = np.sqrt(self.scenario.p_t_w / tx[loud])
+            v[loud] = v[loud] * scale[:, None, None]
+            x[loud, self.n_act + self.n :] *= scale[:, None]
         # a row the ceiling clears draws at most its ceiling total, so only
         # rows near the budget need the exact power
         ceiling = self.ceiling(r[:, self.active]).sum(axis=1)
         near = np.flatnonzero(ceiling > self.scenario.p_ris_w + 1e-12)
-        changed = loud.any()
         if near.size:
             rows = r[near]
-            changed |= circuit.relax_to_budget(self.params, rows, self.scenario.p_ris_w).any()
+            circuit.relax_to_budget(self.params, rows, self.scenario.p_ris_w)
             r[near] = rows
+            x[near, : self.n_act] = rows[:, self.active]
         gamma = circuit.reflection(self.params, r, c)
-        # encode(decode(x)) is exact: an untouched stack is returned as clipped
-        return (self.encode(r, c, v) if changed else x), r, c, v, gamma
+        return x, r, c, v, gamma
 
     def fitness(self, x):
         """Repair and score a population: (repaired stack, rates). A repaired

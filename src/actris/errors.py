@@ -9,10 +9,6 @@ class ConfigError(SimulationError):
     """Invalid or inconsistent configuration input."""
 
 
-class BracketError(SimulationError):
-    """A one-dimensional root search could not bracket a sign change."""
-
-
 class ConvergenceError(SimulationError):
     """A solver could not reach or certify its answer."""
 

@@ -51,6 +51,7 @@ from actris.reflection import (
 )
 from conftest import desk_scenario
 from test_channel import random_channels, reference_spectral_efficiency, selector_matrix
+from test_circuit import reference_bisect
 from test_reflection import model_gamma
 
 TWO_PI = 2.0 * np.pi
@@ -209,7 +210,83 @@ class TestAuxiliaries:
             assert np.all(sig >= 0.0)
 
 
+def _reference_precoder(ch, y, sigma_aux, gamma, scenario):
+    """The bisection precoder that precoder_update replaced: a symmetrized,
+    descending eigendecomposition; the multiplier zero when the unconstrained
+    solution fits the budget, else bisected on [0, lam_hi], with lam_hi from
+    ||z|| / sqrt(p_t) doubled until the power fits."""
+    heff = effective_channel(ch, gamma)
+    z = heff.conj().T @ y @ np.diag(sigma_aux + 1.0)
+    k = z @ y.conj().T @ heff
+    vals, u = np.linalg.eigh(0.5 * (k + k.conj().T))
+    vals, u = np.maximum(vals[::-1], 0.0), u[:, ::-1]
+    num = np.sum(np.abs(u.conj().T @ z) ** 2, axis=1)
+    keep = num > 1e-14 * max(num.sum(), 1e-300)
+    vals_kept, num_kept = vals[keep], num[keep]
+
+    def tx_power(lam):
+        return float(np.sum(num_kept / (vals_kept + lam) ** 2))
+
+    p_t = scenario.p_t_w
+    if not keep.any():
+        return np.zeros((scenario.m_t, y.shape[1]), dtype=complex)
+    if np.all(vals_kept > 0.0) and tx_power(0.0) <= p_t:
+        lam_opt = 0.0
+    else:
+        lam_hi = np.linalg.norm(z) / np.sqrt(p_t)
+        while tx_power(lam_hi) > p_t:
+            lam_hi *= 2.0
+        lam_opt = reference_bisect(lambda lam: tx_power(lam) - p_t, 0.0, lam_hi, tol=1e-11 * p_t)
+    scale = np.zeros_like(vals)
+    scale[keep] = 1.0 / (vals_kept + lam_opt)
+    return u @ (scale[:, None] * (u.conj().T @ z))
+
+
+@st.composite
+def precoder_problems(draw):
+    d = draw(st.integers(1, 4))                # streams: k has rank d of 4
+    passive = draw(st.booleans())              # some cells on the passive fit
+    log_ratio = draw(st.floats(-3.0, 3.0))     # budget over the unconstrained power, log10
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, passive, log_ratio, seed
+
+
 class TestPrecoderUpdate:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(precoder_problems())
+    @example((3, False, 0.0, 1))               # the budget is the unconstrained power
+    def test_newton_multiplier_matches_the_bisection(self, active_fit, passive_fit, problem):
+        d, passive, log_ratio, seed = problem
+        rng = np.random.default_rng(seed)
+        n = 6
+        mask = rng.uniform(size=n) < 0.5 if passive else np.ones(n, dtype=bool)
+        fits = ElementFits.from_classes(active_fit, passive_fit, mask)
+        sc, ch, v, _ = make_instance(rng, fits, d=d, n=n)
+        gamma = model_gamma(fits, rng.uniform(0.0, TWO_PI, n), rng.uniform(0.0, 1.0, n))
+        y, sig = lmmse_receiver(ch, v, gamma, sc)
+        free = _reference_precoder(ch, y, sig, gamma, dataclasses.replace(sc, p_t_w=1e30))
+        free_power = np.trace(free.conj().T @ free).real
+        sc = dataclasses.replace(sc, p_t_w=free_power * 10.0**log_ratio)
+        got = precoder_update(ch, y, sig, gamma, sc)
+        power = np.trace(got.conj().T @ got).real
+        if sc.p_t_w < free_power:
+            # Newton rises onto the multiplier's root from below, so the power
+            # falls onto [p_t, p_t (1 + 1e-11)], widened by rounding of 1e-14
+            assert sc.p_t_w * (1.0 - 1e-14) <= power <= sc.p_t_w * (1.0 + 1e-11 + 1e-14)
+        else:
+            assert np.linalg.norm(got - free) <= 1e-12 * np.linalg.norm(free)
+        want = _reference_precoder(ch, y, sig, gamma, sc)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_step_cap_raises_naming_power_and_budget(self, fits_all_active, monkeypatch):
+        rng = np.random.default_rng(5)
+        sc, ch, v, gamma = make_instance(rng, fits_all_active, n=6)
+        y, sig = lmmse_receiver(ch, v, gamma, sc)
+        monkeypatch.setattr(ao, "NEWTON_STEPS", 1)
+        with pytest.raises(ConvergenceError, match=r"precoder power .* exceeds the budget "
+                                                   r"0\.001 W after 1 Newton steps"):
+            precoder_update(ch, y, sig, gamma, dataclasses.replace(sc, p_t_w=1e-3))
+
     def test_binding_budget_hits_power_exactly(self, fits_all_active):
         rng = np.random.default_rng(5)
         sc, ch, v, gamma = make_instance(rng, fits_all_active, n=6)

@@ -28,10 +28,32 @@ from actris.circuit import (
     usable_resistance_band,
 )
 from actris.errors import CircuitError, InfeasibleBudgetError, PhaseNotRealizableError
-from actris.numerics import bisect
 from test_numerics import reference_lambert_w0
 
 TWO_PI = 2.0 * np.pi
+
+
+def reference_bisect(f, lo, hi, tol):
+    """Scalar bisection root search on [lo, hi], where f(lo) and f(hi) differ
+    in sign: a point with |f(x)| <= tol or a bracket narrower than tol, or
+    the midpoint after 200 halvings. The references' one root finder."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        raise ValueError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if abs(fm) <= tol or (hi - lo) <= tol:
+            return mid
+        if flo * fm <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
 
 
 def reference_power(r, p):
@@ -310,8 +332,8 @@ def _reference_relax(p, r, budget):
         if target <= p_floor + 1e-15:
             r[i] = band_hi
         else:
-            r[i] = bisect(lambda rr: power_consumption(rr, p) - target, band_lo, band_hi,
-                          tol=1e-15)
+            r[i] = reference_bisect(lambda rr: power_consumption(rr, p) - target,
+                                    band_lo, band_hi, tol=1e-15)
         new_p = power_consumption(r[i], p)
         total += new_p - powers[i]
         powers[i] = new_p

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from actris.errors import BracketError
-from actris.numerics import bisect, hermitian_eig, lambert_w0
+from actris.numerics import lambert_w0
 
 
 def svd(a):
@@ -117,70 +116,7 @@ class TestLambertW:
         assert w.shape == shape and w.dtype == float
 
 
-class TestBisect:
-    def test_linear(self):
-        assert bisect(lambda x: x - 2.0, 0.0, 10.0, 1e-10) == pytest.approx(2.0, abs=1e-9)
-
-    def test_sqrt2(self):
-        root = bisect(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)
-        assert root == pytest.approx(np.sqrt(2.0), abs=1e-9)
-
-    def test_returns_point_inside_bracket(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            a = rng.uniform(-5, 0)
-            b = rng.uniform(1, 5)
-            r = rng.uniform(a + 0.1, b - 0.1)
-            x = bisect(lambda t, r=r: np.tanh(t - r), a, b, 1e-10)
-            assert a <= x <= b
-            assert x == pytest.approx(r, abs=1e-8)
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10)
-
-    def test_power_allocation_style_equation(self):
-        # bisect the multiplier of a water-filling-style power equation and
-        # verify the substituted power hits the budget
-        rng = np.random.default_rng(3)
-        vals = rng.uniform(0.1, 4.0, 6)
-        num = rng.uniform(0.1, 2.0, 6)
-        p_budget = 1.7
-
-        def power(lam):
-            return float(np.sum(num / (vals + lam) ** 2))
-
-        lam = bisect(lambda l: power(l) - p_budget, 0.0, 100.0, 1e-13)
-        assert power(lam) == pytest.approx(p_budget, abs=1e-10)
-
-
 class TestFactorizations:
-    def test_eig_identity(self):
-        vals, vecs = hermitian_eig(np.eye(3))
-        assert np.allclose(vals, 1.0)
-        assert np.allclose(vecs @ vecs.conj().T, np.eye(3))
-
-    def test_eig_diagonal_order(self):
-        vals, vecs = hermitian_eig(np.diag([3.0, 1.0]))
-        assert np.allclose(vals, [3.0, 1.0])
-        assert np.allclose(np.abs(vecs), np.eye(2))
-
-    def test_eig_reconstruction(self):
-        rng = np.random.default_rng(11)
-        for n in (4, 16, 64):
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            a = a + a.conj().T
-            vals, vecs = hermitian_eig(a)
-            rec = vecs @ np.diag(vals) @ vecs.conj().T
-            err = np.linalg.norm(rec - a) / np.linalg.norm(a)
-            assert err < 1e-10
-            assert np.all(np.diff(vals) <= 1e-12)
-            assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)) < 1e-10
-
-    def test_eig_rejects_rectangular(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.ones((2, 3)))
-
     def test_svd_identity(self):
         _, s, _ = svd(np.eye(4))
         assert np.allclose(s, 1.0)
