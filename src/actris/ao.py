@@ -155,16 +155,19 @@ def _tangent_project(vec, phasor, phasor_conj):
 def rmo_phase_opt(obj, phasor0, tol=1e-6):
     """Conjugate-gradient descent on the complex circle manifold.
 
-    Polak-Ribiere directions with restarts, Armijo backtracking from unit
-    step, and retraction by elementwise normalization. The backtracking
-    steps are scored as stacks of retracted candidates: first up to one
-    rung past the rung the previous step took (LADDER rungs at first), then
-    LADDER rungs at a time. The first one that passes the Armijo test is
-    taken, as in a step-by-step search. Stops when the Riemannian gradient
-    norm drops to tol, when the last STALL_WINDOW accepted steps lowered
-    the objective by no more than tol times its magnitude, or after
-    MAX_CG_ITERS steps. Returns the final phasors and the objective trace
-    (nonincreasing).
+    Polak-Ribiere directions with restarts, Armijo backtracking, and
+    retraction by elementwise normalization. The first line search of a call
+    backtracks from unit step; each later one starts one rung above the step
+    the previous one took (2 s_prev, s_prev, s_prev/2, ...; Nocedal & Wright,
+    Numerical Optimization, 2006, sec. 3.5). The backtracking steps are
+    scored as stacks of retracted candidates: first rungs [0, LADDER), or
+    [max(rung - 1, 0), rung + 2) after an acceptance at rung, then LADDER
+    rungs at a time toward smaller steps. The first one that passes the
+    Armijo test is taken, as in a step-by-step search. Stops when the
+    Riemannian gradient norm drops to tol, when the last STALL_WINDOW
+    accepted steps lowered the objective by no more than tol times its
+    magnitude, or after MAX_CG_ITERS steps. Returns the final phasors and
+    the objective trace (nonincreasing).
     """
     phasor = np.asarray(phasor0, dtype=complex)
     if np.max(np.abs(np.abs(phasor) - 1.0)) > 1e-9:
@@ -181,7 +184,7 @@ def rmo_phase_opt(obj, phasor0, tol=1e-6):
     val = work.value(phasor)
     trace = [val]
     rgrad = _tangent_project(phase_gradient(work, phasor), phasor, np.conj(phasor))
-    direction, rung = -rgrad, LADDER - 2   # rung: where the last line search passed
+    direction, rung = -rgrad, None   # rung: where the last line search passed
     for it in range(MAX_CG_ITERS):
         gnorm2 = np.vdot(rgrad, rgrad).real
         if np.sqrt(gnorm2) <= tol:
@@ -190,7 +193,8 @@ def rmo_phase_opt(obj, phasor0, tol=1e-6):
         if slope >= 0.0:
             direction = -rgrad
             slope = -gnorm2
-        new_phasor, lo, hi = None, 0, rung + 2
+        new_phasor = None
+        lo, hi = (0, LADDER) if rung is None else (max(rung - 1, 0), rung + 2)
         while new_phasor is None and lo < MAX_BACKTRACKS:
             cand = phasor + _STEP_LADDER[lo:hi] * direction
             cand /= np.abs(cand)
@@ -454,13 +458,15 @@ def power_repair_loop(scenario, fits, phi, amplitudes):
     realization. The linearized budget can under-account the circuit
     power; each pass lowers the working budget by the realized shortfall and
     re-solves. The passes stop when one does not bring the realized power
-    below the best pass so far, at REPAIR_PASSES, or when a re-solve finds
-    its budget infeasible. The working budget is then bisected
-    REPAIR_BISECTIONS times between the linearized floor, whose minimum-bias
-    realization always fits a reachable budget, and the last working budget;
-    the design of the highest budget that fits is kept. repair_passes counts the shortfall
-    passes. Raises ConvergenceError only when the budget is below the
-    minimum-bias power.
+    below the best pass so far, or at REPAIR_PASSES. The working budget is
+    then bisected REPAIR_BISECTIONS times between the linearized floor
+    p_min.sum(), whose minimum-bias realization always fits a reachable
+    budget, and the last working budget; the design of the highest budget
+    that fits is kept. repair_passes counts the shortfall passes. Every
+    working budget is at or above the floor, where none of the solvers
+    (do_amplitude_max, PAIDO's constant-box greedy on the same p_min,
+    amplitude_qp) raises InfeasibleBudgetError. Raises ConvergenceError only
+    when the budget is below the minimum-bias power.
     """
     params, p_ris = scenario.circuit, scenario.p_ris_w
     surrogate = _power_fit_arrays(fits, phi, params)
@@ -479,12 +485,8 @@ def power_repair_loop(scenario, fits, phi, amplitudes):
             break
         best_power = design.ris_power_w
         shortfall = design.ris_power_w - float(floor + slope @ (alpha - lower))
-        next_working = max(working - max(shortfall, 1e-15), floor)
-        try:
-            alpha = np.asarray(amplitudes(surrogate, next_working), dtype=float)
-        except InfeasibleBudgetError:
-            break
-        working = next_working
+        working = max(working - max(shortfall, 1e-15), floor)
+        alpha = np.asarray(amplitudes(surrogate, working), dtype=float)
 
     best = reflection.realize_minimum_power(params, fits, phi)
     if best.ris_power_w > p_ris + POWER_TOL:
@@ -496,11 +498,7 @@ def power_repair_loop(scenario, fits, phi, amplitudes):
     if hi > lo:
         for _ in range(REPAIR_BISECTIONS):
             mid = 0.5 * (lo + hi)
-            try:
-                design = realize(amplitudes(surrogate, mid))
-            except InfeasibleBudgetError:
-                hi = mid
-                continue
+            design = realize(amplitudes(surrogate, mid))
             if design.ris_power_w <= p_ris + POWER_TOL:
                 best, lo = design, mid
             else:

@@ -3,6 +3,7 @@
 import ctypes
 import glob
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -335,6 +336,12 @@ def fig_presets(name, scale="desk", seed=0):
     raise ConfigError(f"unknown preset {name!r}")
 
 
+def _floor_of_product(fraction, count):
+    """floor(fraction * count), rounded to 9 decimals first, so that 1.4 * 45
+    (62.99999999999999 in floating point) counts 63."""
+    return math.floor(round(fraction * count, 9))
+
+
 def _scenario_for(spec, variant, sweep_value):
     scenario = spec.scenario
     kind = spec.sweep_kind
@@ -351,7 +358,7 @@ def _scenario_for(spec, variant, sweep_value):
 
     n_act = scenario.n_act
     if variant.n_act_fraction is not None:
-        n_act = int(variant.n_act_fraction * scenario.n)
+        n_act = _floor_of_product(variant.n_act_fraction, scenario.n)
     if variant.n_act_rule is not None:
         cap = n_min_power(scenario.p_ris_w, scenario.circuit)
         if variant.n_act_rule == "all":
@@ -359,7 +366,7 @@ def _scenario_for(spec, variant, sweep_value):
         else:
             frac = float(variant.n_act_rule.replace("nfp", ""))
             nfp = n_full_power(scenario.p_ris_w, scenario.circuit)
-            n_act = min(int(frac * nfp), scenario.n, cap)
+            n_act = min(_floor_of_product(frac, nfp), scenario.n, cap)
     j_alt = spec.j_alt
     if spec.sweep_kind == "j_alt":
         j_alt = _whole(sweep_value)

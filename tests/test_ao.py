@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from actris.channel import (
     rate_lmmse,
 )
 from actris.constraints import POWER_TOL
-from actris.do import cascade_norm_objective
+from actris.do import cascade_norm_objective, do_amplitude_max
 from actris.errors import ConvergenceError, InfeasibleBudgetError
 from actris.harness import (
     ExperimentSpec,
@@ -753,31 +754,27 @@ class TestPowerRepair:
         assert _same_bits(design.gamma, low * np.exp(1j * phi))
 
     def test_infeasible_resolve_ends_at_minimum_bias(self, params_va, fits_all_active, scenario_desk):
+        # the solve and every re-solve return the upper corner, whose
+        # realization breaks the budget; no bisection budget fits either, so
+        # the repair ends at the minimum-bias design
         rng = np.random.default_rng(33)
         phi = rng.uniform(0, TWO_PI, 16)
         _, upper = fits_all_active.bounds(phi)
 
-        def solve_then_fail():
-            # the solve at the surface budget returns the upper corner; every
-            # re-solve finds its budget infeasible
-            answers = iter([upper])
+        def resolve(surrogate, budget):
+            return upper
 
-            def resolve(surrogate, budget):
-                for alpha in answers:
-                    return alpha
-                raise InfeasibleBudgetError("re-solve found no feasible amplitudes")
-            return resolve
-
+        assert realizer(params_va, fits_all_active, phi)(upper).ris_power_w > scenario_desk.p_ris_w
         floor_design = realize_minimum_power(params_va, fits_all_active, phi)
-        design = power_repair_loop(scenario_desk, fits_all_active, phi, solve_then_fail())
-        assert design.repair_passes == 1
+        design = power_repair_loop(scenario_desk, fits_all_active, phi, resolve)
+        assert design.repair_passes == 2
         assert design.cells == floor_design.cells
         p_ris = 0.99 * floor_design.ris_power_w
         below_floor = dataclasses.replace(scenario_desk, p_ris_w=p_ris)
         message = (f"surface budget {p_ris:.6g} W is below the minimum-bias power "
                    f"{floor_design.ris_power_w:.6g} W")
         with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$"):
-            power_repair_loop(below_floor, fits_all_active, phi, solve_then_fail())
+            power_repair_loop(below_floor, fits_all_active, phi, resolve)
 
     @staticmethod
     def _stalled_upper_corner(fits, phi, params, p_ris):
@@ -789,16 +786,16 @@ class TestPowerRepair:
         assert realizer(params, fits, phi)(low).ris_power_w <= p_ris
         return upper, low
 
-    def test_infeasible_shortfall_resolve_falls_through_to_bisection(
+    def test_infeasible_resolve_raises_through_the_repair(
         self, params_va, fits_all_active, scenario_desk
     ):
-        # the first re-solve finds its budget infeasible; the loop must go on
-        # to bisect between the linear floor and the surface budget, whose
-        # solves succeed
+        # a re-solve is only asked at a budget at or above the linear floor,
+        # where no amplitude solver raises; an InfeasibleBudgetError there is
+        # a solver fault, and the repair does not hide it
         rng = np.random.default_rng(34)
         phi = rng.uniform(0, TWO_PI, 16)
         p_ris = scenario_desk.p_ris_w
-        upper, low = self._stalled_upper_corner(fits_all_active, phi, params_va, p_ris)
+        upper, _ = self._stalled_upper_corner(fits_all_active, phi, params_va, p_ris)
         floor = float(ao._power_fit_arrays(fits_all_active, phi, params_va)[0].sum())
         budgets = []
 
@@ -806,28 +803,19 @@ class TestPowerRepair:
             budgets.append(budget)
             if len(budgets) == 1:
                 return upper
-            if len(budgets) == 2:
-                raise InfeasibleBudgetError("re-solve found no feasible amplitudes")
-            return low
+            raise InfeasibleBudgetError("re-solve found no feasible amplitudes")
 
-        design = power_repair_loop(scenario_desk, fits_all_active, phi, resolve)
-        assert design.repair_passes == 1
+        with pytest.raises(InfeasibleBudgetError, match="^re-solve found no feasible amplitudes$"):
+            power_repair_loop(scenario_desk, fits_all_active, phi, resolve)
         assert budgets[0] == p_ris and floor < budgets[1] < p_ris
-        # the failed re-solve leaves the working budget at p_ris: every
-        # bisection budget then fits, so each one raises the lower end
-        lo, expected = floor, []
-        for _ in range(ao.REPAIR_BISECTIONS):
-            lo = 0.5 * (lo + p_ris)
-            expected.append(lo)
-        assert budgets[2:] == expected
-        assert _same_bits(design.gamma, low * np.exp(1j * phi))
 
     def test_infeasible_bisection_step_lowers_the_upper_end(
         self, params_va, fits_all_active, scenario_desk
     ):
         # the re-solve stalls at the upper corner, so the loop bisects; a
-        # bisection solve above `cut` raises InfeasibleBudgetError, which must
-        # make its budget the new upper end
+        # bisection solve above `cut` returns the upper corner again, whose
+        # realization breaks the budget, which must make its budget the new
+        # upper end
         rng = np.random.default_rng(37)
         phi = rng.uniform(0, TWO_PI, 16)
         p_ris = scenario_desk.p_ris_w
@@ -838,11 +826,7 @@ class TestPowerRepair:
 
         def resolve(surrogate, budget):
             budgets.append(budget)
-            if len(budgets) <= 2:   # the solve at p_ris and the stalled re-solve
-                return upper
-            if budget > cut:
-                raise InfeasibleBudgetError("bisection budget found infeasible")
-            return low
+            return upper if len(budgets) <= 2 or budget > cut else low
 
         design = power_repair_loop(scenario_desk, fits_all_active, phi, resolve)
         assert design.repair_passes == 2
@@ -854,6 +838,29 @@ class TestPowerRepair:
         assert budgets[2:] == expected
         assert any(b > cut for b in expected) and any(b <= cut for b in expected)
         assert _same_bits(design.gamma, low * np.exp(1j * phi))
+
+    @pytest.mark.parametrize("size", ["desk", "paper"])
+    def test_every_amplitude_solver_returns_at_the_floor_budget(self, size, active_fit,
+                                                                passive_fit):
+        # the repair's lowest working budget is the linear floor p_min.sum();
+        # DO's greedy, PAIDO's constant-box greedy and AO's QP all solve there
+        sc = SIZES[size]
+        for seed in (3, 17):
+            objectives, fits = _trial_objectives(sc, active_fit, passive_fit, seed)
+            rng = np.random.default_rng(seed)
+            phasor, _ = rmo_phase_opt(objectives["AO"], np.exp(1j * rng.uniform(0.0, TWO_PI, sc.n)))
+            phi = np.angle(phasor) % TWO_PI
+            surrogate = ao._power_fit_arrays(fits, phi, sc.circuit)
+            p_min, slope, lower, upper = surrogate
+            floor = float(p_min.sum())
+            const = ao._linear_power(sc.circuit, fits.active_mask, fits.delta_min, fits.beta_max,
+                                     circuit.diode_band(sc.circuit)[0])
+            assert float(const[0].sum()) == floor
+            qp = amplitude_qp(ao._qp_phase_data(objectives["AO"], phi), surrogate, floor)
+            for alpha in (do_amplitude_max(surrogate, floor), do_amplitude_max(const, floor),
+                          qp.alpha):
+                assert np.all(np.isfinite(alpha)) and alpha.shape == (sc.n,)
+            assert np.all(qp.alpha >= lower) and np.all(qp.alpha <= upper)
 
     def test_desk_ao_core_paido_row_has_no_error(self):
         # the first core block of the desk-ao benchmark workload, where
@@ -1193,8 +1200,9 @@ class TestRunAO:
 def _reference_rmo(obj, phasor0, max_iters=300, tol=1e-6, rungs=None):
     """Reference phase CG: the step-by-step Armijo backtracking loop that the
     stacked step ladder of rmo_phase_opt replaces, with the same gradient
-    and stall stops. rungs, if given, collects the backtracking count each
-    line search took (None where none passed)."""
+    and stall stops. The first line search starts at unit step, each later
+    one one rung above the rung the previous one took. rungs, if given,
+    collects the rung each line search took (None where none passed)."""
     phasor = np.asarray(phasor0, dtype=complex)
     phasor = phasor / np.abs(phasor)
     n = phasor.size
@@ -1208,7 +1216,7 @@ def _reference_rmo(obj, phasor0, max_iters=300, tol=1e-6, rungs=None):
     val = value(phasor)
     trace = [val]
     rgrad = ao._tangent_project(phase_gradient(work, phasor), phasor, np.conj(phasor))
-    direction = -rgrad
+    direction, last = -rgrad, None
     for it in range(max_iters):
         gnorm2 = np.vdot(rgrad, rgrad).real
         if np.sqrt(gnorm2) <= tol:
@@ -1217,14 +1225,15 @@ def _reference_rmo(obj, phasor0, max_iters=300, tol=1e-6, rungs=None):
         if slope >= 0.0:
             direction = -rgrad
             slope = -gnorm2
-        step = 1.0
+        start = 0 if last is None else max(last - 1, 0)
+        step = ao.BACKTRACK ** start
         new_phasor = None
-        for rung in range(40):
+        for rung in range(start, 40):
             cand = phasor + step * direction
             cand = cand / np.abs(cand)
             cand_val = value(cand)
             if cand_val <= val + ao.ARMIJO_C * step * slope:
-                new_phasor = cand
+                new_phasor, last = cand, rung
                 break
             step *= ao.BACKTRACK
         if rungs is not None:
@@ -1441,10 +1450,11 @@ class TestSolverOracle:
 
     def test_ladder_stacks_follow_the_last_accepted_rung(self, active_fit, passive_fit,
                                                          monkeypatch):
-        # each step's first stack runs to one rung past the previous step's,
-        # later stacks hold LADDER rungs; the paper-size DO and PAIDO
-        # objectives accept near rung 11, so steps run past their first stack
-        # and first stacks shrink back again
+        # a call's first stack holds rungs [0, LADDER); each later search's
+        # first stack holds [max(rung - 1, 0), rung + 2) after an acceptance
+        # at rung, and later stacks LADDER rungs; the paper-size DO and
+        # PAIDO objectives accept near rung 11, so some searches run past
+        # their first stack and some take the doubled step at its top
         heights = []
         value = PhaseObjective.value
 
@@ -1455,7 +1465,7 @@ class TestSolverOracle:
 
         monkeypatch.setattr(PhaseObjective, "value", recording)
         sc = SIZES["paper"]
-        past_first = shrunk = 0
+        past_first = doubled = 0
         for seed in (3, 17):
             objectives, _ = _trial_objectives(sc, active_fit, passive_fit, seed)
             rng = np.random.default_rng(seed)
@@ -1466,19 +1476,55 @@ class TestSolverOracle:
                 rungs = []
                 ph_ref, trace_ref = _reference_rmo(objectives[name], ph0, rungs=rungs)
                 assert _same_bits(ph, ph_ref) and _same_bits(trace, trace_ref), (seed, name)
-                expected, first, last = [], ao.LADDER, ao.LADDER - 2
+                expected, last = [], None
                 for rung in rungs:
                     top = ao.MAX_BACKTRACKS - 1 if rung is None else rung
-                    lo, hi = 0, last + 2
+                    lo, hi = (0, ao.LADDER) if last is None else (max(last - 1, 0), last + 2)
                     past_first += rung is not None and rung >= hi
-                    shrunk += hi < first
-                    first = hi
+                    doubled += last is not None and rung is not None and rung < last
                     while lo <= top:
                         expected.append(min(hi, ao.MAX_BACKTRACKS) - lo)
                         lo, hi = hi, hi + ao.LADDER
                     last = top
                 assert heights == expected, (seed, name)
-        assert past_first > 0 and shrunk > 0
+        assert past_first > 0 and doubled > 0
+
+    @pytest.mark.parametrize("size", sorted(SIZES))
+    def test_no_search_scores_below_one_rung_above_the_last(self, size, active_fit,
+                                                            passive_fit, monkeypatch):
+        # every slice of the step ladder a call takes is one stack of
+        # candidates; a search's stacks run on from one another, and a new
+        # search begins at a slice that does not continue the last one
+        slices = []
+
+        class RecordingLadder(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, slice):
+                    slices.append((key.start, key.stop))
+                return super().__getitem__(key).view(np.ndarray)
+
+        monkeypatch.setattr(ao, "_STEP_LADDER", ao._STEP_LADDER.view(RecordingLadder))
+        sc = SIZES[size]
+        for seed in (3, 17):
+            objectives, _ = _trial_objectives(sc, active_fit, passive_fit, seed)
+            rng = np.random.default_rng(seed)
+            for name, obj in objectives.items():
+                ph0 = np.exp(1j * rng.uniform(0.0, TWO_PI, sc.n))
+                slices.clear()
+                rmo_phase_opt(obj, ph0)
+                rungs = []
+                _reference_rmo(obj, ph0, rungs=rungs)
+                searches = []
+                for lo, hi in slices:
+                    if searches and lo == searches[-1][-1][1]:
+                        searches[-1].append((lo, hi))
+                    else:
+                        searches.append([(lo, hi)])
+                assert len(searches) == len(rungs), (size, seed, name)
+                assert searches[0][0] == (0, ao.LADDER)
+                for last, search in zip(rungs, searches[1:]):
+                    assert search[0][0] == max(last - 1, 0), (size, seed, name)
+                    assert min(lo for lo, _ in search) >= last - 1
 
     @pytest.mark.parametrize("size", sorted(SIZES))
     def test_phase_cg_matches_sequential_line_search(self, size, active_fit, passive_fit):
@@ -1507,6 +1553,72 @@ class TestSolverOracle:
                 ph, trace = rmo_phase_opt(obj, ph0, **kwargs)
                 ph_ref, trace_ref = _reference_rmo(obj, ph0, max_iters=max_iters, **kwargs)
                 assert _same_bits(ph, ph_ref) and _same_bits(trace, trace_ref), (max_iters, kwargs)
+
+
+@st.composite
+def small_phase_objectives(draw):
+    """(n, t kind, q kind, z kind, z scale, seed) of a small phase objective;
+    _small_phase_case builds it."""
+    return (draw(st.integers(1, 12)),
+            draw(st.sampled_from(("definite", "indefinite", "zero"))),
+            draw(st.sampled_from(("random", "zero"))),
+            draw(st.sampled_from(("random", "constant"))),   # constant: z2 = z1 = 0
+            draw(st.floats(1e-2, 1e2)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def _small_phase_case(case):
+    """The objective and start phasors a small_phase_objectives draw names."""
+    n, t_kind, q_kind, z_kind, z_scale, seed = case
+    rng = np.random.default_rng(seed)
+
+    def cnormal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    g = cnormal(n, n)
+    t = {"definite": g @ g.conj().T / n + 1e-3 * np.eye(n), "indefinite": 0.5 * (g + g.conj().T),
+         "zero": np.zeros((n, n), dtype=complex)}[t_kind]
+    q = cnormal(n) if q_kind == "random" else np.zeros(n, dtype=complex)
+    z2, z1, z = z_scale * cnormal(n), z_scale * cnormal(n), z_scale * cnormal(n)
+    if z_kind == "constant":
+        z2, z1 = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    obj = PhaseObjective(t=t, q=q, z2=z2, z1=z1, z=z)
+    return obj, np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+
+
+# the first search of this call passes no rung of its first stack
+_NO_PASS_IN_FIRST_STACK = (12, "definite", "random", "random", 100.0, 4)
+# a later search of this call starts at rung 0 after an acceptance at rung 0 or 1
+_RESTART_AT_RUNG_0 = (12, "definite", "random", "random", 10.0, 1)
+
+
+class TestPhaseSolverProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(small_phase_objectives())
+    @example((4, "zero", "zero", "random", 1.0, 3))
+    @example((4, "definite", "zero", "random", 1.0, 4))
+    @example((4, "indefinite", "random", "constant", 1.0, 5))
+    @example((1, "definite", "random", "random", 1.0, 6))
+    @example(_NO_PASS_IN_FIRST_STACK)
+    @example(_RESTART_AT_RUNG_0)
+    def test_matches_the_reference_and_descends(self, case):
+        obj, ph0 = _small_phase_case(case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                ph, trace = rmo_phase_opt(obj, ph0)
+                ph_ref, trace_ref = _reference_rmo(obj, ph0)
+        assert _same_bits(ph, ph_ref) and _same_bits(trace, trace_ref)
+        assert np.all(np.diff(trace) <= 0.0)
+
+    def test_named_cases_reach_the_ladder_corners(self):
+        rungs = []
+        _reference_rmo(*_small_phase_case(_NO_PASS_IN_FIRST_STACK), rungs=rungs)
+        assert rungs[0] is not None and rungs[0] >= ao.LADDER
+        rungs = []
+        _reference_rmo(*_small_phase_case(_RESTART_AT_RUNG_0), rungs=rungs)
+        assert any(last is not None and last <= 1 and rung is not None
+                   for last, rung in zip(rungs, rungs[1:]))
 
 
 class TestPhaseStallStop:

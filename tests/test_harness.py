@@ -1,8 +1,11 @@
 import ctypes
 import dataclasses
+import itertools
 import json
+import math
 import os
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -390,6 +393,35 @@ class TestPresets:
         assert fractions == [0.7, 0.8, 0.9, 1.0]
         sc, _ = _scenario_for(spec, spec.variants[0], spec.sweep_values[0])
         assert sc.n_act == int(0.7 * sc.n)
+
+    def test_fraction_rules_take_the_floor_of_the_product(self):
+        # 1.4 * 45 and 0.7 * 90 are just below 63 in floating point, where
+        # int() truncated them to 62; both rules promise floor(f * N) = 63
+        assert int(1.4 * 45) == 62 and int(0.7 * 90) == 62
+        base = ScenarioConfig(m_t=4, m_r=4, d=4, n=90, n_act=90, p_ris_w=1.2)
+        assert n_full_power(1.2, base.circuit) == 45
+        spec = ExperimentSpec(scenario=base, sweep_kind="p_ris_w", sweep_values=(1.2,),
+                              variants=(SchemeVariant("AO", "act", n_act_fraction=0.7),
+                                        SchemeVariant("AO", "nfp", n_act_rule="1.4nfp")))
+        for variant in spec.variants:
+            sc, _ = _scenario_for(spec, variant, 1.2)
+            assert sc.n_act == 63, variant.label
+
+    def test_preset_fraction_rules_match_exact_decimal_floors(self):
+        for name, scale in itertools.product(("fig6", "fig7"), ("desk", "paper")):
+            spec = fig_presets(name, scale=scale)
+            for variant, value in itertools.product(spec.variants, spec.sweep_values):
+                sc, _ = _scenario_for(spec, variant, value)
+                if variant.n_act_fraction is not None:
+                    f, count, caps = variant.n_act_fraction, sc.n, ()
+                elif variant.n_act_rule not in (None, "all"):
+                    f = float(variant.n_act_rule.replace("nfp", ""))
+                    count = n_full_power(sc.p_ris_w, sc.circuit)
+                    caps = (sc.n, harness.n_min_power(sc.p_ris_w, sc.circuit))
+                else:
+                    continue
+                exact = math.floor(Fraction(repr(f)) * count)
+                assert sc.n_act == min((exact, *caps)), (name, scale, variant.label, value)
 
     def test_fig3_two_initializations(self):
         spec = fig_presets("fig3", scale="desk")
