@@ -388,17 +388,22 @@ def _pivot_face(x, m, c_lin, lower, upper, w, b):
 
 
 def _qp_phase_data(obj, phi):
-    """Curvature, linear term and 2 lambda_max of the amplitude QP at phases
-    phi. Raises ConvergenceError when the curvature is not positive definite
-    (lambda_min <= n eps lambda_max), on which the pivoting need not end."""
+    """Curvature, linear term and Lipschitz bound L of the amplitude QP at
+    phases phi. L = 2 ||m||_inf, a Gershgorin bound of at least 2 lambda_max.
+    Raises ConvergenceError when the curvature is not positive definite (no
+    Cholesky factor of m - n eps ||m||_inf I), on which the pivoting need
+    not end."""
     phasor = np.exp(1j * phi)
     m = np.real(np.conj(phasor)[:, None] * obj.t * phasor[None, :])
     c_lin = -2.0 * np.real(np.conj(phasor) * obj.q)
-    eig = np.linalg.eigvalsh(m)
-    if eig[0] <= m.shape[0] * np.finfo(float).eps * eig[-1]:
-        raise ConvergenceError(f"amplitude QP curvature is not positive definite: eigenvalues "
-                               f"{eig[0]:.6g} to {eig[-1]:.6g}")
-    return m, c_lin, 2.0 * float(eig[-1])
+    norm = float(np.abs(m).sum(axis=1).max())
+    shift = m.shape[0] * np.finfo(float).eps * norm
+    try:
+        np.linalg.cholesky(m - shift * np.eye(m.shape[0]))
+    except np.linalg.LinAlgError:
+        raise ConvergenceError(f"amplitude QP curvature is not positive definite: no Cholesky "
+                               f"factor at the shift {shift:.6g} (||m||_inf = {norm:.6g})") from None
+    return m, c_lin, 2.0 * norm
 
 
 def amplitude_qp(qp_data, surrogate, budget, start=None):
@@ -416,7 +421,8 @@ def amplitude_qp(qp_data, surrogate, budget, start=None):
     pivoting ends on, so a start changes the path, not the answer, unless
     the QP is degenerate enough to have two certified faces. iterations
     counts its pivots. kkt_residual is the largest KKT violation at the face's
-    budget multiplier mu, in amplitude units at step 1/L: the box
+    budget multiplier mu, in amplitude units at step 1/L, with L the bound
+    2 ||m||_inf of _qp_phase_data (at least 2 lambda_max): the box
     fixed-point residual of the gradient 2 m y + c_lin + mu w, the budget gap
     (|w y - b| if mu > 0, else its excess) over max w, and step max(-mu, 0)
     max w. A budget below the lower box corner's power raises

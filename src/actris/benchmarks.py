@@ -110,12 +110,13 @@ class _CircuitSearchSpace:
         self.dim = self.lower.size
 
     def decode(self, x):
+        """(r, c, v) of a stack; c and the precoders v are views of the
+        stack's genes, so an edit of v is an edit of x."""
         k = x.shape[0]
         r = np.full((k, self.n), self.params.r_passive)
         r[:, self.active] = x[:, : self.n_act]
         c = x[:, self.n_act : self.n_act + self.n]
-        vflat = x[:, self.n_act + self.n :]
-        v = (vflat[:, 0::2] + 1j * vflat[:, 1::2]).reshape(
+        v = x[:, self.n_act + self.n :].view(complex).reshape(
             k, self.scenario.m_t, self.scenario.d
         )
         return r, c, v
@@ -125,15 +126,14 @@ class _CircuitSearchSpace:
         stack together with the decoded design pieces, one row each. The
         repair edits the clipped stack in place, so a repaired row decodes
         to exactly the pieces returned with it."""
-        x = np.clip(x, self.lower, self.upper)
+        x = np.minimum(np.maximum(x, self.lower), self.upper)
         r, c, v = self.decode(x)
-        tx = np.trace(v.conj().swapaxes(-1, -2) @ v, axis1=-2, axis2=-1).real
+        genes = x[:, self.n_act + self.n :]
+        tx = np.einsum("ij,ij->i", genes, genes)
         loud = tx > self.scenario.p_t_w
         if loud.any():
-            # a real scale keeps the bits of each part: (a + jb)s = as + jbs
-            scale = np.sqrt(self.scenario.p_t_w / tx[loud])
-            v[loud] = v[loud] * scale[:, None, None]
-            x[loud, self.n_act + self.n :] *= scale[:, None]
+            # one real scale of a row's genes rescales its precoder, their view
+            genes[loud] *= np.sqrt(self.scenario.p_t_w / tx[loud])[:, None]
         # a row the ceiling clears draws at most its ceiling total, so only
         # rows near the budget need the exact power
         ceiling = self.ceiling(r[:, self.active]).sum(axis=1)
@@ -235,7 +235,7 @@ def run_pso(scenario, ch, fits, budget, rng):
                 + c1 * pulls[i:, 0] * (pbest[i:] - x[i:])
                 + c2 * pulls[i:, 1] * (gbest - x[i:])
             )
-            moved = np.clip(moved, -span, span)
+            moved = np.minimum(np.maximum(moved, -span), span)
             cand, fit = space.fitness(x[i:] + moved)  # clipped by repair
             better = np.flatnonzero(fit > gbest_fit)
             m = better[0] + 1 if better.size else fit.size

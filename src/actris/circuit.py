@@ -185,7 +185,9 @@ def relax_to_budget(p, r, budget):
     its excess is at least what the cell can give, less 1e-15 W; the next
     cell moves only as far as the budget needs: RELAX_HALVINGS halvings of
     [band_lo, band_hi] keep the end whose power fits and stop at a midpoint
-    within 1e-15 W of the power the budget leaves the cell. Passive (r >= 0)
+    within 1e-15 W of the power the budget leaves the cell; the halving
+    stops early once every interval is frozen (each midpoint rounds onto an
+    end), from where no halving could move an end. Passive (r >= 0)
     cells draw nothing and never move. A row over the budget with every cell
     at or below the floor power raises InfeasibleBudgetError.
     """
@@ -218,6 +220,8 @@ def relax_to_budget(p, r, budget):
     lo, hi = np.full(part.size, band_lo), np.full(part.size, band_hi)
     for _ in range(RELAX_HALVINGS if part.size else 0):
         mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break   # every interval is frozen: no later halving moves an end
         f = power_consumption(mid, p) - want
         hit = np.abs(f) <= 1e-15   # both ends close on it, so it stays
         lo, hi = np.where(hit | (f > 0.0), mid, lo), np.where(hit | (f <= 0.0), mid, hi)

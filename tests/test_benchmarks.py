@@ -288,7 +288,10 @@ class _SequentialSpace:
         sp = self.space
         x = np.clip(x, sp.lower, sp.upper)
         r, c, v = self.decode(x)
-        tx = np.trace(v.conj().T @ v).real
+        # the transmit power summed as the population repair sums it, over
+        # the interleaved genes of a one-row stack
+        genes = x[None, sp.n_act + sp.n :]
+        tx = np.einsum("ij,ij->i", genes, genes)[0]
         if tx > sp.scenario.p_t_w:
             self.rescaled += 1
             v = v * np.sqrt(sp.scenario.p_t_w / tx)
@@ -513,6 +516,8 @@ class TestRepairDecoding:
             if kind == "quiet":
                 x[row, v_part] *= 0.5 * np.sqrt(sc.p_t_w) / np.linalg.norm(x[row, v_part])
         repaired, r, c, v, _ = space.repair(x)
+        # the returned precoders are the repaired stack's own genes
+        assert np.shares_memory(v, repaired)
         dr, dc, dv = space.decode(repaired)
         assert dr.tobytes() == r.tobytes()
         assert dc.tobytes() == c.tobytes()
