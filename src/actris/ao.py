@@ -222,36 +222,6 @@ def rmo_phase_opt(obj, phasor0, tol=1e-6):
     return phasor, s * np.asarray(trace)
 
 
-def _linear_power(params, active, lower, upper, r_min):
-    """Per-element linear power surrogate (p_min, slope, lower, upper) on the
-    amplitude box [lower, upper]: an active cell draws the band_hi power at
-    its lower amplitude and the power of r_min at its upper one (r_min holds
-    the active cells' resistances, or one for all of them); zeros for
-    passive elements."""
-    n = lower.size
-    p_min = np.zeros(n)
-    slope = np.zeros(n)
-    if active.any():
-        powers = circuit.power_consumption(np.append(r_min, circuit.diode_band(params)[1]),
-                                           params)
-        p_hi, p_lo = powers[:-1], powers[-1]
-        span = upper[active] - lower[active]
-        p_min[active] = p_lo
-        # a collapsed band pins the amplitude, so only the floor power counts
-        slope[active] = np.where(span > 1e-12, (p_hi - p_lo) / np.maximum(span, 1e-12), 0.0)
-    return p_min, slope, lower, upper
-
-
-def _power_fit_arrays(fits, phi, params):
-    """_linear_power on the cosine-model box at phases phi, whose upper
-    amplitudes sit at the most negative usable resistance max(-F(phi), band_lo)."""
-    lower, upper = fits.bounds(phi)
-    active = fits.active_mask
-    r_min = np.maximum(-circuit.resistance_range(params, phi[active]),
-                       circuit.diode_band(params)[0])
-    return _linear_power(params, active, lower, upper, r_min)
-
-
 @dataclass
 class QpResult:
     alpha: np.ndarray
@@ -411,7 +381,7 @@ def amplitude_qp(qp_data, surrogate, budget, start=None):
 
     Minimizes the reflected-signal quadratic (qp_data, from _qp_phase_data)
     subject to the per-element amplitude box and the linearized power
-    budget (surrogate, from _power_fit_arrays at the same phases). Block
+    budget (surrogate, a reflection.Realizer's at the same phases). Block
     principal pivoting (_pivot_face) finds the optimal face and solves the
     quadratic on it exactly, starting from the face of start clipped into
     the box (the previous solve's amplitudes; Judice & Pires, Comput.
@@ -459,26 +429,30 @@ def power_repair_loop(scenario, fits, phi, amplitudes):
     lower the working budget until the true power fits.
 
     amplitudes(surrogate, budget) returns the amplitudes at phases phi for a
-    working budget; surrogate is _power_fit_arrays at phi, and the realizer
-    of phi (reflection.realizer) is built once here for every solve and
-    realization. The linearized budget can under-account the circuit
-    power; each pass lowers the working budget by the realized shortfall and
-    re-solves. The passes stop when one does not bring the realized power
-    below the best pass so far, or at REPAIR_PASSES. The working budget is
-    then bisected REPAIR_BISECTIONS times between the linearized floor
-    p_min.sum(), whose minimum-bias realization always fits a reachable
-    budget, and the last working budget; the design of the highest budget
-    that fits is kept. repair_passes counts the shortfall passes. Every
-    working budget is at or above the floor, where none of the solvers
+    working budget. One reflection.Realizer of phi gives every solve its
+    surrogate and realizes every design. The linearized budget can
+    under-account the circuit power; each pass lowers the working budget by
+    the realized shortfall and re-solves. The passes stop when one does not
+    bring the realized power below the best pass so far, or at
+    REPAIR_PASSES. The working budget is then bisected REPAIR_BISECTIONS
+    times between the linearized floor p_min.sum(), which the minimum-bias
+    design draws, and the last working budget; the design of the highest
+    budget that fits is kept. repair_passes counts the shortfall passes.
+    Every working budget is at or above the floor, where none of the solvers
     (do_amplitude_max, PAIDO's constant-box greedy on the same p_min,
-    amplitude_qp) raises InfeasibleBudgetError. Raises ConvergenceError only
-    when the budget is below the minimum-bias power.
+    amplitude_qp) raises. A surface budget below the floor raises
+    InfeasibleBudgetError before the first solve.
     """
     params, p_ris = scenario.circuit, scenario.p_ris_w
-    surrogate = _power_fit_arrays(fits, phi, params)
-    realize = reflection.realizer(params, fits, phi)
+    realize = reflection.Realizer(params, fits, phi)
+    surrogate = realize.surrogate
     p_min, slope, lower, _ = surrogate
     floor = float(p_min.sum())
+    if floor > p_ris + 1e-12:
+        raise InfeasibleBudgetError(
+            f"surface budget {p_ris:.6g} W is below the minimum-bias power "
+            f"{floor:.6g} W of the {realize.act.size} active cells"
+        )
     working = p_ris
     best_power = np.inf
     alpha = np.asarray(amplitudes(surrogate, p_ris), dtype=float)
@@ -494,12 +468,7 @@ def power_repair_loop(scenario, fits, phi, amplitudes):
         working = max(working - max(shortfall, 1e-15), floor)
         alpha = np.asarray(amplitudes(surrogate, working), dtype=float)
 
-    best = reflection.realize_minimum_power(params, fits, phi)
-    if best.ris_power_w > p_ris + POWER_TOL:
-        raise ConvergenceError(
-            f"surface budget {p_ris:.6g} W is below the minimum-bias power "
-            f"{best.ris_power_w:.6g} W"
-        )
+    best = realize.minimum_power()
     lo, hi = floor, working
     if hi > lo:
         for _ in range(REPAIR_BISECTIONS):
@@ -529,8 +498,8 @@ def random_init(scenario, fits, rng):
     phi0 = rng.uniform(0.0, 2.0 * np.pi, scenario.n)
     alpha_bar0 = rng.uniform(0.0, 1.0, scenario.n)
     alpha_bar0[~fits.active_mask] = 0.0
-    lower, upper = fits.bounds(phi0)
-    design = reflection.realizer(params, fits, phi0)(lower + alpha_bar0 * (upper - lower))
+    realize = reflection.Realizer(params, fits, phi0)
+    design = realize(realize.lower + alpha_bar0 * (realize.upper - realize.lower))
     r, c = design.r, design.c
     circuit.relax_to_budget(params, r[None], scenario.p_ris_w)   # passive cells never move
     return v0, reflection.delivered_design(params, fits, r, c)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import circuit, reflection
-from .ao import _linear_power
+from .reflection import _linear_power
 from .channel import rate_lmmse
 from .do import cascade_norm_objective, decoupled_design, do_amplitude_max
 
@@ -52,9 +52,10 @@ def run_paido(scenario, ch, fits, rng):
     Phases are optimized with amplitudes frozen at their phase-independent
     maxima (the reflection becomes linear in the phasors). Amplitudes are
     then raised by do_amplitude_max on the constant box [delta_min,
-    beta_max], linearized between the band_hi and band_lo powers, and
-    clamped back into the phase-dependent bounds of the power surrogate
-    before the power repair.
+    beta_max], linearized between the band_hi and band_lo powers
+    (reflection._linear_power), and clamped back into the phase-dependent
+    box of the power repair's surrogate (reflection.Realizer) before the
+    repair.
     """
     zeros = np.zeros(fits.n, dtype=complex)
     obj = replace(cascade_norm_objective(ch, fits, np.ones(fits.n)),
@@ -221,11 +222,8 @@ def run_pso(scenario, ch, fits, budget, rng):
     span = space.upper - space.lower
     pbest = x.copy()
     pbest_fit = fit.copy()
-    gbest_fit, g = -np.inf, None
-    for i in range(k):
-        if fit[i] > gbest_fit:
-            gbest_fit, g = fit[i], i
-    gbest = x[g].copy()
+    g = int(np.argmax(fit))
+    gbest_fit, gbest = fit[g], x[g].copy()
     for _ in range(p - 1):
         pulls = rng.uniform(size=(k, 2, space.dim))
         i = 0

@@ -78,9 +78,10 @@ def do_amplitude_max(surrogate, budget):
     """Maximize the amplitude sum under a linearized power budget.
 
     surrogate is a (p_min, slope, lower, upper) linear power model
-    (_linear_power). Cells start at lower and draw p_min; those with a
-    positive slope go up to upper in ascending slope until the budget is
-    spent, which is the exact optimum of this box-constrained linear program.
+    (reflection._linear_power, as a reflection.Realizer's surrogate). Cells
+    start at lower and draw p_min; those with a positive slope go up to
+    upper in ascending slope until the budget is spent, which is the exact
+    optimum of this box-constrained linear program.
     """
     p_min, slope, lower, upper = surrogate
     floor = p_min.sum()

@@ -9,7 +9,7 @@ form collapses to it elementwise); designs are then realized cell by cell.
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -119,25 +119,18 @@ def approx_amplitude_bounds(fit, phi):
     return lower, upper
 
 
-def _normalizer(fits, phi):
-    """normalize(alpha): normalized_amplitude at phases phi, whose box and
-    span are computed here once."""
-    lower, upper = fits.bounds(phi)
+def _controls(fits, lower, upper, alpha):
+    """Normalized controls of amplitudes alpha in the box [lower, upper],
+    clipped to [0, 1] and zero on passive cells."""
     span = np.where(upper > lower, upper - lower, 1.0)
-    passive = ~fits.active_mask
-
-    def normalize(alpha):
-        alpha_bar = np.clip((alpha - lower) / span, 0.0, 1.0)
-        alpha_bar[passive] = 0.0
-        return alpha_bar
-
-    return normalize
+    alpha_bar = np.clip((alpha - lower) / span, 0.0, 1.0)
+    alpha_bar[~fits.active_mask] = 0.0
+    return alpha_bar
 
 
 def normalized_amplitude(fits, phi, alpha):
-    """Normalized controls of amplitudes alpha at phases phi, clipped to
-    [0, 1] and zero on passive cells."""
-    return _normalizer(fits, phi)(alpha)
+    """_controls of amplitudes alpha in the cosine box at phases phi."""
+    return _controls(fits, *fits.bounds(phi), alpha)
 
 
 class ElementFits:
@@ -279,81 +272,116 @@ def delivered_design(params, fits, r, c):
                           gamma, r, c)
 
 
-def realizer(params, fits, phi):
-    """realize(alpha): the design realizing amplitudes alpha at phases phi.
+def _linear_power(params, active, lower, upper, r_min):
+    """Per-element linear power surrogate (p_min, slope, lower, upper) on the
+    amplitude box [lower, upper]: an active cell draws the band_hi power at
+    its lower amplitude and the power of r_min at its upper one (r_min holds
+    the active cells' resistances, or one for all of them); zeros for
+    passive elements."""
+    n = lower.size
+    p_min = np.zeros(n)
+    slope = np.zeros(n)
+    if active.any():
+        powers = circuit.power_consumption(np.append(r_min, circuit.diode_band(params)[1]),
+                                           params)
+        p_hi, p_lo = powers[:-1], powers[-1]
+        span = upper[active] - lower[active]
+        p_min[active] = p_lo
+        # a collapsed band pins the amplitude, so only the floor power counts
+        slope[active] = np.where(span > 1e-12, (p_hi - p_lo) / np.maximum(span, 1e-12), 0.0)
+    return p_min, slope, lower, upper
 
-    Active cells are inverted from their target reflection coefficient.
-    The tunable resistance saturates at the diode band edges: a negative
-    resistance outside the band is clipped to it and the capacitance
-    re-solved at the target phase, so the cell keeps the phase and delivers
-    the nearest achievable amplitude (the band-edge one), like a passive
-    cell delivers its own curve. Targets that no capacitance realizes, or
-    whose clipped cell misses the phase, take the passive-side fallback
-    (_fallback_cells). Passive cells keep their fixed resistance and realize
-    the nearest achievable phase. Every capacitance is then clipped into
-    c_range. The recorded gamma is the target; the circuits deliver what
-    the exact curves allow, and the design records the true total power
-    drawn.
 
-    The work that depends on phi alone is done once per realizer: the
-    phasors, the cosine box behind the normalized controls, the passive
-    cells' capacitances, and the active cells' capacitances at both band
-    edges, in one call when a target first clips. A power repair, which
-    realizes several amplitude vectors at one phase vector, pays for it
-    once. Every kernel works elementwise, so every realization has the bits
-    of a fresh realizer's, and each cell the bits it would get on its own.
+class Realizer:
+    """What the cells can do at phases phi, worked out once per phase vector.
+
+    Construction computes the phasors, the cosine box [lower, upper] (one
+    fits.bounds call), the passive cells' capacitances and the active
+    index; the linear power surrogate is built when first read, and the
+    active cells' band-edge capacitances when a target first clips. Every
+    kernel works elementwise, so every realization has the bits of a fresh
+    Realizer's, and each cell the bits it would get on its own.
     """
-    phi = np.asarray(phi, dtype=float)
-    phasor = np.exp(1j * phi)
-    normalize = _normalizer(fits, phi)
-    c_fixed = np.empty(phi.size)
-    passive = ~fits.active_mask
-    if passive.any():
-        c_fixed[passive], _ = circuit.nearest_realizable_cell(
-            params, params.r_passive, phi[passive]
-        )
-    act = np.flatnonzero(fits.active_mask)
-    band_lo, band_hi = circuit.diode_band(params)
-    edge_c = None   # (2, active cells): phase_capacitance at band_lo, band_hi
 
-    def realize(alpha):
-        nonlocal edge_c
+    def __init__(self, params, fits, phi):
+        self.params, self.fits = params, fits
+        self.phi = np.asarray(phi, dtype=float)
+        self.phasor = np.exp(1j * self.phi)
+        self.lower, self.upper = fits.bounds(self.phi)
+        self.c_fixed = np.empty(self.phi.size)
+        passive = ~fits.active_mask
+        if passive.any():
+            self.c_fixed[passive], _ = circuit.nearest_realizable_cell(
+                params, params.r_passive, self.phi[passive]
+            )
+        self.act = np.flatnonzero(fits.active_mask)
+        self.edge_c = None   # (2, active cells): phase_capacitance at band_lo, band_hi
+
+    @cached_property
+    def surrogate(self):
+        """_linear_power on the box, whose upper amplitudes sit at the most
+        negative usable resistance max(-F(phi), band_lo)."""
+        params, active = self.params, self.fits.active_mask
+        r_min = np.maximum(-circuit.resistance_range(params, self.phi[active]),
+                           circuit.diode_band(params)[0])
+        return _linear_power(params, active, self.lower, self.upper, r_min)
+
+    def __call__(self, alpha):
+        """The design realizing amplitudes alpha at the phases.
+
+        Active cells are inverted from their target reflection coefficient.
+        The tunable resistance saturates at the diode band edges: a negative
+        resistance outside the band is clipped to it and the capacitance
+        re-solved at the target phase, so the cell keeps the phase and
+        delivers the nearest achievable amplitude (the band-edge one), like
+        a passive cell delivers its own curve. Targets that no capacitance
+        realizes, or whose clipped cell misses the phase, take the
+        passive-side fallback (_fallback_cells). Passive cells keep their
+        fixed resistance and realize the nearest achievable phase. Every
+        capacitance is then clipped into c_range. The recorded gamma is the
+        target; the circuits deliver what the exact curves allow, and the
+        design records the true total power drawn.
+        """
+        params, act = self.params, self.act
         alpha = np.asarray(alpha, dtype=float)
-        gamma = alpha * phasor
+        gamma = alpha * self.phasor
+        band_lo, band_hi = circuit.diode_band(params)
         ra, ca, ok = circuit.circuit_from_gamma(params, gamma[act])
         clip = ok & (ra < 0.0) & ((ra < band_lo) | (ra > band_hi))
         if clip.any():
-            if edge_c is None:
+            if self.edge_c is None:
                 edges = np.repeat([[band_lo], [band_hi]], act.size, axis=1)
-                edge_c = circuit.phase_capacitance(params, edges, np.tile(phi[act], (2, 1)))
+                self.edge_c = circuit.phase_capacitance(params, edges,
+                                                        np.tile(self.phi[act], (2, 1)))
             i = np.flatnonzero(clip)
             edge = (ra[i] > band_hi).astype(np.intp)   # 0: below band_lo, 1: above band_hi
             ra[i] = np.where(edge, band_hi, band_lo)
-            ca[i] = edge_c[edge, i]
+            ca[i] = self.edge_c[edge, i]
             ok &= ~np.isnan(ca)
         if not ok.all():
             ra[~ok], ca[~ok] = _fallback_cells(params, gamma[act[~ok]])
-        r = np.full(phi.size, params.r_passive)
-        c = c_fixed.copy()
-        r[act], c[act] = ra, ca
-        return circuit_design(params, fits, phi, normalize(alpha), gamma, r,
+        return self._design(_controls(self.fits, self.lower, self.upper, alpha), gamma, ra, ca)
+
+    def minimum_power(self):
+        """Minimum-bias configuration: every active diode at its lowest power.
+
+        Active cells sit at the least negative band resistance (their exact
+        lower amplitude curve) and the phase nearest phi; the recorded
+        reflection keeps the cosine-model floor, whose normalized controls
+        are zero, and can overstate the delivered amplitude by the fit
+        error. The terminal fallback when the budget leaves no amplitude
+        slack.
+        """
+        band_hi = circuit.diode_band(self.params)[1]
+        ca, _ = circuit.nearest_realizable_cell(self.params, band_hi, self.phi[self.act])
+        return self._design(np.zeros(self.fits.n), self.lower * self.phasor, band_hi, ca)
+
+    def _design(self, alpha_bar, gamma, ra, ca):
+        """circuit_design with the active cells at (ra, ca), the passive ones
+        at their fixed circuits, and every capacitance clipped into c_range."""
+        params = self.params
+        r = np.full(self.phi.size, params.r_passive)
+        c = self.c_fixed.copy()
+        r[self.act], c[self.act] = ra, ca
+        return circuit_design(params, self.fits, self.phi, alpha_bar, gamma, r,
                               np.clip(c, *params.c_range))
-
-    return realize
-
-
-def realize_minimum_power(params, fits, phi):
-    """Minimum-bias configuration: every active diode at its lowest power.
-
-    Cells sit at the least negative band resistance (their exact lower
-    amplitude curve); the recorded reflection vector keeps the cosine-model
-    floor, whose normalized controls are zero, and can overstate the
-    delivered amplitude by the fit error. Capacitances are clipped into
-    c_range. Used as the terminal fallback when the budget leaves no
-    amplitude slack.
-    """
-    phi = np.asarray(phi, dtype=float)
-    r = np.where(fits.active_mask, circuit.diode_band(params)[1], params.r_passive)
-    c = np.clip(circuit.nearest_realizable_cell(params, r, phi)[0], *params.c_range)
-    lower, _ = fits.bounds(phi)
-    return circuit_design(params, fits, phi, np.zeros(fits.n), lower * np.exp(1j * phi), r, c)

@@ -37,6 +37,7 @@ from actris.harness import (
 from actris.numerics import lambert_w0
 from actris.reflection import (
     ElementFits,
+    Realizer,
     approx_amplitude_bounds,
     class_fits,
     exact_bound_curves,
@@ -409,7 +410,7 @@ def test_criterion_13_solver_unit_oracles(params_va, active_fit, passive_fit, fi
 
     # amplitude QP vs dense grid at N=2
     fits2 = ElementFits.from_classes(active_fit, passive_fit, np.ones(2, dtype=bool))
-    from actris.ao import _power_fit_arrays, _qp_phase_data
+    from actris.ao import _qp_phase_data
 
     ok_qp = True
     for trial in range(3):
@@ -420,12 +421,12 @@ def test_criterion_13_solver_unit_oracles(params_va, active_fit, passive_fit, fi
         z2, z1, z = fits2.coefficients(np.ones(2))
         obj = PhaseObjective(t=t, q=q, z2=z2, z1=z1, z=z)
         budget = 0.05
-        res = amplitude_qp(_qp_phase_data(obj, phi), _power_fit_arrays(fits2, phi, params_va),
+        res = amplitude_qp(_qp_phase_data(obj, phi), Realizer(params_va, fits2, phi).surrogate,
                            budget)
         phasor = np.exp(1j * phi)
         m = np.real(np.conj(phasor)[:, None] * t * phasor[None, :])
         c_lin = -2.0 * np.real(np.conj(phasor) * q)
-        p_min, slope, lower, upper = _power_fit_arrays(fits2, phi, params_va)
+        p_min, slope, lower, upper = Realizer(params_va, fits2, phi).surrogate
         best = np.inf
         for a1 in np.linspace(lower[0], upper[0], 301):
             a2 = np.linspace(lower[1], upper[1], 301)
@@ -444,7 +445,7 @@ def test_criterion_13_solver_unit_oracles(params_va, active_fit, passive_fit, fi
     ok_greedy = True
     for _ in range(3):
         phi = rng.uniform(0, TWO_PI, 4)
-        p_min, slope, lower, upper = _power_fit_arrays(fits4, phi, params_va)
+        p_min, slope, lower, upper = Realizer(params_va, fits4, phi).surrogate
         budget = p_min.sum() + 0.5 * float(slope @ (upper - lower))
         alpha = do_amplitude_max((p_min, slope, lower, upper), budget)
         grids = np.meshgrid(*[np.linspace(lower[i], upper[i], 21) for i in range(4)],

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import re
 import warnings
@@ -45,10 +46,10 @@ from actris.harness import (
 from test_numerics import fd_gradient
 from actris.reflection import (
     ElementFits,
+    Realizer,
+    _linear_power,
     approx_amplitude_bounds,
     class_fits,
-    realize_minimum_power,
-    realizer,
 )
 from conftest import desk_scenario
 from test_channel import random_channels, reference_spectral_efficiency, selector_matrix
@@ -482,7 +483,7 @@ class TestManifoldDescent:
 def _qp(obj, phi, fits, scenario, budget):
     """amplitude_qp on the data of one design step: objective obj at phases phi."""
     return amplitude_qp(ao._qp_phase_data(obj, phi),
-                        ao._power_fit_arrays(fits, phi, scenario.circuit), budget)
+                        Realizer(scenario.circuit, fits, phi).surrogate, budget)
 
 
 class TestLinearPowerFit:
@@ -491,7 +492,7 @@ class TestLinearPowerFit:
         """The linear power surrogate of a one-cell surface at phase phi:
         (p_min, p_max, slope, lower, upper), p_max read off the chord."""
         fits = ElementFits(fit, fit, np.ones(1, dtype=bool))
-        p_min, slope, lower, upper = ao._power_fit_arrays(fits, np.array([phi]), params)
+        p_min, slope, lower, upper = Realizer(params, fits, np.array([phi])).surrogate
         p_max = p_min[0] + slope[0] * (upper[0] - lower[0])
         return p_min[0], p_max, slope[0], lower[0], upper[0]
 
@@ -604,9 +605,7 @@ class TestAmplitudeQP:
     def test_tight_budget_pins_lower_corner(self, fits_all_active, scenario_desk):
         rng = np.random.default_rng(24)
         phi = rng.uniform(0, TWO_PI, 16)
-        from actris.ao import _power_fit_arrays
-
-        p_min, _, lower, _ = _power_fit_arrays(fits_all_active, phi, scenario_desk.circuit)
+        p_min, _, lower, _ = Realizer(scenario_desk.circuit, fits_all_active, phi).surrogate
         obj = self._objective(rng, fits_all_active, 16)
         res = _qp(obj, phi, fits_all_active, scenario_desk, budget=float(p_min.sum()))
         # the pivoting starts at the corner and certifies it as it stands
@@ -618,8 +617,6 @@ class TestAmplitudeQP:
         # amplitude span nearly collapses, so their fitted slopes reach ~2e4
         # W per unit amplitude and the budget offset b ~ 4e4 carries rounding
         # of several ulps against the lower-corner power
-        from actris.ao import _power_fit_arrays
-
         spec = fig_presets("fig7", scale="desk", seed=12)
         sc, _ = _scenario_for(spec, spec.variants[0], 144.0)
         _, mask = trial_channels(sc, 12, 0, 0)
@@ -629,7 +626,7 @@ class TestAmplitudeQP:
         for seed in range(20):
             phi = np.random.default_rng(seed).uniform(0, TWO_PI, sc.n)
             phi[active[:2]] = (2.78556, 2.7856)
-            p_min, _, lower, _ = _power_fit_arrays(fits, phi, sc.circuit)
+            p_min, _, lower, _ = Realizer(sc.circuit, fits, phi).surrogate
             pivot_log.clear()
             res = _qp(obj, phi, fits, sc, budget=float(p_min.sum()))
             assert np.allclose(res.alpha[mask], lower[mask], atol=1e-6)
@@ -659,9 +656,7 @@ class TestAmplitudeQP:
             phasor = np.exp(1j * phi)
             m = np.real(np.conj(phasor)[:, None] * obj.t * phasor[None, :])
             c_lin = -2.0 * np.real(np.conj(phasor) * obj.q)
-            from actris.ao import _power_fit_arrays
-
-            p_min, slope, lower, upper = _power_fit_arrays(fits, phi, scenario_desk.circuit)
+            p_min, slope, lower, upper = Realizer(scenario_desk.circuit, fits, phi).surrogate
             grid1 = np.linspace(lower[0], upper[0], 401)
             grid2 = np.linspace(lower[1], upper[1], 401)
             best = np.inf
@@ -703,11 +698,11 @@ class TestPowerRepair:
         # one solve at the surface budget, no re-solve
         assert budgets == [scenario_desk.p_ris_w]
         # the repair hands its solves the linear power surrogate at phi
-        expected = ao._power_fit_arrays(fits_all_active, phi, params_va)
+        expected = Realizer(params_va, fits_all_active, phi).surrogate
         assert all(_same_bits(got, want) for got, want in zip(surrogates[0], expected))
         assert design.repair_passes == 1
         assert design.ris_power_w <= scenario_desk.p_ris_w + 1e-9
-        unchanged = realizer(params_va, fits_all_active, phi)(lower)
+        unchanged = Realizer(params_va, fits_all_active, phi)(lower)
         assert _same_bits(design.gamma, unchanged.gamma)
         assert design.cells == unchanged.cells
         assert design.ris_power_w == unchanged.ris_power_w
@@ -734,11 +729,11 @@ class TestPowerRepair:
         phi = rng.uniform(0, TWO_PI, 16)
         lower, upper = fits_all_active.bounds(phi)
         p_ris = scenario_desk.p_ris_w
-        floor = realize_minimum_power(params_va, fits_all_active, phi).ris_power_w
+        floor = Realizer(params_va, fits_all_active, phi).minimum_power().ris_power_w
         cut = floor + 0.6 * (p_ris - floor)
         low = lower + 0.2 * (upper - lower)
-        assert realizer(params_va, fits_all_active, phi)(upper).ris_power_w > p_ris
-        assert realizer(params_va, fits_all_active, phi)(low).ris_power_w <= p_ris
+        assert Realizer(params_va, fits_all_active, phi)(upper).ris_power_w > p_ris
+        assert Realizer(params_va, fits_all_active, phi)(low).ris_power_w <= p_ris
         budgets = []
 
         def resolve(surrogate, budget):
@@ -764,17 +759,37 @@ class TestPowerRepair:
         def resolve(surrogate, budget):
             return upper
 
-        assert realizer(params_va, fits_all_active, phi)(upper).ris_power_w > scenario_desk.p_ris_w
-        floor_design = realize_minimum_power(params_va, fits_all_active, phi)
+        assert Realizer(params_va, fits_all_active, phi)(upper).ris_power_w > scenario_desk.p_ris_w
+        floor_design = Realizer(params_va, fits_all_active, phi).minimum_power()
         design = power_repair_loop(scenario_desk, fits_all_active, phi, resolve)
         assert design.repair_passes == 2
         assert design.cells == floor_design.cells
         p_ris = 0.99 * floor_design.ris_power_w
         below_floor = dataclasses.replace(scenario_desk, p_ris_w=p_ris)
         message = (f"surface budget {p_ris:.6g} W is below the minimum-bias power "
-                   f"{floor_design.ris_power_w:.6g} W")
-        with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$"):
+                   f"{floor_design.ris_power_w:.6g} W of the 16 active cells")
+        with pytest.raises(InfeasibleBudgetError, match=f"^{re.escape(message)}$"):
             power_repair_loop(below_floor, fits_all_active, phi, resolve)
+
+    def test_one_box_per_repair(self, fits_all_active, scenario_desk, monkeypatch):
+        # the Realizer's box serves the surrogate, every realization and the
+        # minimum-bias design: one fits.bounds call per repair, on the path
+        # that passes first time and on the one that ends at minimum bias
+        rng = np.random.default_rng(33)
+        phi = rng.uniform(0, TWO_PI, 16)
+        lower, upper = fits_all_active.bounds(phi)
+        calls = []
+
+        def counting(self, phi, bounds=ElementFits.bounds):
+            calls.append(phi.size)
+            return bounds(self, phi)
+
+        monkeypatch.setattr(ElementFits, "bounds", counting)
+        for corner, passes in ((lower, 1), (upper, 2)):
+            calls.clear()
+            design = power_repair_loop(scenario_desk, fits_all_active, phi,
+                                       lambda surrogate, budget: corner)
+            assert (design.repair_passes, calls) == (passes, [16])
 
     @staticmethod
     def _stalled_upper_corner(fits, phi, params, p_ris):
@@ -782,8 +797,8 @@ class TestPowerRepair:
         0.2 of the way up the box, within it."""
         lower, upper = fits.bounds(phi)
         low = lower + 0.2 * (upper - lower)
-        assert realizer(params, fits, phi)(upper).ris_power_w > p_ris
-        assert realizer(params, fits, phi)(low).ris_power_w <= p_ris
+        assert Realizer(params, fits, phi)(upper).ris_power_w > p_ris
+        assert Realizer(params, fits, phi)(low).ris_power_w <= p_ris
         return upper, low
 
     def test_infeasible_resolve_raises_through_the_repair(
@@ -796,7 +811,7 @@ class TestPowerRepair:
         phi = rng.uniform(0, TWO_PI, 16)
         p_ris = scenario_desk.p_ris_w
         upper, _ = self._stalled_upper_corner(fits_all_active, phi, params_va, p_ris)
-        floor = float(ao._power_fit_arrays(fits_all_active, phi, params_va)[0].sum())
+        floor = float(Realizer(params_va, fits_all_active, phi).surrogate[0].sum())
         budgets = []
 
         def resolve(surrogate, budget):
@@ -820,7 +835,7 @@ class TestPowerRepair:
         phi = rng.uniform(0, TWO_PI, 16)
         p_ris = scenario_desk.p_ris_w
         upper, low = self._stalled_upper_corner(fits_all_active, phi, params_va, p_ris)
-        floor = float(ao._power_fit_arrays(fits_all_active, phi, params_va)[0].sum())
+        floor = float(Realizer(params_va, fits_all_active, phi).surrogate[0].sum())
         cut = floor + 0.3 * (p_ris - floor)
         budgets = []
 
@@ -850,11 +865,11 @@ class TestPowerRepair:
             rng = np.random.default_rng(seed)
             phasor, _ = rmo_phase_opt(objectives["AO"], np.exp(1j * rng.uniform(0.0, TWO_PI, sc.n)))
             phi = np.angle(phasor) % TWO_PI
-            surrogate = ao._power_fit_arrays(fits, phi, sc.circuit)
+            surrogate = Realizer(sc.circuit, fits, phi).surrogate
             p_min, slope, lower, upper = surrogate
             floor = float(p_min.sum())
-            const = ao._linear_power(sc.circuit, fits.active_mask, fits.delta_min, fits.beta_max,
-                                     circuit.diode_band(sc.circuit)[0])
+            const = _linear_power(sc.circuit, fits.active_mask, fits.delta_min, fits.beta_max,
+                                  circuit.diode_band(sc.circuit)[0])
             assert float(const[0].sum()) == floor
             qp = amplitude_qp(ao._qp_phase_data(objectives["AO"], phi), surrogate, floor)
             for alpha in (do_amplitude_max(surrogate, floor), do_amplitude_max(const, floor),
@@ -892,6 +907,19 @@ class TestDesignStepData:
             monkeypatch.setattr(module, name, counting)
 
     @staticmethod
+    def _counted_surrogate(monkeypatch, counts):
+        """Count the surrogates the Realizers build, under "surrogate"."""
+        build = Realizer.surrogate.func
+
+        def counting(self):
+            counts["surrogate"] += 1
+            return build(self)
+
+        prop = functools.cached_property(counting)
+        prop.__set_name__(Realizer, "surrogate")
+        monkeypatch.setattr(Realizer, "surrogate", prop)
+
+    @staticmethod
     def _desk_trials(seeds):
         # the first core block of the desk-ao benchmark workload at -40 dB,
         # where the surrogate under-accounts the power and the repair re-solves
@@ -904,15 +932,15 @@ class TestDesignStepData:
         import collections
 
         counts = collections.Counter()
-        self._counted(monkeypatch, counts, (ao, "_qp_phase_data"), (ao, "_power_fit_arrays"),
-                      (ao, "amplitude_qp"))
+        self._counted(monkeypatch, counts, (ao, "_qp_phase_data"), (ao, "amplitude_qp"))
+        self._counted_surrogate(monkeypatch, counts)
         solves = iterations = 0
         for sc, ch, fits, seed in self._desk_trials(range(3)):
             counts.clear()
             init = random_init(sc, fits, np.random.default_rng(seed))
             res = run_ao(sc, ch, fits, init, j_alt=8)
             assert counts["_qp_phase_data"] == res.iterations, seed
-            assert counts["_power_fit_arrays"] == res.iterations, seed
+            assert counts["surrogate"] == res.iterations, seed
             solves += counts["amplitude_qp"]
             iterations += res.iterations
         assert solves > iterations   # the repair did re-solve
@@ -923,14 +951,15 @@ class TestDesignStepData:
         from actris import benchmarks, do
 
         counts = collections.Counter()
-        self._counted(monkeypatch, counts, (ao, "_power_fit_arrays"),
-                      (do, "do_amplitude_max"), (benchmarks, "do_amplitude_max"))
+        self._counted(monkeypatch, counts, (do, "do_amplitude_max"),
+                      (benchmarks, "do_amplitude_max"))
+        self._counted_surrogate(monkeypatch, counts)
         resolved = 0
         for sc, ch, fits, seed in self._desk_trials(range(3)):
             for run in (do.run_do, benchmarks.run_paido):
                 counts.clear()
                 res = run(sc, ch, fits, np.random.default_rng(seed))
-                assert counts["_power_fit_arrays"] == 1, (run.__name__, seed)
+                assert counts["surrogate"] == 1, (run.__name__, seed)
                 # both designs raise their amplitudes with the one greedy
                 assert counts["do_amplitude_max"] >= res.design.repair_passes, (run.__name__, seed)
                 resolved += res.design.repair_passes > 1
@@ -1153,7 +1182,7 @@ class TestRunAO:
         ch = sample_channels(scenario_desk, np.random.default_rng(54))
         phi = np.full(16, 5.9)
         _, upper = fits_all_active.bounds(phi)
-        design0 = realizer(scenario_desk.circuit, fits_all_active, phi)(upper)
+        design0 = Realizer(scenario_desk.circuit, fits_all_active, phi)(upper)
         assert design0.ris_power_w > scenario_desk.p_ris_w + POWER_TOL
         v0 = np.zeros((scenario_desk.m_t, scenario_desk.d), dtype=complex)
         with pytest.raises(ValueError, match="surface design violates the power budget"):
@@ -1171,17 +1200,12 @@ class TestRunAO:
         sc = desk_scenario(p_ris_w=p_ris_w)
         realized = []
 
-        def recording(*args, make=reflection.realizer):
-            realize = make(*args)
+        def recorded(self, alpha, realize=reflection.Realizer.__call__):
+            design = realize(self, alpha)
+            realized.append((design.r.copy(), design.c.copy()))
+            return design
 
-            def recorded(alpha):
-                design = realize(alpha)
-                realized.append((design.r.copy(), design.c.copy()))
-                return design
-
-            return recorded
-
-        monkeypatch.setattr(reflection, "realizer", recording)
+        monkeypatch.setattr(reflection.Realizer, "__call__", recorded)
         rng = np.random.default_rng(56)
         ch = sample_channels(sc, rng)
         v0, design = random_init(sc, fits_all_active, rng)
@@ -1329,7 +1353,7 @@ def _reference_qp(obj, phi, fits, scenario, budget, max_iters=5000, tol=1e-6, fa
     phasor = np.exp(1j * np.asarray(phi, dtype=float))
     m = np.real(np.conj(phasor)[:, None] * obj.t * phasor[None, :])
     c_lin = -2.0 * np.real(np.conj(phasor) * obj.q)
-    p_min, slope, lower, upper = ao._power_fit_arrays(fits, phi, scenario.circuit)
+    p_min, slope, lower, upper = Realizer(scenario.circuit, fits, phi).surrogate
     b = budget - float(p_min.sum() - slope @ lower)
     lip = 2.0 * np.linalg.eigvalsh(m)[-1]
     span = float(np.max(upper - lower))
@@ -1664,7 +1688,7 @@ def _ao_qp_cases(sc, active_fit, passive_fit, seed):
     obj = objectives["AO"]
     phasor, _ = rmo_phase_opt(obj, np.exp(1j * np.zeros(sc.n)))
     phi = np.angle(phasor) % TWO_PI
-    p_min, _, _, _ = ao._power_fit_arrays(fits, phi, sc.circuit)
+    p_min, _, _, _ = Realizer(sc.circuit, fits, phi).surrogate
     floor = float(p_min.sum())
     budgets = (sc.p_ris_w, floor + 0.5 * (sc.p_ris_w - floor), floor + 0.1 * (sc.p_ris_w - floor))
     return obj, phi, fits, budgets
@@ -1739,7 +1763,7 @@ class TestAmplitudeFaceSolve:
         sc = SIZES["desk"]
         obj, phi, fits, budgets = _ao_qp_cases(sc, active_fit, passive_fit, 3)
         m, c_lin, _ = ao._qp_phase_data(obj, phi)
-        p_min, slope, lower, upper = ao._power_fit_arrays(fits, phi, sc.circuit)
+        p_min, slope, lower, upper = Realizer(sc.circuit, fits, phi).surrogate
         b = budgets[1] - float(p_min.sum() - slope @ lower)
         assert slope @ upper > b
         y, _, pivots = ao._pivot_face(upper, m, c_lin, lower, upper, slope, b)
@@ -1759,8 +1783,8 @@ class TestAmplitudeFaceSolve:
                                  q=3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
                                  z2=None, z1=None, z=None)
             phi = rng.uniform(0.0, TWO_PI, n)
-            p_min, slope, lower, upper = ao._power_fit_arrays(fits_all_active, phi,
-                                                              scenario_desk.circuit)
+            p_min, slope, lower, upper = Realizer(scenario_desk.circuit, fits_all_active,
+                                                  phi).surrogate
             floor = float(p_min.sum())
             budget = floor + rng.uniform(0.05, 0.9) * float(slope @ (upper - lower))
             res = _qp(obj, phi, fits_all_active, scenario_desk, budget=budget)
@@ -1799,8 +1823,8 @@ class TestAmplitudeFaceSolve:
         phi = rng.uniform(0.0, TWO_PI, n)
         zeros = np.zeros(n, dtype=complex)
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        p_min, slope, lower, upper = ao._power_fit_arrays(fits_all_active, phi,
-                                                          scenario_desk.circuit)
+        p_min, slope, lower, upper = Realizer(scenario_desk.circuit, fits_all_active,
+                                              phi).surrogate
         budget = float(p_min.sum()) + 0.3 * float(slope @ (upper - lower))
         for t in (np.zeros((n, n), dtype=complex), np.outer(g, g.conj())):
             obj = PhaseObjective(t=t, q=rng.standard_normal(n) + 1j * rng.standard_normal(n),
@@ -1856,7 +1880,7 @@ class TestAmplitudeFaceSolveProperties:
                              q=rng.standard_normal(n) + 1j * rng.standard_normal(n),
                              z2=z2, z1=z1, z=z)
         sc = desk_scenario(n=n, n_act=int(active.sum()))
-        p_min, slope, lower, upper = ao._power_fit_arrays(fits, phi, sc.circuit)
+        p_min, slope, lower, upper = Realizer(sc.circuit, fits, phi).surrogate
         assert not slope[~active | collapsed].any()
         floor = float(p_min.sum())
         top = floor + float(slope @ (upper - lower))

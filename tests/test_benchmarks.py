@@ -215,6 +215,21 @@ class TestMetaheuristics:
         cells = [line.split(",")[1] for line in (tmp_path / "rows.csv").read_text().splitlines()]
         assert cells[1:] == [f"{s}!InfeasibleBudgetError" for s in schemes]
 
+    def test_budget_just_below_minimum_bias_names_it_in_every_scheme(self, fits_all_active):
+        # 0.999 of the minimum-bias power of the 16 active cells: the surface
+        # repair of AO, AO-random-init, DO and PAIDO and the GA/PSO relax
+        # state the one cause in the same words
+        params = desk_scenario().circuit
+        p_floor = 16 * circuit.power_consumption(circuit.diode_band(params)[1], params)
+        sc = desk_scenario(p_ris_w=0.999 * p_floor)
+        ch = sample_channels(sc, np.random.default_rng(8))
+        message = (f"surface budget {sc.p_ris_w:.6g} W is below the minimum-bias power "
+                   f"{p_floor:.6g} W of the 16 active cells")
+        for k, scheme in enumerate(("AO", "AO-random-init", "DO", "PAIDO", "GA", "PSO")):
+            with pytest.raises(InfeasibleBudgetError) as err:
+                run_scheme(scheme, sc, ch, fits_all_active, np.random.default_rng(k), j_alt=4)
+            assert str(err.value) == message, scheme
+
     def test_repair_skips_the_exact_power_at_the_desk_budget(self, fits_all_active, monkeypatch):
         # no row of a desk run comes near the surface budget, so the only
         # exact powers are the floor, the ceiling table and the winner's total

@@ -13,12 +13,12 @@ from actris.do import (
     svd_precoder_combiner,
     waterfill,
 )
-from actris.ao import _linear_power, _power_fit_arrays, rmo_phase_opt, run_ao
+from actris.ao import rmo_phase_opt, run_ao
 from actris.circuit import diode_band, power_consumption
 from actris.constraints import validate_design
 from actris.errors import InfeasibleBudgetError
 from actris.harness import load_design, run_scheme, save_design
-from actris.reflection import ElementFits
+from actris.reflection import ElementFits, Realizer, _linear_power
 from conftest import desk_scenario
 from test_channel import random_channels, reference_spectral_efficiency
 
@@ -285,7 +285,7 @@ class TestDoAmplitudeMax:
             fits = ElementFits.from_classes(active_fit, passive_fit, rng.uniform(size=16) < 0.7)
             phi = rng.uniform(0, TWO_PI, 16)
             phi[:2] = 2.7856
-            cosine = _power_fit_arrays(fits, phi, params_va)
+            cosine = Realizer(params_va, fits, phi).surrogate
             const = _linear_power(params_va, fits.active_mask, fits.delta_min, fits.beta_max,
                                   band_lo)
             for surrogate in (cosine, const):
@@ -300,7 +300,7 @@ class TestDoAmplitudeMax:
                                                                fits_all_active):
         # a fixed-point format printed a 1e-6 W budget as "0.0000 W"
         phi = np.random.default_rng(11).uniform(0, TWO_PI, 16)
-        surrogate = _power_fit_arrays(fits_all_active, phi, params_va)
+        surrogate = Realizer(params_va, fits_all_active, phi).surrogate
         floor = float(surrogate[0].sum())
         with pytest.raises(InfeasibleBudgetError) as err:
             do_amplitude_max(surrogate, budget=1e-6)
@@ -310,7 +310,7 @@ class TestDoAmplitudeMax:
         rng = np.random.default_rng(10)
         phi = rng.uniform(0, TWO_PI, 16)
         _, upper = fits_all_active.bounds(phi)
-        surrogate = _power_fit_arrays(fits_all_active, phi, params_va)
+        surrogate = Realizer(params_va, fits_all_active, phi).surrogate
         alpha = do_amplitude_max(surrogate, budget=1e6)
         assert np.allclose(alpha, upper, atol=1e-9)
 
@@ -319,7 +319,7 @@ class TestDoAmplitudeMax:
         fits = ElementFits.from_classes(active_fit, passive_fit, np.ones(4, dtype=bool))
         for trial in range(5):
             phi = rng.uniform(0, TWO_PI, 4)
-            surrogate = _power_fit_arrays(fits, phi, params_va)
+            surrogate = Realizer(params_va, fits, phi).surrogate
             p_min, slope, lower, upper = surrogate
             budget = p_min.sum() + rng.uniform(0.2, 0.8) * (slope @ (upper - lower))
             alpha = do_amplitude_max(surrogate, budget=budget)
@@ -335,7 +335,7 @@ class TestDoAmplitudeMax:
     def test_marginal_budget_raises_cheapest_slope_first(self, params_va, fits_all_active):
         rng = np.random.default_rng(12)
         phi = rng.uniform(0, TWO_PI, 16)
-        surrogate = _power_fit_arrays(fits_all_active, phi, params_va)
+        surrogate = Realizer(params_va, fits_all_active, phi).surrogate
         p_min, slope, lower, upper = surrogate
         cheapest = np.argmin(np.where(slope > 0, slope, np.inf))
         budget = p_min.sum() + slope[cheapest] * (upper[cheapest] - lower[cheapest])
@@ -348,7 +348,7 @@ class TestDoAmplitudeMax:
         rng = np.random.default_rng(13)
         phi = rng.uniform(0, TWO_PI, 16)
         with pytest.raises(InfeasibleBudgetError):
-            do_amplitude_max(_power_fit_arrays(fits_all_active, phi, params_va), budget=1e-4)
+            do_amplitude_max(Realizer(params_va, fits_all_active, phi).surrogate, budget=1e-4)
 
 
 class TestRunDo:

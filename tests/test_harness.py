@@ -478,7 +478,7 @@ class TestDesignPersistence:
     def test_budget_is_checked_on_the_drawn_power(self, params_va, fits_all_active, scenario_desk):
         phi = np.full(16, 5.9)
         _, upper = fits_all_active.bounds(phi)
-        design = reflection.realizer(params_va, fits_all_active, phi)(upper)
+        design = reflection.Realizer(params_va, fits_all_active, phi)(upper)
         v = np.zeros((scenario_desk.m_t, 1))
         over = design.ris_power_w - scenario_desk.p_ris_w
         assert over > 0.0
@@ -503,6 +503,22 @@ class TestCli:
         }
         assert data["active"] == reflection.fit_amplitude_model(
             circuit.CircuitParams(), "active").to_dict()
+
+    def test_fit_model_curves_out_writes_the_fitted_bounds(self, tmp_path, capsys):
+        from actris.cli import main
+
+        out, curves = tmp_path / "fits.yaml", tmp_path / "fit-curves.csv"
+        assert main(["fit-model", "--grid", "360", "--out", str(out),
+                     "--curves-out", str(curves)]) == 0
+        lines = curves.read_text().splitlines()
+        assert lines[0] == "phi_rad,exact_lower,exact_upper,approx_lower,approx_upper"
+        assert len(lines) == 1 + 360
+        written = np.loadtxt(curves, delimiter=",", skiprows=1)
+        fit = reflection.fit_amplitude_model(circuit.CircuitParams(), "active", grid_size=360)
+        approx = reflection.approx_amplitude_bounds(fit, written[:, 0])
+        assert _same_bits(written[:, 3:], np.column_stack(approx))
+        phis, _, _ = reflection.exact_bound_curves(circuit.CircuitParams(), "active", 360)
+        assert _same_bits(written[:, 0], phis)
 
     def test_fit_model_grid_below_the_floor_is_a_configuration_error(self, capsys):
         from actris.cli import main
@@ -645,7 +661,7 @@ class TestCli:
 
         phi = np.full(16, 5.9)
         lower, upper = fits_all_active.bounds(phi)
-        design = reflection.realizer(params_va, fits_all_active, phi)(0.5 * (lower + upper))
+        design = reflection.Realizer(params_va, fits_all_active, phi)(0.5 * (lower + upper))
         assert design.ris_power_w == pytest.approx(0.398, abs=1e-3)
         path = tmp_path / "design.json"
         save_design(path, design, np.zeros((8, 1)))

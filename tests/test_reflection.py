@@ -19,9 +19,8 @@ from actris.reflection import (
     class_fits,
     exact_bound_curves,
     fit_amplitude_model,
+    Realizer,
     normalized_amplitude,
-    realize_minimum_power,
-    realizer,
 )
 from conftest import desk_scenario
 
@@ -301,7 +300,7 @@ def _reference_realization(params, fits, phi, alpha):
 
 
 def _reference_realize_minimum_power(params, fits, phi):
-    """(cells, power) of the per-cell realize_minimum_power loop."""
+    """(cells, power) of the per-cell Realizer.minimum_power loop."""
     band_hi = circuit.stable_resistance(circuit.M_HI, params)
     cells = [
         _in_range(params, _ref_nearest(params, band_hi if a else params.r_passive, phi_i)[0])
@@ -317,8 +316,8 @@ def _close(a, b, rel=1e-12):
 
 def _assert_matches_reference(params, fits, phi, alpha):
     """The reference's branches, after checking the circuits and the power
-    of a fresh realizer's design against it."""
-    design = realizer(params, fits, phi)(alpha)
+    of a fresh Realizer's design against it."""
+    design = Realizer(params, fits, phi)(alpha)
     cells, branches, power = _reference_realization(params, fits, phi, alpha)
     assert _close(design.r, [cell.r for cell in cells])
     assert _close(design.c, [cell.c for cell in cells])
@@ -330,10 +329,10 @@ def _assert_cellwise(params, fits, phi, alpha, active_fit, passive_fit):
     """Each cell of a surface's realization has the bits of the same cell
     realized on a surface of its own."""
     phi, alpha = np.asarray(phi, dtype=float), np.asarray(alpha, dtype=float)
-    design = realizer(params, fits, phi)(alpha)
+    design = Realizer(params, fits, phi)(alpha)
     for i in range(fits.n):
         one = ElementFits.from_classes(active_fit, passive_fit, fits.active_mask[i : i + 1])
-        cell = realizer(params, one, phi[i : i + 1])(alpha[i : i + 1])
+        cell = Realizer(params, one, phi[i : i + 1])(alpha[i : i + 1])
         assert _same_cells(cell, design.r[i : i + 1], design.c[i : i + 1]), i
 
 
@@ -356,27 +355,23 @@ class TestRealizeOracle:
     @pytest.mark.parametrize("size", ["desk", "paper"])
     def test_harness_calls_match_per_cell_reference(self, size, active_fit, passive_fit,
                                                     monkeypatch):
-        # every realization of a power repair goes through the one realizer
-        # it builds; each must carry the bits of a fresh realizer's
+        # every realization of a power repair goes through the one Realizer
+        # it builds; each must carry the bits of a fresh Realizer's
         sc = desk_scenario() if size == "desk" else ScenarioConfig().with_rho_db(-30.0)
         calls, floors = [], []
+        realize, minimum_power = Realizer.__call__, Realizer.minimum_power
 
-        def recording(params, fits, phi, realizer=reflection.realizer):
-            realize = realizer(params, fits, phi)
+        def recorded(self, alpha):
+            design = realize(self, alpha)
+            calls.append((self.params, self.fits, np.copy(self.phi), np.copy(alpha), design))
+            return design
 
-            def recorded(alpha):
-                design = realize(alpha)
-                calls.append((params, fits, np.copy(phi), np.copy(alpha), design))
-                return design
+        def recorded_floor(self):
+            floors.append((self.params, self.fits, np.copy(self.phi)))
+            return minimum_power(self)
 
-            return recorded
-
-        def recording_floor(params, fits, phi):
-            floors.append((params, fits, np.copy(phi)))
-            return realize_minimum_power(params, fits, phi)
-
-        monkeypatch.setattr(reflection, "realizer", recording)
-        monkeypatch.setattr(reflection, "realize_minimum_power", recording_floor)
+        monkeypatch.setattr(Realizer, "__call__", recorded)
+        monkeypatch.setattr(Realizer, "minimum_power", recorded_floor)
         for seed in (3, 17):
             ch, mask = trial_channels(sc, seed, 0, 0)
             fits = ElementFits.from_classes(active_fit, passive_fit, mask)
@@ -386,9 +381,9 @@ class TestRealizeOracle:
         seen = set()
         for params, fits, phi, alpha, design in calls:
             seen.update(_assert_matches_reference(params, fits, phi, alpha))
-            assert _same_design(design, realizer(params, fits, phi)(alpha))
+            assert _same_design(design, Realizer(params, fits, phi)(alpha))
         for params, fits, phi in floors:
-            design = realize_minimum_power(params, fits, phi)
+            design = Realizer(params, fits, phi).minimum_power()
             cells, power = _reference_realize_minimum_power(params, fits, phi)
             assert _close(design.r, [cell.r for cell in cells])
             assert _close(design.c, [cell.c for cell in cells])
@@ -429,7 +424,7 @@ class TestRealizeOracle:
             return np.where(ok, -np.abs(r) - 1.0, r), c, ok
 
         monkeypatch.setattr(circuit, "circuit_from_gamma", no_passive_rung)
-        design = realizer(params_va, fits, phi)(np.ones(2))
+        design = Realizer(params_va, fits, phi)(np.ones(2))
         assert np.all(design.r == params_va.r_passive)
         # the passive resistance at the nearest realizable phase of the last rung
         c, _ = circuit.nearest_realizable_cell(params_va, params_va.r_passive,
@@ -438,20 +433,20 @@ class TestRealizeOracle:
 
     def test_reused_realizer_keeps_the_bits_of_fresh_ones(self, params_va, active_fit,
                                                           passive_fit):
-        # one realizer over many amplitude vectors, with cells clipping at
+        # one Realizer over many amplitude vectors, with cells clipping at
         # either band edge in turn: its cached edge capacitances and
-        # passive cells must give each call the bits of a fresh realizer
+        # passive cells must give each call the bits of a fresh Realizer
         rng = np.random.default_rng(8)
         mask = rng.uniform(size=40) < 0.8
         fits = ElementFits.from_classes(active_fit, passive_fit, mask)
         phi = rng.uniform(0.0, TWO_PI, 40)
         lower, upper = fits.bounds(phi)
-        realize = realizer(params_va, fits, phi)
+        realize = Realizer(params_va, fits, phi)
         seen = set()
         for _ in range(12):
             alpha = lower + rng.uniform(-0.3, 1.3, 40) * (upper - lower)
             design = realize(alpha)
-            assert _same_design(design, realizer(params_va, fits, phi)(alpha))
+            assert _same_design(design, Realizer(params_va, fits, phi)(alpha))
             seen.update(_assert_matches_reference(params_va, fits, phi, alpha))
         assert CLIPPED in seen
 
@@ -460,7 +455,7 @@ class TestRealizeOracle:
         mask = rng.uniform(size=24) < 0.7
         fits = ElementFits.from_classes(active_fit, passive_fit, mask)
         phi = rng.uniform(0.0, TWO_PI, 24)
-        design = realize_minimum_power(params_va, fits, phi)
+        design = Realizer(params_va, fits, phi).minimum_power()
         cells, power = _reference_realize_minimum_power(params_va, fits, phi)
         assert _close(design.r, [cell.r for cell in cells])
         assert _close(design.c, [cell.c for cell in cells])
@@ -475,7 +470,7 @@ class TestRealizeOracle:
 
     def test_cells_view_and_cells_keyword(self, params_va, active_fit, passive_fit):
         fits = ElementFits.from_classes(active_fit, passive_fit, np.array([True, False]))
-        design = realizer(params_va, fits, np.array([1.0, 2.0]))(np.array([2.0, 0.5]))
+        design = Realizer(params_va, fits, np.array([1.0, 2.0]))(np.array([2.0, 0.5]))
         assert design.cells == tuple(CellState(r=r, c=c) for r, c in zip(design.r, design.c))
         again = reflection.RISDesign(phi=design.phi, alpha_bar=design.alpha_bar,
                                      active_mask=design.active_mask, gamma=design.gamma,
@@ -515,7 +510,7 @@ class TestExactValidation:
                                                 fits_all_active):
         phi = np.full(16, 1.0)
         lower, upper = fits_all_active.bounds(phi)
-        design = realizer(params_va, fits_all_active, phi)(lower + 0.1 * (upper - lower))
+        design = Realizer(params_va, fits_all_active, phi)(lower + 0.1 * (upper - lower))
         v = np.zeros((scenario_desk.m_t, 1))
         assert validate_design(scenario_desk, fits_all_active, v, design) == []
         c_lo, c_hi = params_va.c_range
@@ -532,7 +527,7 @@ class TestExactValidation:
         r, c, ok = circuit.circuit_from_gamma(params_va, target)
         assert ok and c < params_va.c_range[0]
         fits = ElementFits.from_classes(active_fit, passive_fit, np.array([True]))
-        design = realizer(params_va, fits, np.array([np.angle(target) % TWO_PI]))(
+        design = Realizer(params_va, fits, np.array([np.angle(target) % TWO_PI]))(
             np.array([abs(target)]))
         assert design.c[0] == params_va.c_range[0]
         assert design.r[0] == pytest.approx(r, rel=1e-9)
